@@ -1,22 +1,24 @@
 # Development targets for the MARAS workspace.
 #
-# `make verify` is the pre-merge gate: formatting, lints as errors, and the
-# tier-1 build + test pass (which includes the serve crate's ephemeral-port
-# HTTP integration tests). Clippy is scoped to the first-party crates; the
-# vendored dependency shims under vendor/ are formatted but not lint-clean
-# by contract.
+# `make verify` is the pre-merge gate: formatting, lints and rustdoc
+# warnings as errors, and the release build + every workspace crate's tests
+# (which include the serve crate's ephemeral-port HTTP integration tests).
+# Clippy and rustdoc are scoped to the first-party crates; the vendored
+# dependency shims under vendor/ are formatted but not lint-clean by
+# contract.
 
 FIRST_PARTY = -p maras -p maras-bench -p maras-core -p maras-evidence \
               -p maras-faers -p maras-mcac -p maras-mining -p maras-obs \
               -p maras-rules -p maras-serve -p maras-signals -p maras-study \
               -p maras-tidset -p maras-viz
 
-.PHONY: verify fmt fmt-check clippy test obs-test logs-test serve-test \
-        evidence-test signals-test tidset-test chaos snapshot trace bench-serve \
-        bench-mining bench-ingest bench-evidence bench-signals bench-tidset
+.PHONY: verify fmt fmt-check clippy doc-check test obs-test logs-test \
+        serve-test evidence-test signals-test tidset-test chaos snapshot trace \
+        bench-serve bench-mining bench-ingest bench-evidence bench-signals \
+        bench-tidset
 
-verify: fmt-check clippy test obs-test logs-test serve-test evidence-test \
-        signals-test tidset-test chaos
+verify: fmt-check clippy doc-check test obs-test logs-test serve-test \
+        evidence-test signals-test tidset-test chaos
 
 fmt:
 	cargo fmt
@@ -27,9 +29,14 @@ fmt-check:
 clippy:
 	cargo clippy $(FIRST_PARTY) --all-targets -- -D warnings
 
+# Broken or ambiguous intra-doc links fail the gate, so a deleted item
+# cannot leave a dangling link behind.
+doc-check:
+	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps $(FIRST_PARTY)
+
 test:
 	cargo build --release
-	cargo test -q
+	cargo test -q --workspace
 
 # The observability layer on its own: obs crate unit tests (tracer,
 # registry, exposition, trace export), the Prometheus golden file, and
@@ -68,8 +75,8 @@ evidence-test:
 		--archive target/evidence-data/2014Q1.evid
 
 # The signal-scoring layer end to end: the signals crate's unit +
-# property suites (Haldane–Anscombe corrections, checked tables,
-# Mantel–Haenszel degenerate strata), and the engine differential suite
+# property suites (Haldane–Anscombe corrections, checked tables, EBGM
+# and IC bounds), and the engine differential suite
 # proving batch scores bit-identical to the legacy per-rule path across
 # quarters, ingest modes, and thread counts.
 signals-test:

@@ -6,7 +6,7 @@
 //!
 //! Scale via `MARAS_SCALE` as usual (`paper` default, `small`, `test`).
 
-use maras_bench::{generate_quarter, run_pipeline};
+use maras_bench::{generate_quarter, percentile, run_pipeline};
 use maras_core::PipelineConfig;
 use maras_evidence::{build_archive, BuildConfig, EvidenceReader};
 use maras_faers::CaseReport;
@@ -25,11 +25,6 @@ fn in_memory_bytes(r: &CaseReport) -> usize {
         + r.drugs.len() * std::mem::size_of::<maras_faers::DrugEntry>()
         + r.reactions.len() * std::mem::size_of::<maras_faers::IStr>()
         + r.outcomes.len()
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 fn main() {

@@ -9,7 +9,7 @@
 //! EXPERIMENTS.md's "Zero-copy parallel ingestion" section is regenerated
 //! from this binary's output. Scale via `MARAS_SCALE` as usual.
 
-use maras_bench::{generate_corpus, print_table};
+use maras_bench::{generate_corpus, percentile, print_table};
 use maras_faers::ascii::{read_quarter_with, IngestOptions, QuarterWriter};
 use maras_faers::{CleanConfig, Cleaner};
 use serde_json::Value;
@@ -20,11 +20,6 @@ use std::time::Instant;
 const REPS: usize = 7;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx]
-}
 
 fn main() {
     let corpus = generate_corpus();

@@ -7,7 +7,7 @@
 //! EXPERIMENTS.md's "Parallel mining after the arena refactor" section is
 //! regenerated from this binary's output. Scale via `MARAS_SCALE` as usual.
 
-use maras_bench::{generate_quarter, print_table};
+use maras_bench::{generate_quarter, percentile, print_table};
 use maras_faers::{clean_quarter, CleanConfig};
 use maras_mining::{mine_patterns_parallel, TransactionDb};
 use maras_obs::ObsConfig;
@@ -22,11 +22,6 @@ const REPS: usize = 7;
 const MIN_SUPPORT: u64 = 6;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx]
-}
 
 fn main() {
     let corpus = generate_quarter(1);

@@ -8,7 +8,7 @@
 //! realistic mix), severity filters, autocomplete keystrokes, and
 //! cluster drill-downs. Scale via `MARAS_SCALE` as usual.
 
-use maras_bench::{generate_quarter, run_pipeline};
+use maras_bench::{generate_quarter, percentile, run_pipeline};
 use maras_core::PipelineConfig;
 use maras_serve::http::Request;
 use maras_serve::{respond, ServeState, Snapshot};
@@ -51,11 +51,6 @@ fn workload(snap: &Snapshot) -> Vec<Request> {
     }
     reqs.push(get("/healthz", &[]));
     reqs
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx]
 }
 
 /// Replays the script `PASSES` times against `state`, returning

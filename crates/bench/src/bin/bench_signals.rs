@@ -7,7 +7,7 @@
 //! EXPERIMENTS.md's "Single-pass signal scoring" section is regenerated
 //! from this binary's output. Scale via `MARAS_SCALE` as usual.
 
-use maras_bench::{generate_quarter, print_table};
+use maras_bench::{generate_quarter, percentile, print_table};
 use maras_faers::{clean_quarter, CleanConfig};
 use maras_mining::{Item, TransactionDb};
 use maras_rules::{multi_drug_rules, DrugAdrRule, ItemPartition};
@@ -29,11 +29,6 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// One named measure for the per-measure cost split.
 type Measure<'a> = (&'a str, Box<dyn Fn(&ContingencyTable) + 'a>);
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx]
-}
 
 /// Sorted-slice subset containment (both sides ascending).
 fn contains_all(transaction: &[Item], needle: &[Item]) -> bool {

@@ -1,6 +1,6 @@
 //! Shared experiment harness: synthetic-corpus construction, naming
-//! helpers, and plain-text table printing used by every `exp_*` binary and
-//! Criterion bench.
+//! helpers, plain-text table printing and sample percentiles used by the
+//! `exp_*` and `bench_*` binaries.
 //!
 //! Every binary regenerates one table or figure of the thesis (see
 //! DESIGN.md's experiment index and EXPERIMENTS.md for recorded outputs).
@@ -94,6 +94,12 @@ pub fn figures_dir() -> PathBuf {
     dir
 }
 
+/// The `p`-quantile (`p` in `[0, 1]`) of an ascending-sorted, non-empty
+/// sample, taking the element at the rounded rank `p · (len − 1)`.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
 /// Prints a fixed-width table: a header row plus data rows.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -131,6 +137,16 @@ mod tests {
         assert!(!c.quarters[0].reports.is_empty());
         assert!(!c.planted.is_empty());
         assert!(c.drug_vocab.id_of("IBUPROFEN").is_some());
+    }
+
+    #[test]
+    fn percentile_picks_the_rounded_rank() {
+        let sample = [10, 20, 30, 40, 50];
+        assert_eq!(percentile(&sample, 0.0), 10);
+        assert_eq!(percentile(&sample, 0.5), 30);
+        assert_eq!(percentile(&sample, 0.95), 50);
+        assert_eq!(percentile(&sample, 1.0), 50);
+        assert_eq!(percentile(&[7], 0.99), 7);
     }
 
     #[test]

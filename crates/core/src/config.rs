@@ -3,11 +3,10 @@
 use maras_faers::CleanConfig;
 use maras_mcac::{DecayFn, ExclusivenessConfig, RankingMethod};
 use maras_rules::Measure;
-use serde::{Deserialize, Serialize};
 
 /// Which score orders the ranked output — the CLI's `--rank-by` flag and
 /// the server's `?sort_by=` parameter map onto this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RankBy {
     /// MARAS exclusiveness over MCACs (the paper's ranking; the default).
     #[default]
@@ -50,7 +49,7 @@ impl std::fmt::Display for RankBy {
 }
 
 /// End-to-end configuration of one MARAS run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Keep only expedited reports (the thesis's §5.1 selection).
     pub expedited_only: bool,

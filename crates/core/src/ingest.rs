@@ -17,7 +17,7 @@
 //! Cross-quarter trend tracking stays aligned: failed quarters are fed to
 //! [`TrendTracker::skip_quarter`], so every trajectory still spans every
 //! requested quarter (with explicit absent points), and downstream
-//! consumers — rollups, queries, reports — operate per-result exactly as
+//! consumers — queries, reports — operate per-result exactly as
 //! in an all-clean run.
 
 use crate::pipeline::{AnalysisResult, Pipeline};

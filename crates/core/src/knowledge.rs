@@ -8,11 +8,10 @@
 //! unknown interactions" — the thesis's definition of what a drug-safety
 //! evaluator actually wants to triage.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One documented interaction: a drug set, optionally tied to specific ADRs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KnownInteraction {
     /// Canonical drug names, stored sorted.
     pub drugs: BTreeSet<String>,
@@ -28,7 +27,7 @@ pub struct KnownInteraction {
 /// interactions"): an interaction can be uninteresting because the drug
 /// *combination* is documented, or because the reaction is already on some
 /// constituent drug's label.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KnowledgeBase {
     entries: Vec<KnownInteraction>,
     /// drug (uppercase) → ADR terms documented on its label.

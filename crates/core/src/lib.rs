@@ -24,9 +24,6 @@ pub mod knowledge;
 pub mod link;
 pub mod pipeline;
 pub mod query;
-pub mod rollup;
-pub mod similar;
-pub mod stratify;
 pub mod trend;
 
 pub use config::{PipelineConfig, RankBy};
@@ -36,7 +33,4 @@ pub use knowledge::KnowledgeBase;
 pub use link::{supporting_reports, supporting_tids};
 pub use pipeline::{AnalysisResult, Pipeline, RuleView};
 pub use query::{canonical_query_term, RuleQuery};
-pub use rollup::{rollup_reports, RolledUp, Rollup};
-pub use similar::{cluster_similarity, similar_clusters, SimilarityWeights};
-pub use stratify::{stratified_tables, Stratifier};
 pub use trend::{SignalTrend, TrendPoint, TrendTracker};

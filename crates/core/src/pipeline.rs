@@ -8,7 +8,6 @@ use maras_mining::PatternStore;
 use maras_obs::{Event, Level};
 use maras_rules::{rule_space, RuleSpaceCounts};
 use maras_signals::SignalScores;
-use serde::Serialize;
 use std::time::Instant;
 
 /// Emits the per-phase flight-recorder event batch runs log at Info.
@@ -213,7 +212,7 @@ impl AnalysisResult {
 }
 
 /// A display-ready row of the ranked output (what the §4.1 interface lists).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuleView {
     /// 1-based rank.
     pub rank: usize,

@@ -12,10 +12,9 @@ use crate::pipeline::AnalysisResult;
 use maras_faers::QuarterId;
 use maras_mining::ItemSet;
 use rustc_hash::FxHashMap;
-use serde::Serialize;
 
 /// One quarter's observation of a signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrendPoint {
     /// Which quarter.
     pub quarter: QuarterId,
@@ -28,7 +27,7 @@ pub struct TrendPoint {
 }
 
 /// A signal's cross-quarter trajectory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SignalTrend {
     /// Drug item set (in the shared encoding).
     pub drugs: ItemSet,

@@ -144,6 +144,13 @@ impl<'a> Cursor<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Capacity to reserve for `count` decoded items of at least `min_bytes`
+    /// each: no more than the unread bytes can encode, so a lying count in a
+    /// checksummed section cannot drive an allocation past the input's size.
+    pub(crate) fn capacity_for(&self, count: usize, min_bytes: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / min_bytes)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], EvidenceError> {
         let end = self.pos.checked_add(n).ok_or(EvidenceError::Truncated)?;
         if end > self.buf.len() {

@@ -8,8 +8,8 @@
 //! time writes a **versioned columnar archive** (`MARAEVID`) and serve
 //! time pages records back through a block cache:
 //!
-//! * [`format`] — the file layout: header, checksummed meta section,
-//!   varint primitives, typed [`EvidenceError`].
+//! * [`format`](mod@format) — the file layout: header, checksummed meta
+//!   section, varint primitives, typed [`EvidenceError`].
 //! * [`record`] — the columnar block codec for `CaseReport`s (strings are
 //!   ids into a shared dictionary routed through `faers::intern`).
 //! * [`postings`] — the delta-varint on-disk codec for sorted-u32

@@ -162,11 +162,11 @@ impl EvidenceReader {
         }
         let n_symbols = c.u32()? as usize;
         let mut table = SymbolTable::new();
-        let mut symbols = Vec::with_capacity(n_symbols);
+        let mut symbols = Vec::with_capacity(c.capacity_for(n_symbols, 4));
         for _ in 0..n_symbols {
             symbols.push(table.intern(c.str()?));
         }
-        let mut case_index = Vec::with_capacity(n_records);
+        let mut case_index = Vec::with_capacity(c.capacity_for(n_records, 12));
         for _ in 0..n_records {
             let case_id = c.u64()?;
             let tid = c.u32()?;
@@ -181,7 +181,7 @@ impl EvidenceReader {
         let read_keyed_postings =
             |c: &mut Cursor<'_>| -> Result<Vec<(String, TidSet)>, EvidenceError> {
                 let n = c.u32()? as usize;
-                let mut out: Vec<(String, TidSet)> = Vec::with_capacity(n);
+                let mut out: Vec<(String, TidSet)> = Vec::with_capacity(c.capacity_for(n, 5));
                 for _ in 0..n {
                     let key = c.str()?.to_string();
                     let tids = decode_postings(c)?;
@@ -208,7 +208,7 @@ impl EvidenceReader {
         }
         let data_start = HEADER_LEN as u64 + meta_len;
         let data_len = file_len - data_start;
-        let mut blocks = Vec::with_capacity(n_blocks);
+        let mut blocks = Vec::with_capacity(c.capacity_for(n_blocks, 32));
         let mut expected_offset = 0u64;
         for b in 0..n_blocks {
             let offset = c.u64()?;

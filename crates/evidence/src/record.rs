@@ -190,40 +190,42 @@ pub fn decode_block(
             .ok_or(EvidenceError::Corrupt("symbol id out of range"))
     };
     let mut c = Cursor::new(bytes);
-    let mut case_ids = Vec::with_capacity(n);
+    // Every record takes at least one byte in each column.
+    let cap = c.capacity_for(n, 1);
+    let mut case_ids = Vec::with_capacity(cap);
     for _ in 0..n {
         case_ids.push(c.varint()?);
     }
-    let mut versions = Vec::with_capacity(n);
+    let mut versions = Vec::with_capacity(cap);
     for _ in 0..n {
         let v = c.varint()?;
         versions.push(u32::try_from(v).map_err(|_| EvidenceError::Corrupt("version overflow"))?);
     }
-    let mut report_types = Vec::with_capacity(n);
+    let mut report_types = Vec::with_capacity(cap);
     for _ in 0..n {
         report_types.push(report_type_from(c.u8()?)?);
     }
-    let mut sexes = Vec::with_capacity(n);
+    let mut sexes = Vec::with_capacity(cap);
     for _ in 0..n {
         sexes.push(sex_from(c.u8()?)?);
     }
-    let mut ages = Vec::with_capacity(n);
+    let mut ages = Vec::with_capacity(cap);
     for _ in 0..n {
         ages.push(opt_f32(&mut c)?);
     }
-    let mut weights = Vec::with_capacity(n);
+    let mut weights = Vec::with_capacity(cap);
     for _ in 0..n {
         weights.push(opt_f32(&mut c)?);
     }
-    let mut countries = Vec::with_capacity(n);
+    let mut countries = Vec::with_capacity(cap);
     for _ in 0..n {
         countries.push(lookup(c.varint()?)?);
     }
-    let mut event_dates = Vec::with_capacity(n);
+    let mut event_dates = Vec::with_capacity(cap);
     for _ in 0..n {
         event_dates.push(opt_u32(&mut c)?);
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(cap);
     for i in 0..n {
         let n_drugs = checked_len(&mut c)?;
         let mut drugs = Vec::with_capacity(n_drugs);
@@ -324,6 +326,10 @@ mod tests {
             bad[i] ^= 0xff;
             let _ = decode_block(&bad, 1, &symbols);
         }
+        // A record count far beyond what the bytes can hold is refused
+        // before anything is reserved for it.
+        let res = decode_block(&bytes, 1 << 40, &symbols);
+        assert!(matches!(res, Err(EvidenceError::Truncated)));
     }
 
     #[test]

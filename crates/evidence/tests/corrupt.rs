@@ -4,7 +4,7 @@
 
 use maras_core::config::PipelineConfig;
 use maras_core::pipeline::Pipeline;
-use maras_evidence::format::HEADER_LEN;
+use maras_evidence::format::{fnv1a, HEADER_LEN};
 use maras_evidence::{build_archive, check_archive, BuildConfig, EvidenceError, EvidenceReader};
 use maras_faers::{QuarterId, SynthConfig, Synthesizer};
 use std::path::PathBuf;
@@ -98,6 +98,24 @@ fn truncated_meta_and_truncated_blocks_are_refused() {
     assert_refused("short-data", &good[..good.len() - 7], |e| {
         matches!(e, EvidenceError::Truncated)
     });
+}
+
+#[test]
+fn lying_record_count_under_a_valid_checksum_is_refused() {
+    // Claim 2^40 records in 257 blocks of u32::MAX — a self-consistent
+    // geometry — and reseal the meta section with a recomputed checksum, so
+    // only the bytes that follow can expose the lie. Reservations must be
+    // bounded by those bytes, not by the claimed count.
+    let mut bad = pristine();
+    let meta_len = u64::from_le_bytes(bad[12..20].try_into().unwrap()) as usize;
+    let quarter_len = u32::from_le_bytes(bad[HEADER_LEN..HEADER_LEN + 4].try_into().unwrap());
+    let geometry = HEADER_LEN + 4 + quarter_len as usize;
+    bad[geometry..geometry + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    bad[geometry + 8..geometry + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+    bad[geometry + 12..geometry + 16].copy_from_slice(&257u32.to_le_bytes());
+    let checksum = fnv1a(&bad[HEADER_LEN..HEADER_LEN + meta_len]);
+    bad[20..28].copy_from_slice(&checksum.to_le_bytes());
+    assert_refused("lying-count", &bad, |e| matches!(e, EvidenceError::Truncated));
 }
 
 #[test]

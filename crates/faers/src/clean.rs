@@ -19,10 +19,9 @@ use crate::model::{CaseReport, Outcome};
 use crate::quarter::QuarterData;
 use crate::vocab::Vocabulary;
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the cleaning stage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CleanConfig {
     /// Maximum Levenshtein distance for spelling correction (0 disables
     /// fuzzy matching).
@@ -55,7 +54,7 @@ impl Default for CleanConfig {
 
 /// A cleaned, abstracted case: canonical drug and ADR id sets plus a link
 /// back to the raw report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CleanedReport {
     /// FAERS case id.
     pub case_id: u64,
@@ -72,7 +71,7 @@ pub struct CleanedReport {
 }
 
 /// Counters describing what cleaning did (§5.3-style at-a-glance numbers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CleaningStats {
     /// Raw reports in.
     pub input_reports: usize,

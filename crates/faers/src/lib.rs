@@ -30,21 +30,17 @@
 #![warn(missing_docs)]
 
 pub mod ascii;
-pub mod atc;
 pub mod clean;
 pub mod faults;
 pub mod intern;
-pub mod meddra;
 pub mod model;
 pub mod quarter;
 pub mod synth;
 pub mod vocab;
 
-pub use atc::{classify_drug, AtcGroup, AtcIndex};
 pub use clean::{clean_quarter, CleanConfig, CleanedReport, Cleaner, CleaningStats};
 pub use faults::{corrupt_quarter, CorruptedQuarter, FaultConfig, FaultKind, InjectedFault};
 pub use intern::{IStr, InternStats, SymbolTable};
-pub use meddra::{classify_term, Soc, SocIndex};
 pub use model::{CaseReport, DrugEntry, DrugRole, Outcome, ReportType, Sex};
 pub use quarter::{QuarterData, QuarterId, QuarterStats};
 pub use synth::{PlantedInteraction, SynthConfig, Synthesizer};

@@ -8,11 +8,10 @@
 //! as these reports contain at least one severe adverse event" (§5.1).
 
 use crate::intern::IStr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How the report entered the surveillance system (DEMO `rept_cod`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReportType {
     /// Expedited (15-day) manufacturer report — carries ≥ 1 serious event.
     Expedited,
@@ -44,7 +43,7 @@ impl ReportType {
 }
 
 /// Patient sex (DEMO `sex`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sex {
     /// Female.
     Female,
@@ -76,7 +75,7 @@ impl Sex {
 
 /// Outcome of the adverse event (OUTC `outc_cod`). Any outcome other than
 /// `Other` marks the case *serious* under FDA criteria.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Outcome {
     /// Death.
     Death,
@@ -148,7 +147,7 @@ impl Outcome {
 }
 
 /// Reported role of a drug within a case (DRUG `role_cod`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DrugRole {
     /// Primary suspect.
     PrimarySuspect,
@@ -185,7 +184,7 @@ impl DrugRole {
 
 /// One medication line of a report: the verbatim (possibly misspelled,
 /// dosage-laden) drug string plus its suspect role.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DrugEntry {
     /// Verbatim drug name as reported (`drugname`), interned: reports that
     /// name the same drug share one allocation.
@@ -203,7 +202,7 @@ impl DrugEntry {
 
 /// One adverse-event case report (one DEMO row joined with its DRUG, REAC
 /// and OUTC rows).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseReport {
     /// FAERS case number; follow-ups share it.
     pub case_id: u64,

@@ -2,11 +2,10 @@
 
 use crate::model::{CaseReport, ReportType};
 use rustc_hash::FxHashSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a FAERS publication quarter, e.g. 2014 Q1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QuarterId {
     /// Calendar year.
     pub year: u16,
@@ -42,7 +41,7 @@ impl fmt::Display for QuarterId {
 }
 
 /// One quarter's case reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuarterData {
     /// Which quarter this is.
     pub id: QuarterId,
@@ -116,7 +115,7 @@ impl QuarterData {
 }
 
 /// Table 5.1-style statistics of a quarter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuarterStats {
     /// Number of case reports.
     pub reports: usize,

@@ -30,10 +30,9 @@ use crate::vocab::Vocabulary;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rand_distr::{Distribution, Normal, Zipf};
-use serde::{Deserialize, Serialize};
 
 /// A ground-truth drug-drug interaction planted into the stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlantedInteraction {
     /// Canonical drug names (must exist in the drug vocabulary).
     pub drugs: Vec<String>,
@@ -85,7 +84,7 @@ impl PlantedInteraction {
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthConfig {
     /// Reports per quarter.
     pub n_reports: usize,

@@ -13,7 +13,6 @@
 //! names extend each vocabulary to any requested size.
 
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Levenshtein edit distance (two-row DP).
 pub fn levenshtein(a: &str, b: &str) -> usize {
@@ -82,12 +81,12 @@ fn prune_subtree(query_len: usize, node: &BkNode, radius: usize) -> bool {
 }
 
 /// A BK-tree over Levenshtein distance: metric-tree fuzzy lookup.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BkTree {
     nodes: Vec<BkNode>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct BkNode {
     term: String,
     /// Payload (vocabulary id).
@@ -479,7 +478,7 @@ pub const SEED_ADRS: &[&str] = &[
 
 /// A canonical vocabulary of terms (drugs or ADRs) with a dense id space and
 /// a BK-tree spelling index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vocabulary {
     entries: Vec<String>,
     index: FxHashMap<String, u32>,

@@ -2,12 +2,11 @@
 
 use maras_mining::{ItemSet, TransactionDb};
 use maras_rules::DrugAdrRule;
-use serde::{Deserialize, Serialize};
 
 /// One level of a cluster's context: all contextual rules whose antecedent
 /// has the same cardinality `k`, ordered by descending confidence (the order
 /// the contextual glyph lays sectors out in, §4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextLevel {
     /// Antecedent cardinality of every rule in this level.
     pub cardinality: usize,
@@ -19,7 +18,7 @@ pub struct ContextLevel {
 /// A multi-level contextual association cluster: a *target* multi-drug rule
 /// together with its complete context (Def. 3.5.2 — one contextual rule per
 /// non-empty proper subset of the target's antecedent, same consequent).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mcac {
     /// The evaluated multi-drug association.
     pub target: DrugAdrRule,

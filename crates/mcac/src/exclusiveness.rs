@@ -19,11 +19,10 @@
 
 use crate::cluster::Mcac;
 use maras_rules::Measure;
-use serde::{Deserialize, Serialize};
 
 /// Decay function `fd(k)` weighting context levels by antecedent
 /// cardinality (§3.6: importance decreases as `k` grows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DecayFn {
     /// The thesis's experimental choice: `fd(k) = 1 − (k−1)/n` where `n` is
     /// the number of drugs in the target.
@@ -48,7 +47,7 @@ impl DecayFn {
 }
 
 /// Configuration of the exclusiveness score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExclusivenessConfig {
     /// Strength measure for the target and its context (confidence or lift;
     /// Table 5.2 ranks with both).

@@ -10,10 +10,9 @@ use crate::exclusiveness::{improvement, ExclusivenessConfig};
 use maras_mining::TransactionDb;
 use maras_rules::{DrugAdrRule, Measure};
 use maras_signals::{score_rules, ContingencyTable, SignalScores};
-use serde::{Deserialize, Serialize};
 
 /// A scored cluster, the unit of MARAS's ranked output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RankedMcac {
     /// The cluster (target rule + full context).
     pub cluster: Mcac,
@@ -27,7 +26,7 @@ pub struct RankedMcac {
 
 /// The ranking methods of Table 5.2, plus the improvement ablation and the
 /// disproportionality-baseline orderings served by `--rank-by` / `?sort_by=`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RankingMethod {
     /// Order rules by raw confidence (no closedness filter, no context).
     Confidence,

@@ -70,7 +70,7 @@ pub fn apriori(db: &TransactionDb, min_support: u64) -> Vec<FrequentItemset> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fpgrowth::frequent_itemsets;
+    use crate::fpgrowth::mine_patterns;
     use rustc_hash::FxHashMap;
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
@@ -126,7 +126,7 @@ mod tests {
                 );
                 prop_assert_eq!(
                     as_map(apriori(&d, ms)),
-                    as_map(frequent_itemsets(&d, ms))
+                    as_map(mine_patterns(&d, ms).to_frequent_itemsets())
                 );
             }
         }

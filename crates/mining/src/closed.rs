@@ -14,21 +14,14 @@
 //! scans. The pass runs entirely over [`PatternStore`] slices: the hash table
 //! borrows the arena buffer, candidate parents are assembled in one reused
 //! scratch vector, and lengths are walked top-down through the store's
-//! per-length index — no per-pattern `ItemSet` is cloned. A naive
-//! closure-operator miner is kept for differential testing.
+//! per-length index — no per-pattern `ItemSet` is cloned. The tests check
+//! the pass against a naive closure-operator oracle.
 
-use crate::fpgrowth::{fpgrowth, FrequentItemset};
 use crate::items::Item;
 use crate::parallel::mine_patterns_parallel;
 use crate::store::{PatternRef, PatternStore};
 use crate::transactions::TransactionDb;
 use rustc_hash::FxHashMap;
-
-/// Mines all closed frequent itemsets of `db` at the given absolute support
-/// threshold.
-pub fn closed_itemsets(db: &TransactionDb, min_support: u64) -> Vec<FrequentItemset> {
-    ClosedMiner::new(min_support).mine(db)
-}
 
 /// Identifies the closed patterns of a mined frequent-pattern store.
 ///
@@ -85,58 +78,30 @@ pub fn closed_patterns(
     (closed, store.len() as u64)
 }
 
-/// Reusable closed-itemset miner.
-///
-/// Splitting construction from [`ClosedMiner::mine`] lets benchmarks reuse
-/// configuration and lets callers interrogate [`ClosedMiner::frequent_count`]
-/// afterwards (Fig. 5.1 reports the unfiltered pattern count alongside the
-/// closed count).
-#[derive(Debug, Clone)]
-pub struct ClosedMiner {
-    min_support: u64,
-    frequent_count: u64,
-}
-
-impl ClosedMiner {
-    /// Creates a miner with an absolute support threshold (clamped to ≥ 1).
-    pub fn new(min_support: u64) -> Self {
-        ClosedMiner { min_support: min_support.max(1), frequent_count: 0 }
-    }
-
-    /// Number of frequent itemsets seen by the last [`ClosedMiner::mine`] call.
-    pub fn frequent_count(&self) -> u64 {
-        self.frequent_count
-    }
-
-    /// Mines closed frequent itemsets.
-    pub fn mine(&mut self, db: &TransactionDb) -> Vec<FrequentItemset> {
-        let (closed, frequent_count) = closed_patterns(db, self.min_support, 1);
-        self.frequent_count = frequent_count;
-        closed.to_frequent_itemsets()
-    }
-}
-
-/// Reference implementation: mines all frequent itemsets and keeps those the
-/// database's Galois closure operator fixes. Quadratic-ish; used only in
-/// tests and for small differential checks.
-pub fn closed_itemsets_naive(db: &TransactionDb, min_support: u64) -> Vec<FrequentItemset> {
-    let mut out = Vec::new();
-    fpgrowth(db, min_support, |s, sup| {
-        if db.is_closed(s) {
-            out.push(FrequentItemset { items: s.clone(), support: sup });
-        }
-    });
-    out.sort_unstable_by(|a, b| b.support.cmp(&a.support).then(a.items.cmp(&b.items)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::{Item, ItemSet};
+    use crate::fpgrowth::{mine_patterns, FrequentItemset};
+    use crate::items::ItemSet;
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
         TransactionDb::new(rows.iter().map(|r| r.iter().map(|&i| Item(i)).collect()).collect())
+    }
+
+    fn closed_itemsets(db: &TransactionDb, min_support: u64) -> Vec<FrequentItemset> {
+        closed_patterns(db, min_support, 1).0.to_frequent_itemsets()
+    }
+
+    /// Oracle: every frequent itemset the database's Galois closure
+    /// operator fixes, in the same presentation order.
+    fn closed_itemsets_naive(db: &TransactionDb, min_support: u64) -> Vec<FrequentItemset> {
+        let mut out: Vec<FrequentItemset> = mine_patterns(db, min_support)
+            .to_frequent_itemsets()
+            .into_iter()
+            .filter(|f| db.is_closed(&f.items))
+            .collect();
+        out.sort_unstable_by(|a, b| b.support.cmp(&a.support).then(a.items.cmp(&b.items)));
+        out
     }
 
     fn set(ids: &[u32]) -> ItemSet {
@@ -181,10 +146,9 @@ mod tests {
     #[test]
     fn frequent_count_tracks_unfiltered_space() {
         let d = db(&[&[0, 1, 10, 11]]);
-        let mut miner = ClosedMiner::new(1);
-        let closed = miner.mine(&d);
+        let (closed, frequent_count) = closed_patterns(&d, 1, 1);
         assert_eq!(closed.len(), 1);
-        assert_eq!(miner.frequent_count(), 15); // 2^4 - 1 subsets all frequent
+        assert_eq!(frequent_count, 15); // 2^4 - 1 subsets all frequent
     }
 
     #[test]
@@ -240,12 +204,10 @@ mod tests {
                     rows.into_iter().map(|t| t.into_iter().map(Item).collect()).collect(),
                 );
                 let closed = closed_itemsets(&d, 1);
-                let mut ok = true;
-                fpgrowth(&d, 1, |s, sup| {
-                    let c = d.closure(s);
-                    ok &= closed.iter().any(|f| f.items == c && f.support == sup);
-                });
-                prop_assert!(ok);
+                for f in mine_patterns(&d, 1).to_frequent_itemsets() {
+                    let c = d.closure(&f.items);
+                    prop_assert!(closed.iter().any(|g| g.items == c && g.support == f.support));
+                }
             }
         }
     }

@@ -23,45 +23,16 @@ pub struct FrequentItemset {
 /// paths fall back to plain recursion to bound the 2^len blow-up.
 const SINGLE_PATH_CAP: usize = 16;
 
-/// Runs FP-Growth, invoking `sink(itemset, support)` for every frequent
-/// itemset (of length ≥ 1) with `support ≥ min_support`.
-///
-/// ```
-/// use maras_mining::{fpgrowth, Item, TransactionDb};
-/// let db = TransactionDb::new(vec![
-///     vec![Item(1), Item(2)],
-///     vec![Item(1), Item(2)],
-///     vec![Item(1), Item(3)],
-/// ]);
-/// let mut n = 0;
-/// fpgrowth(&db, 2, |itemset, support| {
-///     assert!(support >= 2);
-///     assert!(!itemset.is_empty());
-///     n += 1;
-/// });
-/// assert_eq!(n, 3); // {1}, {2}, {1,2}
-/// ```
+/// Runs FP-Growth, streaming every frequent itemset (of length ≥ 1) with
+/// `support ≥ min_support` into `sink` as a strictly-ascending `&[Item]`
+/// slice — the zero-allocation emission path. The slice lives in a reused
+/// scratch buffer and is only valid for the duration of each
+/// [`PatternSink::emit`] call.
 ///
 /// `min_support` is absolute (a report count); the thesis mines with a very
 /// low threshold to keep rare drug combinations (§1.3 "a low support is
 /// necessary"). A `min_support` of 0 is clamped to 1: support-0 itemsets are
 /// not patterns of the data.
-pub fn fpgrowth<F: FnMut(&ItemSet, u64)>(db: &TransactionDb, min_support: u64, sink: F) {
-    struct Adapter<F>(F);
-    impl<F: FnMut(&ItemSet, u64)> PatternSink for Adapter<F> {
-        fn emit(&mut self, items: &[Item], support: u64) {
-            (self.0)(&ItemSet::from_sorted_unchecked(items.to_vec()), support)
-        }
-    }
-    fpgrowth_into(db, min_support, &mut Adapter(sink));
-}
-
-/// Runs FP-Growth, streaming every frequent itemset into `sink` as a
-/// strictly-ascending `&[Item]` slice — the zero-allocation emission path.
-///
-/// Equivalent to [`fpgrowth`] but without materializing an [`ItemSet`] per
-/// pattern: the slice lives in a reused scratch buffer and is only valid for
-/// the duration of each [`PatternSink::emit`] call.
 pub fn fpgrowth_into<S: PatternSink>(db: &TransactionDb, min_support: u64, sink: &mut S) {
     let min_support = min_support.max(1);
     let tree = build_global_tree(db, min_support);
@@ -73,6 +44,18 @@ pub fn fpgrowth_into<S: PatternSink>(db: &TransactionDb, min_support: u64, sink:
 /// Mines the frequent-pattern space into a fresh [`PatternStore`], in the
 /// miner's emission order (use [`PatternStore::sort_by_items`] for the
 /// canonical order).
+///
+/// ```
+/// use maras_mining::{mine_patterns, Item, TransactionDb};
+/// let db = TransactionDb::new(vec![
+///     vec![Item(1), Item(2)],
+///     vec![Item(1), Item(2)],
+///     vec![Item(1), Item(3)],
+/// ]);
+/// let store = mine_patterns(&db, 2);
+/// assert!(store.iter().all(|(items, support)| support >= 2 && !items.is_empty()));
+/// assert_eq!(store.len(), 3); // {1}, {2}, {1,2}
+/// ```
 pub fn mine_patterns(db: &TransactionDb, min_support: u64) -> PatternStore {
     let mut store = PatternStore::new();
     fpgrowth_into(db, min_support, &mut store);
@@ -229,15 +212,6 @@ fn emit_path_combinations<S: PatternSink>(
     }
 }
 
-/// Convenience wrapper: collects all frequent itemsets into a vector.
-pub fn frequent_itemsets(db: &TransactionDb, min_support: u64) -> Vec<FrequentItemset> {
-    let mut out = Vec::new();
-    fpgrowth(db, min_support, |s, sup| {
-        out.push(FrequentItemset { items: s.clone(), support: sup })
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,10 +223,10 @@ mod tests {
 
     fn mined_map(d: &TransactionDb, min_support: u64) -> FxHashMap<ItemSet, u64> {
         let mut m = FxHashMap::default();
-        fpgrowth(d, min_support, |s, sup| {
-            let prev = m.insert(s.clone(), sup);
-            assert!(prev.is_none(), "itemset {s} emitted twice");
-        });
+        for f in mine_patterns(d, min_support).to_frequent_itemsets() {
+            let prev = m.insert(f.items.clone(), f.support);
+            assert!(prev.is_none(), "itemset {} emitted twice", f.items);
+        }
         m
     }
 
@@ -300,15 +274,15 @@ mod tests {
     #[test]
     fn empty_db_yields_nothing() {
         let d = db(&[]);
-        assert!(frequent_itemsets(&d, 1).is_empty());
+        assert!(mine_patterns(&d, 1).is_empty());
         let d2 = db(&[&[], &[]]);
-        assert!(frequent_itemsets(&d2, 1).is_empty());
+        assert!(mine_patterns(&d2, 1).is_empty());
     }
 
     #[test]
     fn high_threshold_prunes_everything() {
         let d = db(&[&[1, 2], &[2, 3]]);
-        assert!(frequent_itemsets(&d, 3).is_empty());
+        assert!(mine_patterns(&d, 3).is_empty());
     }
 
     #[test]

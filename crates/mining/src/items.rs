@@ -4,7 +4,6 @@
 //! An [`ItemSet`] is a duplicate-free, ascending-sorted set of items — the
 //! representation every miner and rule structure in the workspace shares.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single item: a drug or an ADR preferred term, identified by a dense id.
@@ -12,7 +11,7 @@ use std::fmt;
 /// The drug/ADR partition is *not* encoded here; `maras-rules` interprets the
 /// id space via an [`ItemPartition`](https://docs.rs/maras-rules)-style
 /// threshold. Keeping `Item` a bare newtype keeps the miners fully generic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Item(pub u32);
 
 impl Item {
@@ -40,7 +39,7 @@ impl From<u32> for Item {
 /// Invariant: `items` is strictly ascending. All constructors enforce this;
 /// the invariant is property-tested in this module and relied on by the
 /// subset/merge routines (which are linear merges, not hash probes).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ItemSet {
     items: Vec<Item>,
 }

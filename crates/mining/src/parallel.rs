@@ -17,27 +17,16 @@
 //! differential suite in `tests/differential.rs` for the byte-identical
 //! output proof at every thread count.
 
-use crate::fpgrowth::{
-    build_global_tree, conditional_tree, fpgrowth_into, mine_into, FrequentItemset,
-};
+use crate::fpgrowth::{build_global_tree, conditional_tree, mine_into};
 use crate::items::Item;
-use crate::store::{CountSink, PatternSink, PatternStore};
+use crate::store::PatternStore;
 use crate::transactions::TransactionDb;
 
-/// Runs the suffix-sharded miner with one private sink per worker and
-/// returns the sinks in worker order. Worker `w` mines exactly the patterns
+/// Runs the suffix-sharded miner with one private store per worker and
+/// returns the stores in worker order. Worker `w` mines exactly the patterns
 /// whose top-level suffix item has rank `≡ w (mod n_threads)` in the global
-/// frequency order, so each pattern lands in exactly one sink.
-fn mine_sharded<S, F>(
-    db: &TransactionDb,
-    min_support: u64,
-    n_threads: usize,
-    make_sink: F,
-) -> Vec<S>
-where
-    S: PatternSink + Send,
-    F: Fn() -> S + Sync,
-{
+/// frequency order, so each pattern lands in exactly one store.
+fn mine_sharded(db: &TransactionDb, min_support: u64, n_threads: usize) -> Vec<PatternStore> {
     let build_span = maras_obs::span("build_tree");
     let tree = build_global_tree(db, min_support);
     drop(build_span);
@@ -45,7 +34,6 @@ where
         return Vec::new();
     }
     let tree = &tree;
-    let make_sink = &make_sink;
     let parent = maras_obs::current_path().unwrap_or_default();
     let parent = &parent;
     std::thread::scope(|scope| {
@@ -53,7 +41,7 @@ where
             .map(|w| {
                 scope.spawn(move || {
                     let _shard = maras_obs::span_under(parent, "shard");
-                    let mut sink = make_sink();
+                    let mut store = PatternStore::new();
                     let mut prefix: Vec<Item> = Vec::new();
                     let mut scratch: Vec<Item> = Vec::new();
                     for (idx, &item) in tree.mining_order().iter().enumerate() {
@@ -67,15 +55,15 @@ where
                         if header.total < min_support {
                             continue;
                         }
-                        sink.emit(&[item], header.total);
+                        store.push(&[item], header.total);
                         prefix.clear();
                         prefix.push(item);
                         let cond = conditional_tree(tree, item, min_support);
                         if !cond.mining_order().is_empty() {
-                            mine_into(&cond, min_support, &mut prefix, &mut scratch, &mut sink);
+                            mine_into(&cond, min_support, &mut prefix, &mut scratch, &mut store);
                         }
                     }
-                    sink
+                    store
                 })
             })
             .collect();
@@ -103,7 +91,7 @@ pub fn mine_patterns_parallel(
         let _seq = maras_obs::span("mine_seq");
         crate::fpgrowth::mine_patterns(db, min_support)
     } else {
-        let shards = mine_sharded(db, min_support, n_threads, PatternStore::new);
+        let shards = mine_sharded(db, min_support, n_threads);
         let _merge = maras_obs::span("merge");
         let mut merged = PatternStore::new();
         for shard in shards {
@@ -122,43 +110,21 @@ pub fn mine_patterns_parallel(
     out
 }
 
-/// Mines all frequent itemsets using `n_threads` workers (clamped to ≥ 1),
-/// returned as owned sets in canonical order.
-///
-/// Compatibility wrapper over [`mine_patterns_parallel`]; the owned
-/// [`FrequentItemset`]s are materialized once at this boundary, not per
-/// emitted pattern.
-pub fn frequent_itemsets_parallel(
-    db: &TransactionDb,
-    min_support: u64,
-    n_threads: usize,
-) -> Vec<FrequentItemset> {
-    mine_patterns_parallel(db, min_support, n_threads).to_frequent_itemsets()
-}
-
-/// Counts frequent itemsets without materializing them — the cheap path for
-/// Fig. 5.1-style rule-space accounting. Parallel counting shards the same
-/// way but each worker's sink is a bare counter.
-pub fn count_frequent_parallel(db: &TransactionDb, min_support: u64, n_threads: usize) -> u64 {
-    // Counting is not worth sharding below a few thousand transactions.
-    if n_threads <= 1 || db.len() < 1024 {
-        let mut n = CountSink::default();
-        fpgrowth_into(db, min_support, &mut n);
-        return n.0;
-    }
-    mine_sharded(db, min_support.max(1), n_threads, CountSink::default).iter().map(|c| c.0).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fpgrowth::frequent_itemsets;
+    use crate::fpgrowth::{mine_patterns, FrequentItemset};
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
         TransactionDb::new(rows.iter().map(|r| r.iter().map(|&i| Item(i)).collect()).collect())
     }
 
-    fn normalized(mut v: Vec<FrequentItemset>) -> Vec<FrequentItemset> {
+    fn parallel(d: &TransactionDb, min_support: u64, threads: usize) -> Vec<FrequentItemset> {
+        mine_patterns_parallel(d, min_support, threads).to_frequent_itemsets()
+    }
+
+    fn sequential_sorted(d: &TransactionDb, min_support: u64) -> Vec<FrequentItemset> {
+        let mut v = mine_patterns(d, min_support).to_frequent_itemsets();
         v.sort_unstable_by(|a, b| a.items.cmp(&b.items));
         v
     }
@@ -179,8 +145,8 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             for ms in [1u64, 2, 3] {
                 assert_eq!(
-                    frequent_itemsets_parallel(&d, ms, threads),
-                    normalized(frequent_itemsets(&d, ms)),
+                    parallel(&d, ms, threads),
+                    sequential_sorted(&d, ms),
                     "threads={threads} ms={ms}"
                 );
             }
@@ -190,7 +156,7 @@ mod tests {
     #[test]
     fn store_matches_sequential_store() {
         let d = db(&[&[1, 2, 3], &[1, 2], &[2, 3], &[1, 3], &[1, 2, 3]]);
-        let mut seq = crate::fpgrowth::mine_patterns(&d, 1);
+        let mut seq = mine_patterns(&d, 1);
         seq.sort_by_items();
         for threads in [2, 4] {
             let par = mine_patterns_parallel(&d, 1, threads);
@@ -202,22 +168,13 @@ mod tests {
     #[test]
     fn single_thread_falls_back_to_sequential() {
         let d = db(&[&[1, 2], &[2, 3]]);
-        let par = frequent_itemsets_parallel(&d, 1, 1);
-        assert_eq!(par, normalized(frequent_itemsets(&d, 1)));
+        assert_eq!(parallel(&d, 1, 1), sequential_sorted(&d, 1));
     }
 
     #[test]
     fn empty_db_yields_nothing() {
         let d = db(&[]);
-        assert!(frequent_itemsets_parallel(&d, 1, 4).is_empty());
         assert!(mine_patterns_parallel(&d, 1, 4).is_empty());
-    }
-
-    #[test]
-    fn count_matches_materialized_len() {
-        let d = db(&[&[1, 2, 3], &[1, 2], &[2, 3], &[1, 3]]);
-        let n = count_frequent_parallel(&d, 1, 4);
-        assert_eq!(n, frequent_itemsets(&d, 1).len() as u64);
     }
 
     mod properties {
@@ -236,10 +193,7 @@ mod tests {
                 let d = TransactionDb::new(
                     rows.into_iter().map(|t| t.into_iter().map(Item).collect()).collect(),
                 );
-                prop_assert_eq!(
-                    frequent_itemsets_parallel(&d, ms, threads),
-                    normalized(frequent_itemsets(&d, ms))
-                );
+                prop_assert_eq!(parallel(&d, ms, threads), sequential_sorted(&d, ms));
             }
         }
     }

@@ -10,10 +10,9 @@
 //! borrowed `&[Item]` slice into the arena.
 //!
 //! [`PatternSink`] is the emission boundary: miners stream
-//! `(sorted item slice, support)` pairs into any sink — a store, a counter
-//! ([`CountSink`]), or an adapter that materializes owned sets only at the
-//! final API boundary. Per-worker stores merge by *rebase* ([
-//! `PatternStore::absorb`]): the arena is appended and record offsets are
+//! `(sorted item slice, support)` pairs into any sink — a store, or a
+//! closure wrapped in [`FnSink`]. Per-worker stores merge by *rebase*
+//! ([`PatternStore::absorb`]): the arena is appended and record offsets are
 //! shifted, so a parallel join is two `memcpy`-shaped extends per worker.
 
 use crate::fpgrowth::FrequentItemset;
@@ -26,18 +25,6 @@ use crate::items::{Item, ItemSet};
 pub trait PatternSink {
     /// Accepts one mined pattern.
     fn emit(&mut self, items: &[Item], support: u64);
-}
-
-/// A sink that only counts patterns — the zero-allocation path for Fig.
-/// 5.1-style rule-space accounting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountSink(pub u64);
-
-impl PatternSink for CountSink {
-    #[inline]
-    fn emit(&mut self, _items: &[Item], _support: u64) {
-        self.0 += 1;
-    }
 }
 
 /// Adapts a closure to a [`PatternSink`] (a blanket impl for `FnMut` would
@@ -190,8 +177,8 @@ impl PatternStore {
     }
 
     /// Groups pattern refs by item count: `index[k]` holds every pattern of
-    /// exactly `k` items. Subsumption passes (closed/maximal mining) walk
-    /// lengths top-down instead of hashing owned sets.
+    /// exactly `k` items. The closed-pattern pass walks lengths top-down
+    /// instead of hashing owned sets.
     pub fn refs_by_len(&self) -> Vec<Vec<PatternRef>> {
         let max = self.recs.iter().map(|r| r.len as usize).max().unwrap_or(0);
         let mut index: Vec<Vec<PatternRef>> = vec![Vec::new(); max + 1];
@@ -202,7 +189,7 @@ impl PatternStore {
     }
 
     /// Materializes every pattern as an owned [`FrequentItemset`], in record
-    /// order — the compatibility boundary for the legacy vector API.
+    /// order — the form Apriori returns, so the two miners compare directly.
     pub fn to_frequent_itemsets(&self) -> Vec<FrequentItemset> {
         self.iter()
             .map(|(items, support)| FrequentItemset {
@@ -290,11 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn count_and_fn_sinks() {
-        let mut n = CountSink::default();
-        n.emit(&items(&[1]), 1);
-        n.emit(&items(&[2]), 1);
-        assert_eq!(n.0, 2);
+    fn fn_sink_forwards_every_pattern() {
         let mut total = 0u64;
         let mut f = FnSink(|_: &[Item], sup| total += sup);
         f.emit(&items(&[1]), 10);

@@ -15,7 +15,6 @@
 
 use crate::items::{Item, ItemSet};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// A compressed set of transaction ids (the *cover* of an itemset) —
 /// re-exported from `maras-tidset`, the shared set-algebra layer.
@@ -35,7 +34,7 @@ pub type TidSet = maras_tidset::TidSet;
 /// assert_eq!(db.closure(&ItemSet::from_ids([0u32])), s);
 /// assert!(db.is_closed(&s));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransactionDb {
     /// Horizontal form: each transaction is a strictly-ascending item list.
     transactions: Vec<ItemSet>,

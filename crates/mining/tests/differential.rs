@@ -1,19 +1,17 @@
 //! Fuzz-style differential proof that the arena-backed miner is
-//! byte-identical to the legacy miners.
+//! byte-identical at every thread count and to Apriori.
 //!
 //! For each of several synthesized quarters (seeded drug/ADR-shaped
 //! transaction databases), the suite renders the sorted `(itemset, support)`
-//! output of four independent paths to one byte string and asserts equality:
+//! output of three paths to one byte string and asserts equality:
 //!
 //! 1. arena `PatternStore` FP-Growth, 1 thread;
 //! 2. arena `PatternStore` FP-Growth, N threads (N ∈ {2, 3, 4, 8});
-//! 3. legacy sequential FP-Growth (`ItemSet` callback API);
-//! 4. Apriori — a genuinely independent algorithm, so the proof does not
+//! 3. Apriori — a genuinely independent algorithm, so the proof does not
 //!    rest on shared recursion.
 
 use maras_mining::{
-    apriori, frequent_itemsets, mine_patterns, mine_patterns_parallel, Item, PatternStore,
-    TransactionDb,
+    apriori, mine_patterns, mine_patterns_parallel, Item, PatternStore, TransactionDb,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -82,9 +80,6 @@ fn all_miners_agree_on_synthesized_quarters() {
         arena_seq.sort_by_items();
         let reference = render_store(&arena_seq);
         assert!(!reference.is_empty(), "seed {seed}: no patterns mined");
-
-        let legacy = render_owned(frequent_itemsets(db, ms));
-        assert_eq!(reference, legacy, "seed {seed}: arena vs legacy sequential FP-Growth");
 
         let independent = render_owned(apriori(db, ms));
         assert_eq!(reference, independent, "seed {seed}: arena FP-Growth vs Apriori");

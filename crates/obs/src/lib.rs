@@ -6,7 +6,7 @@
 //! query server records into this one substrate, so a year-scale run or a
 //! slow `/search` can be broken down without a profiler:
 //!
-//! * [`span`] / [`span_under`] — RAII span guards building a process-wide
+//! * [`span()`] / [`span_under`] — RAII span guards building a process-wide
 //!   hierarchical timing tree. The hot path touches only a thread-local
 //!   buffer plus one relaxed atomic load; completed spans are flushed to
 //!   a bounded global collector when a thread's stack empties, so the

@@ -13,11 +13,10 @@ use crate::rule::DrugAdrRule;
 use maras_mining::{
     closed_refs, fpgrowth_into, mine_patterns_parallel, FnSink, PatternStore, TransactionDb,
 };
-use serde::{Deserialize, Serialize};
 
 /// Sizes of the successively-reduced rule spaces (the three series of
 /// Fig. 5.1), plus the underlying itemset counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuleSpaceCounts {
     /// All `A ⇒ B` splits of all frequent itemsets ("Total Rules").
     pub total_rules: u64,

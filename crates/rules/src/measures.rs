@@ -6,8 +6,6 @@
 //! exclusiveness computation "could be replaced by other reasonable
 //! measures"; [`Measure`] is that plug point.
 
-use serde::{Deserialize, Serialize};
-
 /// Confidence of a rule from raw counts: `|A∪B| / |A|` (Formula 2.2).
 ///
 /// Returns 0 when the antecedent never occurs — the convention MARAS needs
@@ -32,7 +30,7 @@ pub fn lift(support_ab: u64, support_a: u64, support_b: u64, n_transactions: u64
 }
 
 /// The raw counts every measure is derived from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleStats {
     /// `|A ∪ B|` — reports containing the whole rule.
     pub support_ab: u64,
@@ -76,7 +74,7 @@ impl RuleStats {
 
 /// Strength measure selector (thesis §3.6 experiments with confidence *and*
 /// lift; Table 5.2 shows both rankings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Measure {
     /// Formula 2.2 — the thesis's default for exclusiveness.
     #[default]

@@ -7,10 +7,9 @@
 //! are O(1) on the boundary items.
 
 use maras_mining::{Item, ItemSet};
-use serde::{Deserialize, Serialize};
 
 /// The boundary between the drug and ADR halves of the item id space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ItemPartition {
     /// First item id that denotes an ADR; all lower ids are drugs.
     pub adr_start: u32,

@@ -3,12 +3,11 @@
 use crate::measures::RuleStats;
 use crate::partition::ItemPartition;
 use maras_mining::{Item, ItemSet, TransactionDb};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A drug-ADR association `A ⇒ B` with `A ⊆ I_drug`, `B ⊆ I_ade` (§3.1),
 /// carrying the counts its measures derive from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrugAdrRule {
     /// Antecedent: the drug combination.
     pub drugs: ItemSet,

@@ -25,10 +25,9 @@
 
 use maras_mining::{ItemSet, TransactionDb};
 use maras_tidset::TidSet;
-use serde::{Deserialize, Serialize};
 
 /// How (and whether) the report database supports an association.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Supportedness {
     /// Some report contains exactly these drugs and ADRs (Def. 3.3.1).
     Explicit,
@@ -99,7 +98,7 @@ pub fn is_supported(itemset: &ItemSet, db: &TransactionDb) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maras_mining::{closed_itemsets, Item};
+    use maras_mining::{closed_patterns, mine_patterns, Item};
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
         TransactionDb::new(rows.iter().map(|r| r.iter().map(|&i| Item(i)).collect()).collect())
@@ -160,7 +159,7 @@ mod tests {
             &[3, 13],
             &[0, 3, 10, 13],
         ]);
-        for f in closed_itemsets(&d, 1) {
+        for f in closed_patterns(&d, 1, 1).0.to_frequent_itemsets() {
             assert!(
                 is_supported(&f.items, &d),
                 "closed itemset {} classified unsupported",
@@ -233,7 +232,7 @@ mod tests {
                 let d = TransactionDb::new(
                     rows.into_iter().map(|t| t.into_iter().map(Item).collect()).collect(),
                 );
-                for f in maras_mining::frequent_itemsets(&d, 1) {
+                for f in mine_patterns(&d, 1).to_frequent_itemsets() {
                     let closed = d.is_closed(&f.items);
                     let supported = is_supported(&f.items, &d);
                     prop_assert_eq!(closed, supported, "itemset {}", f.items);
@@ -245,7 +244,7 @@ mod tests {
                 let d = TransactionDb::new(
                     rows.into_iter().map(|t| t.into_iter().map(Item).collect()).collect(),
                 );
-                for f in maras_mining::frequent_itemsets(&d, 1) {
+                for f in mine_patterns(&d, 1).to_frequent_itemsets() {
                     if is_pairwise_implicit(&f.items, &d)
                         && classify(&f.items, &d) == Supportedness::Unsupported
                     {

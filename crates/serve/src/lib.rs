@@ -4,12 +4,12 @@
 //! The thesis's §4.1 interactive interface is a query loop over one
 //! quarter's ranked MCACs. This crate turns that loop into a service:
 //!
-//! * [`snapshot`] — an immutable [`Snapshot`](snapshot::Snapshot) built
-//!   once per analysis, with inverted indexes (drug → clusters,
-//!   ADR → clusters, severity buckets, antecedent cardinality) and
-//!   prefix autocomplete, so every [`RuleQuery`](maras_core::RuleQuery)
-//!   dispatches through index intersection instead of a full scan —
-//!   with results guaranteed identical to the scan path.
+//! * [`snapshot`] — an immutable [`Snapshot`] built once per analysis,
+//!   with inverted indexes (drug → clusters, ADR → clusters, severity
+//!   buckets, antecedent cardinality) and prefix autocomplete, so every
+//!   [`RuleQuery`](maras_core::RuleQuery) dispatches through index
+//!   intersection instead of a full scan — with results guaranteed
+//!   identical to the scan path.
 //! * [`store`] — versioned binary persistence (magic, format version,
 //!   FNV-1a checksum; refuses mismatches) with atomic temp-file +
 //!   rename writes.
@@ -31,8 +31,8 @@
 //!   (slowloris, header floods, abort-mid-body, connection floods) that
 //!   the chaos suite replays with exact shed/timeout/panic ledgers.
 //! * [`debug`] — request correlation and the flight recorder: every
-//!   connection gets a [`RequestId`](debug::RequestId) at accept time,
-//!   echoed as `x-maras-request-id` on *every* response path (including
+//!   connection gets a [`RequestId`] at accept time, echoed as
+//!   `x-maras-request-id` on *every* response path (including
 //!   sheds, timeouts, and recovered panics) and attached to every log
 //!   event the request produces; `GET /debug/logs`, `/debug/requests`,
 //!   and `/debug/runtime` serve the in-memory log ring, the last-N

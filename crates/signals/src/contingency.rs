@@ -2,7 +2,6 @@
 
 use maras_mining::{ItemSet, TransactionDb};
 use maras_rules::RuleStats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Inconsistent marginal counts handed to [`ContingencyTable::from_supports`].
@@ -63,7 +62,7 @@ impl std::error::Error for ContingencyError {}
 /// |------------|----------|----------|
 /// | exposed    | `a`      | `b`      |
 /// | unexposed  | `c`      | `d`      |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContingencyTable {
     /// Exposed with the event.
     pub a: u64,

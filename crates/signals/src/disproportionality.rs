@@ -10,10 +10,9 @@
 use crate::contingency::ContingencyTable;
 use crate::ebgm::{ebgm_from_table, EbgmScores, GammaMixturePrior};
 use crate::ic::{information_component, InformationComponent};
-use serde::{Deserialize, Serialize};
 
 /// A 95% confidence interval on the log scale, exponentiated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate.
     pub estimate: f64,
@@ -105,7 +104,7 @@ pub fn evans_signal(t: &ContingencyTable) -> bool {
 /// classical frequentist measures, the Bayesian shrinkage baselines (BCPNN
 /// IC, MGPS EBGM), the multi-drug interaction contrast, and the MARAS
 /// exclusiveness score of the rule's cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SignalScores {
     /// The underlying table.
     pub table: ContingencyTable,

@@ -17,10 +17,9 @@
 
 use crate::contingency::ContingencyTable;
 use crate::gamma::{digamma, gamma_p, gamma_quantile, ln_gamma};
-use serde::{Deserialize, Serialize};
 
 /// Two-component gamma mixture prior on the reporting ratio λ.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GammaMixturePrior {
     /// Shape of component 1.
     pub alpha1: f64,
@@ -42,7 +41,7 @@ impl Default for GammaMixturePrior {
 }
 
 /// The shrunken signal scores for one pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EbgmScores {
     /// Posterior geometric mean of λ.
     pub ebgm: f64,

@@ -13,10 +13,9 @@
 //! the conventional signal criterion.
 
 use crate::contingency::ContingencyTable;
-use serde::{Deserialize, Serialize};
 
 /// The shrunken information component with its 95% credibility bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InformationComponent {
     /// Shrunken point estimate `log₂((a+0.5)/(E+0.5))`.
     pub ic: f64,

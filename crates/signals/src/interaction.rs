@@ -13,10 +13,9 @@ use crate::contingency::ContingencyTable;
 use crate::disproportionality::rrr;
 use maras_mining::{Item, ItemSet, TransactionDb};
 use maras_rules::{multi_drug_rules, DrugAdrRule, ItemPartition};
-use serde::{Deserialize, Serialize};
 
 /// A multi-item association scored by relative reporting ratio.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HarpazSignal {
     /// The association.
     pub rule: DrugAdrRule,

@@ -19,7 +19,6 @@ pub mod gamma;
 pub mod ic;
 pub mod interaction;
 pub mod metrics;
-pub mod stratified;
 
 pub use contingency::{ContingencyError, ContingencyTable};
 pub use disproportionality::{
@@ -30,4 +29,3 @@ pub use engine::{score_rule, score_rules};
 pub use ic::{information_component, InformationComponent};
 pub use interaction::{harpaz_rank, interaction_contrast, HarpazSignal};
 pub use metrics::SignalsMetrics;
-pub use stratified::{crude_or, mantel_haenszel_or, mantel_haenszel_rr};

@@ -8,12 +8,11 @@
 use maras_mcac::RankedMcac;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// What a participant visually receives for one candidate cluster: the
 /// target strength and the context strengths (the magnitudes both encodings
 /// draw).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterStimulus {
     /// Target rule confidence (inner circle / first bar).
     pub target: f64,
@@ -50,7 +49,7 @@ impl ClusterStimulus {
 }
 
 /// One study question: candidates plus how many to pick.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Question {
     /// Question label (e.g. "Q1").
     pub label: String,
@@ -80,7 +79,7 @@ impl Question {
 }
 
 /// A full battery of questions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Battery {
     /// The questions, in presentation order.
     pub questions: Vec<Question>,

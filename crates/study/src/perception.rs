@@ -15,10 +15,9 @@ use crate::battery::{ClusterStimulus, Question};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// Which visual encoding the participant reads (the thesis's two arms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Encoding {
     /// The MARAS Contextual Glyph (Fig. 4.1).
     ContextualGlyph,
@@ -37,7 +36,7 @@ impl std::fmt::Display for Encoding {
 
 /// Perceptual noise parameters (standard deviations on the confidence
 /// scale, i.e. fractions of the axis).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerceptionParams {
     /// Per-bar length-estimation noise (bar chart).
     pub sigma_length: f64,

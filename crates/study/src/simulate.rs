@@ -2,11 +2,10 @@
 
 use crate::battery::Battery;
 use crate::perception::{Encoding, Participant, PerceptionParams};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Study-level configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StudyConfig {
     /// Number of simulated participants (the thesis invited 50).
     pub n_participants: usize,
@@ -22,8 +21,8 @@ impl Default for StudyConfig {
     }
 }
 
-/// Aggregated outcomes. (Not serde-serializable: tuple map keys don't map
-/// to JSON; the experiment binaries format rows explicitly.)
+/// Aggregated outcomes. Tuple map keys have no JSON form, so the
+/// experiment binaries format rows explicitly.
 #[derive(Debug, Clone)]
 pub struct StudyResults {
     /// `% correct` per (drug count, encoding) — the Fig. 5.2 bars.

@@ -1,24 +1,17 @@
-//! Deep-dive surveillance workflow: the analyses a safety evaluator runs
-//! *after* MARAS surfaces a signal —
+//! Deep-dive surveillance workflow: what a safety evaluator runs *after*
+//! MARAS surfaces a signal —
 //!
 //! 1. **trend** — does the signal persist / grow across the year's quarters?
-//! 2. **stratification** — does it survive Mantel–Haenszel age/sex
-//!    adjustment, or was it demographic confounding?
-//! 3. **class rollup** — what does the interaction look like at ATC-class ×
-//!    organ-class level (the Tatonetti-style view)?
+//! 2. **report** — a self-contained HTML review of the final quarter's
+//!    ranking, with per-signal trend sparklines.
 //!
 //! ```sh
 //! cargo run --release --example surveillance_deep_dive
 //! ```
 
-use maras::core::KnowledgeBase;
-use maras::core::{
-    rollup_reports, stratified_tables, Pipeline, PipelineConfig, Rollup, Stratifier, TrendTracker,
-};
-use maras::faers::{AtcIndex, SocIndex, SynthConfig, Synthesizer};
+use maras::core::{KnowledgeBase, Pipeline, PipelineConfig, TrendTracker};
+use maras::faers::{SynthConfig, Synthesizer};
 use maras::report::{html_report_with_trends, ReportConfig};
-use maras::rules::multi_drug_rules;
-use maras::signals::{mantel_haenszel_or, ContingencyTable, SignalScores};
 
 fn main() {
     let mut synth = Synthesizer::new(SynthConfig::default());
@@ -58,63 +51,7 @@ fn main() {
     let emerging = tracker.emerging(2);
     println!("\n{} signals have strictly growing support (emerging shortlist)", emerging.len());
 
-    // ---- 2. stratified confirmation of the top signal -------------------
-    let top = result.ranked[0].cluster.target.clone();
-    let names = result.encoded.names(&top.drugs, &dv, &av);
-    println!("\n=== stratified analysis of the Q4 top signal [{}] ===", names.join(" + "));
-    let crude = SignalScores::from_table(ContingencyTable::from_db(
-        &result.encoded.db,
-        &top.drugs,
-        &top.adrs,
-    ));
-    for stratifier in [Stratifier::AgeBand, Stratifier::Sex] {
-        let tables = stratified_tables(&result, &top, stratifier);
-        let adjusted = mantel_haenszel_or(&tables);
-        println!(
-            "  {:?}: crude ROR {:.1} -> MH-adjusted OR {:.1}  ({})",
-            stratifier,
-            crude.ror.estimate,
-            adjusted,
-            if adjusted > 2.0 { "signal survives adjustment" } else { "possible confounding" }
-        );
-        for (i, t) in tables.iter().enumerate() {
-            if t.a > 0 {
-                println!(
-                    "      stratum {:<10} exposed+event={:<4} exposed={:<5} n={}",
-                    stratifier.label(i),
-                    t.a,
-                    t.exposed(),
-                    t.n()
-                );
-            }
-        }
-    }
-
-    // ---- 3. class-level view --------------------------------------------
-    println!("\n=== ATC-class x organ-class rollup (Tatonetti-style) ===");
-    let atc = AtcIndex::build(&dv);
-    let soc = SocIndex::build(&av);
-    let rolled =
-        rollup_reports(&result.cleaned, &atc, &soc, dv.len() as u32, av.len() as u32, Rollup::Both);
-    let class_rules = multi_drug_rules(&rolled.db, &rolled.partition, 25);
-    // (HTML report with trend sparklines is written at the end.)
-    println!(
-        "{} class-level multi-class rules at support >= 25; strongest five by lift:",
-        class_rules.len()
-    );
-    let mut by_lift = class_rules;
-    by_lift.sort_by(|a, b| b.lift().partial_cmp(&a.lift()).unwrap_or(std::cmp::Ordering::Equal));
-    for rule in by_lift.iter().take(5) {
-        let parts: Vec<String> = rule
-            .drugs
-            .iter()
-            .chain(rule.adrs.iter())
-            .map(|i| rolled.item_name(i, &dv, &av))
-            .collect();
-        println!("  {} (sup={}, lift={:.1})", parts.join(" | "), rule.support(), rule.lift());
-    }
-
-    // ---- 4. the deliverable: an HTML report with trend sparklines --------
+    // ---- 2. the deliverable: an HTML report with trend sparklines --------
     let kb = KnowledgeBase::literature_validated();
     let html = html_report_with_trends(
         &result,
