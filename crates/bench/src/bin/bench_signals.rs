@@ -1,8 +1,9 @@
 //! Score-engine benchmark: times the batch `score_rules` pass against the
 //! two per-rule paths it replaced — the legacy `ContingencyTable::from_db`
 //! tid-list intersections and a naive full transaction scan — and splits
-//! the per-measure cost (EBGM's bisected quantiles dominate). Writes
-//! `BENCH_signals.json` with rules/s at 1/2/4/8 threads.
+//! the per-measure cost, including the interaction contrast's per-drug
+//! tid-list probes. Writes `BENCH_signals.json` with rules/s at 1/2/4/8
+//! threads.
 //!
 //! EXPERIMENTS.md's "Single-pass signal scoring" section is regenerated
 //! from this binary's output. Scale via `MARAS_SCALE` as usual.
@@ -27,8 +28,9 @@ const MIN_SUPPORT: u64 = 6;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// One named measure for the per-measure cost split.
-type Measure<'a> = (&'a str, Box<dyn Fn(&ContingencyTable) + 'a>);
+/// One named measure for the per-measure cost split, run on a rule and its
+/// already-derived table.
+type Measure<'a> = (&'a str, Box<dyn Fn(&DrugAdrRule, &ContingencyTable) + 'a>);
 
 /// Sorted-slice subset containment (both sides ascending).
 fn contains_all(transaction: &[Item], needle: &[Item]) -> bool {
@@ -194,48 +196,59 @@ fn main() {
     );
 
     // Per-measure cost split over the already-derived tables: where does
-    // a scoring pass actually spend its time? (EBGM's 3 × 200-step
-    // bisections dominate; the 2×2 arithmetic measures are noise.)
+    // a scoring pass actually spend its time? The 2×2 arithmetic measures
+    // are noise; EBGM solves two posterior quantiles, and the interaction
+    // contrast probes the tid-lists once per constituent drug.
     let tables: Vec<ContingencyTable> = rules
         .iter()
         .map(|r| ContingencyTable::from_stats(&r.stats).expect("miner stats consistent"))
         .collect();
     let prior = GammaMixturePrior::default();
-    let measures: [Measure; 6] = [
+    let measures: [Measure; 7] = [
         (
             "rrr",
-            Box::new(|t| {
+            Box::new(|_, t| {
                 std::hint::black_box(rrr(t));
             }),
         ),
         (
             "prr",
-            Box::new(|t| {
+            Box::new(|_, t| {
                 std::hint::black_box(prr(t));
             }),
         ),
         (
             "ror",
-            Box::new(|t| {
+            Box::new(|_, t| {
                 std::hint::black_box(ror(t));
             }),
         ),
         (
             "chi2",
-            Box::new(|t| {
+            Box::new(|_, t| {
                 std::hint::black_box(chi_square_yates(t));
             }),
         ),
         (
             "ic",
-            Box::new(|t| {
+            Box::new(|_, t| {
                 std::hint::black_box(information_component(t));
             }),
         ),
         (
             "ebgm",
-            Box::new(move |t| {
+            Box::new(move |_, t| {
                 std::hint::black_box(ebgm_from_table(t, &prior));
+            }),
+        ),
+        (
+            "interaction",
+            Box::new(|rule, _| {
+                let adrs = rule.adrs.items();
+                for &d in rule.drugs.items() {
+                    std::hint::black_box(db.support_of(&[d]));
+                    std::hint::black_box(db.support_of_union(&[d], adrs));
+                }
             }),
         ),
     ];
@@ -243,8 +256,8 @@ fn main() {
     let mut split_json = Vec::new();
     for (name, f) in &measures {
         let p50 = time_p50(|| {
-            for t in &tables {
-                f(t);
+            for (rule, t) in rules.iter().zip(&tables) {
+                f(rule, t);
             }
         });
         split_rows.push(vec![

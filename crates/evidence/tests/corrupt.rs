@@ -8,9 +8,15 @@ use maras_evidence::format::{fnv1a, HEADER_LEN};
 use maras_evidence::{build_archive, check_archive, BuildConfig, EvidenceError, EvidenceReader};
 use maras_faers::{QuarterId, SynthConfig, Synthesizer};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// A temp path no other call in the process shares: the tests run on
+/// parallel threads, and one test's rename or removal must not take a file
+/// from under another.
 fn tmp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("maras-evid-corrupt-{tag}-{}.evid", std::process::id()))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let id = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("maras-evid-corrupt-{tag}-{}-{id}.evid", std::process::id()))
 }
 
 /// Builds one small pristine archive and returns its bytes.
@@ -154,7 +160,8 @@ fn every_single_byte_flip_is_refused_or_detected() {
     // stored-vs-actual checksum bytes themselves) the mismatch surfaces.
     // Nothing may panic.
     let good = pristine();
-    let reference = check_archive(&write_variant("ref", &good)).unwrap();
+    let ref_path = write_variant("ref", &good);
+    let reference = check_archive(&ref_path).unwrap();
     assert!(reference.n_records > 0);
     for i in (0..good.len()).step_by(211) {
         let mut bad = good.clone();
@@ -170,5 +177,5 @@ fn every_single_byte_flip_is_refused_or_detected() {
         }
         std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_file(tmp_path("ref")).ok();
+    std::fs::remove_file(&ref_path).ok();
 }

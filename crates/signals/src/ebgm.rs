@@ -5,10 +5,12 @@
 //! Model: the observed count `N` of a (drug set, ADR) pair is Poisson with
 //! mean `λ·E`, where `E` is the expected count under independence and the
 //! relative-reporting ratio `λ` has a two-component gamma mixture prior.
-//! The posterior is again a gamma mixture (conjugacy), giving closed forms
-//! for the shrunken geometric mean **EBGM = 2^{E[log₂ λ]}** and the
-//! posterior quantiles **EB05 / EB95** used as signal thresholds
-//! (EB05 ≥ 2 is the conventional criterion).
+//! The posterior is again a gamma mixture (conjugacy), giving a closed form
+//! for the shrunken geometric mean **EBGM = 2^{E[log₂ λ]}**. The posterior
+//! quantiles **EB05 / EB95** used as signal thresholds (EB05 ≥ 2 is the
+//! conventional criterion) have no closed form: each is solved by
+//! safeguarded Newton iteration on the mixture CDF, whose density is
+//! closed form.
 //!
 //! The prior defaults are DuMouchel's published FAERS fit
 //! (α₁=0.2, β₁=0.1, α₂=2, β₂=4, w=1/3); fitting the prior by maximum
@@ -16,7 +18,7 @@
 //! deployments commonly start from.
 
 use crate::contingency::ContingencyTable;
-use crate::gamma::{digamma, gamma_p, gamma_quantile, ln_gamma};
+use crate::gamma::{digamma, gamma_p_with_factor, ln_gamma};
 
 /// Two-component gamma mixture prior on the reporting ratio λ.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,9 +64,11 @@ impl EbgmScores {
 
 /// Log marginal likelihood of observing `n` under prior component
 /// `(alpha, beta)` with expectation `e` — a negative binomial.
-fn ln_marginal(n: f64, e: f64, alpha: f64, beta: f64) -> f64 {
+/// `ln_gamma_post` is `lnΓ(alpha + n)`, the posterior component's
+/// normalising constant.
+fn ln_marginal(n: f64, e: f64, alpha: f64, beta: f64, ln_gamma_post: f64) -> f64 {
     // P(N=n) = Γ(α+n)/(Γ(α) n!) · (β/(β+E))^α · (E/(β+E))^n
-    ln_gamma(alpha + n) - ln_gamma(alpha) - ln_gamma(n + 1.0)
+    ln_gamma_post - ln_gamma(alpha) - ln_gamma(n + 1.0)
         + alpha * (beta / (beta + e)).ln()
         + n * (e / (beta + e)).ln()
 }
@@ -82,10 +86,12 @@ pub fn ebgm(n: u64, e: f64, prior: &GammaMixturePrior) -> EbgmScores {
     let b1 = prior.beta1 + e;
     let a2 = prior.alpha2 + n;
     let b2 = prior.beta2 + e;
+    let lg1 = ln_gamma(a1);
+    let lg2 = ln_gamma(a2);
 
     // Posterior mixture weight via marginal likelihoods.
-    let l1 = ln_marginal(n, e, prior.alpha1, prior.beta1) + prior.w.ln();
-    let l2 = ln_marginal(n, e, prior.alpha2, prior.beta2) + (1.0 - prior.w).ln();
+    let l1 = ln_marginal(n, e, prior.alpha1, prior.beta1, lg1) + prior.w.ln();
+    let l2 = ln_marginal(n, e, prior.alpha2, prior.beta2, lg2) + (1.0 - prior.w).ln();
     let m = l1.max(l2);
     let w1 = ((l1 - m).exp()) / ((l1 - m).exp() + (l2 - m).exp());
 
@@ -93,36 +99,94 @@ pub fn ebgm(n: u64, e: f64, prior: &GammaMixturePrior) -> EbgmScores {
     let e_ln = w1 * (digamma(a1) - b1.ln()) + (1.0 - w1) * (digamma(a2) - b2.ln());
     let ebgm = e_ln.exp();
 
-    // Quantiles of the posterior mixture via bisection on its CDF.
-    let cdf = |x: f64| -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        w1 * gamma_p(a1, x * b1) + (1.0 - w1) * gamma_p(a2, x * b2)
-    };
-    let quantile = |p: f64| -> f64 {
-        // Bracket using the wider component quantile.
-        let hi0 = gamma_quantile(0.999, a1, b1).max(gamma_quantile(0.999, a2, b2));
-        let mut lo = 0.0;
-        let mut hi = hi0.max(1e-9);
-        while cdf(hi) < p {
-            hi *= 2.0;
-        }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if cdf(mid) < p {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            if hi - lo < 1e-10 * hi.max(1.0) {
-                break;
-            }
-        }
-        0.5 * (lo + hi)
-    };
+    let posterior = Posterior { w1, a1, b1, lg1, a2, b2, lg2 };
+    EbgmScores {
+        ebgm,
+        eb05: posterior.quantile(0.05, -Z_95),
+        eb95: posterior.quantile(0.95, Z_95),
+        posterior_w1: w1,
+    }
+}
 
-    EbgmScores { ebgm, eb05: quantile(0.05), eb95: quantile(0.95), posterior_w1: w1 }
+/// Standard normal 95th percentile, for the Wilson–Hilferty start.
+const Z_95: f64 = 1.644_853_626_951_472_2;
+
+/// The quantile solver stops once a step moves `x` by at most this
+/// fraction of it.
+const STEP_TOL: f64 = 1e-13;
+
+/// Iteration cap of the quantile solver. On a log grid of `n ≤ 2·10⁵` and
+/// `e ∈ [1e-9, 1e5]`, 92% of quantiles take at most five CDF evaluations
+/// and none took more than 42 (bisection steps in where the mixture is
+/// flat between far-apart components). The cap bounds the work should
+/// rounding noise in the CDF keep every step above `STEP_TOL`.
+const MAX_ITER: usize = 64;
+
+/// The posterior mixture `w1·Gamma(a1, b1) + (1 − w1)·Gamma(a2, b2)`
+/// (shape, rate), with `lg1`, `lg2` = lnΓ of each shape.
+struct Posterior {
+    w1: f64,
+    a1: f64,
+    b1: f64,
+    lg1: f64,
+    a2: f64,
+    b2: f64,
+    lg2: f64,
+}
+
+impl Posterior {
+    /// The mixture CDF and density at `x > 0`.
+    fn cdf_and_density(&self, x: f64) -> (f64, f64) {
+        let (p1, f1) = gamma_p_with_factor(self.a1, x * self.b1, self.lg1);
+        let (p2, f2) = gamma_p_with_factor(self.a2, x * self.b2, self.lg2);
+        let w2 = 1.0 - self.w1;
+        (self.w1 * p1 + w2 * p2, (self.w1 * f1 + w2 * f2) / x)
+    }
+
+    /// The `p`-quantile, `z` being the standard normal `p`-quantile.
+    ///
+    /// Newton's method on `F(x) = p` from a Wilson–Hilferty guess for the
+    /// heavier component. `[lo, hi]` brackets the root and every CDF
+    /// evaluation narrows it; a step that leaves it bisects instead
+    /// (doubles while no evaluation has reached `p`).
+    fn quantile(&self, p: f64, z: f64) -> f64 {
+        let (mut lo, mut hi) = (0.0, f64::INFINITY);
+        let mut x = if self.w1 >= 0.5 {
+            initial_guess(p, z, self.a1, self.b1, self.lg1)
+        } else {
+            initial_guess(p, z, self.a2, self.b2, self.lg2)
+        };
+        for _ in 0..MAX_ITER {
+            let (cdf, density) = self.cdf_and_density(x);
+            if cdf < p {
+                lo = x;
+            } else {
+                hi = x;
+            }
+            let mut next = x - (cdf - p) / density;
+            if !(next > lo && next <= hi && next.is_finite()) {
+                next = if hi.is_finite() { 0.5 * (lo + hi) } else { 2.0 * x };
+            }
+            if (next - x).abs() <= STEP_TOL * next {
+                return next;
+            }
+            x = next;
+        }
+        x
+    }
+}
+
+/// A starting guess for the `p`-quantile of Gamma(a, b): Wilson–Hilferty's
+/// cube of a normal, or, where that cube's base is not positive (lower
+/// tail, shape ≲ 0.6), the small-`x` limit `P(a, bx) ≈ (bx)ᵃ / Γ(a + 1)`.
+fn initial_guess(p: f64, z: f64, a: f64, b: f64, ln_gamma_a: f64) -> f64 {
+    let c = 1.0 / (9.0 * a);
+    let base = 1.0 - c + z * c.sqrt();
+    if base > 0.0 {
+        a * base * base * base / b
+    } else {
+        ((p.ln() + a.ln() + ln_gamma_a) / a).exp() / b
+    }
 }
 
 /// Convenience: MGPS scores straight from a 2×2 table (`n` = observed joint
@@ -134,9 +198,51 @@ pub fn ebgm_from_table(t: &ContingencyTable, prior: &GammaMixturePrior) -> EbgmS
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gamma::{bisect_quantile, gamma_p, gamma_quantile};
 
     fn default_prior() -> GammaMixturePrior {
         GammaMixturePrior::default()
+    }
+
+    /// The posterior mixture of `(n, e)` under the default prior as
+    /// `(a1, b1, a2, b2)`.
+    fn posterior_params(n: u64, e: f64) -> (f64, f64, f64, f64) {
+        let (p, n, e) = (default_prior(), n as f64, e.max(1e-9));
+        (p.alpha1 + n, p.beta1 + e, p.alpha2 + n, p.beta2 + e)
+    }
+
+    /// The posterior mixture CDF through the public `gamma_p`.
+    fn mixture_cdf(n: u64, e: f64, w1: f64) -> impl Fn(f64) -> f64 {
+        let (a1, b1, a2, b2) = posterior_params(n, e);
+        move |x| w1 * gamma_p(a1, x * b1) + (1.0 - w1) * gamma_p(a2, x * b2)
+    }
+
+    /// The solver Newton replaced, kept as the oracle: bisection on the
+    /// mixture CDF, bracketed from the wider component's 0.999 quantile.
+    fn bisected_quantile(n: u64, e: f64, w1: f64, p: f64) -> f64 {
+        let (a1, b1, a2, b2) = posterior_params(n, e);
+        let hi = gamma_quantile(0.999, a1, b1).max(gamma_quantile(0.999, a2, b2));
+        bisect_quantile(p, hi, mixture_cdf(n, e, w1))
+    }
+
+    #[test]
+    fn quantiles_match_the_bisection_oracle_across_n_and_e() {
+        for n in [0u64, 1, 2, 3, 6, 10, 30, 100, 767, 10_000, 100_000] {
+            for e in [1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5] {
+                let s = ebgm(n, e, &default_prior());
+                let cdf = mixture_cdf(n, e, s.posterior_w1);
+                for (p, q) in [(0.05, s.eb05), (0.95, s.eb95)] {
+                    let ctx = format!("n={n} e={e} p={p}: q={q}");
+                    // Without the oracle: q brackets p to 1e-9 relative.
+                    assert!(cdf(q * (1.0 - 1e-9)) <= p && p <= cdf(q * (1.0 + 1e-9)), "{ctx}");
+                    let want = bisected_quantile(n, e, s.posterior_w1, p);
+                    assert!((q - want).abs() <= 1e-9 * q.max(1.0), "{ctx}, oracle {want}");
+                    if p == 0.05 {
+                        assert_eq!(s.is_signal(), want >= 2.0, "{ctx}, oracle {want}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Special functions for the empirical-Bayes layer: log-gamma, digamma,
-//! the regularized incomplete gamma functions and the gamma-distribution
-//! quantile. No external math crates; implementations follow the standard
-//! Lanczos / series / continued-fraction constructions with accuracy
-//! adequate for signal scoring (~1e-10 relative).
+//! Special functions for the empirical-Bayes layer: log-gamma, digamma and
+//! the regularized incomplete gamma functions. No external math crates;
+//! implementations follow the standard Lanczos / series / continued-fraction
+//! constructions with accuracy adequate for signal scoring (~1e-10
+//! relative).
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7).
 pub fn ln_gamma(x: f64) -> f64 {
@@ -56,11 +56,7 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
     if x == 0.0 {
         return 0.0;
     }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
+    gamma_p_with_factor(a, x, ln_gamma(a)).0
 }
 
 /// Regularized upper incomplete gamma `Q(a, x) = 1 − P(a, x)`.
@@ -68,11 +64,25 @@ pub fn gamma_q(a: f64, x: f64) -> f64 {
     1.0 - gamma_p(a, x)
 }
 
+/// `P(a, x)` for `x > 0` from a precomputed `ln_gamma_a = lnΓ(a)`, paired
+/// with the factor `xᵃ e⁻ˣ / Γ(a)` both branches scale by. That factor
+/// divided by `x` is the Gamma(a, 1) density at `x`, so a solver inverting
+/// `P` gets the derivative for free.
+pub(crate) fn gamma_p_with_factor(a: f64, x: f64, ln_gamma_a: f64) -> (f64, f64) {
+    let factor = (-x + a * x.ln() - ln_gamma_a).exp();
+    let p =
+        if x < a + 1.0 { gamma_p_series(a, x) * factor } else { 1.0 - gamma_q_cf(a, x) * factor };
+    (p, factor)
+}
+
+/// The series `Σ xᵏ / (a(a+1)…(a+k))`, which times the factor is `P(a, x)`.
+/// Near `x ≈ a` it needs about `√(70a)` terms, so the cap grows with `√a`.
 fn gamma_p_series(a: f64, x: f64) -> f64 {
+    let max_terms = 500.max((20.0 * a.sqrt()) as usize);
     let mut term = 1.0 / a;
     let mut sum = term;
     let mut n = a;
-    for _ in 0..500 {
+    for _ in 0..max_terms {
         n += 1.0;
         term *= x / n;
         sum += term;
@@ -80,11 +90,11 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
+    sum
 }
 
+/// Lentz's continued fraction, which times the factor is `Q(a, x)`.
 fn gamma_q_cf(a: f64, x: f64) -> f64 {
-    // Lentz's continued fraction for Q(a,x).
     let tiny = 1e-300;
     let mut b = x + 1.0 - a;
     let mut c = 1.0 / tiny;
@@ -108,27 +118,17 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    h * (-x + a * x.ln() - ln_gamma(a)).exp()
+    h
 }
 
-/// Quantile of the Gamma(shape, rate) distribution: the `p`-th percentile of
-/// a gamma with the given shape and *rate* (not scale). Bisection on the
-/// CDF — robust, and signal scoring calls it rarely enough that speed is
-/// irrelevant.
-pub fn gamma_quantile(p: f64, shape: f64, rate: f64) -> f64 {
-    assert!((0.0..1.0).contains(&p), "p must be in [0,1), got {p}");
-    assert!(shape > 0.0 && rate > 0.0);
-    if p == 0.0 {
-        return 0.0;
-    }
-    let cdf = |x: f64| gamma_p(shape, x * rate);
-    // Bracket the quantile: start around the mean, expand upward.
-    let mut hi = (shape / rate).max(1e-12);
+/// Test oracle: the `p`-quantile of a continuous CDF on `[0, ∞)` by
+/// bisection, doubling the upper end from `hi` until it brackets `p`.
+/// Stops once the bracket is within 1e-12 of its upper end.
+#[cfg(test)]
+pub(crate) fn bisect_quantile(p: f64, hi: f64, cdf: impl Fn(f64) -> f64) -> f64 {
+    let mut hi = hi.max(1e-300);
     while cdf(hi) < p {
         hi *= 2.0;
-        if hi > 1e12 {
-            break;
-        }
     }
     let mut lo = 0.0;
     for _ in 0..200 {
@@ -138,11 +138,23 @@ pub fn gamma_quantile(p: f64, shape: f64, rate: f64) -> f64 {
         } else {
             hi = mid;
         }
-        if hi - lo < 1e-12 * hi.max(1.0) {
+        if hi - lo <= 1e-12 * hi {
             break;
         }
     }
     0.5 * (lo + hi)
+}
+
+/// Test oracle: the `p`-th percentile of a gamma with the given shape and
+/// *rate* (not scale), by bisection on its CDF.
+#[cfg(test)]
+pub(crate) fn gamma_quantile(p: f64, shape: f64, rate: f64) -> f64 {
+    assert!((0.0..1.0).contains(&p), "p must be in [0,1), got {p}");
+    assert!(shape > 0.0 && rate > 0.0);
+    if p == 0.0 {
+        return 0.0;
+    }
+    bisect_quantile(p, shape / rate, |x| gamma_p(shape, x * rate))
 }
 
 #[cfg(test)]
@@ -204,6 +216,38 @@ mod tests {
     fn p_plus_q_is_one() {
         for (a, x) in [(0.5, 0.2), (1.0, 1.0), (3.5, 2.0), (10.0, 20.0), (2.0, 0.01)] {
             assert!((gamma_p(a, x) + gamma_q(a, x) - 1.0).abs() < 1e-12, "a={a} x={x}");
+        }
+    }
+
+    /// `1 − Σ_{k<a} e⁻ˣ xᵏ / k!`, which is `P(a, x)` for integer `a`. Sums
+    /// down from `k = a − 1`, whose term comes from Stirling's series in
+    /// `m = a − 1` so that no large lnΓ cancels against `x`.
+    fn poisson_identity(a: u64, x: f64) -> f64 {
+        let m = (a - 1) as f64;
+        let stirling = 1.0 / (12.0 * m) - 1.0 / (360.0 * m.powi(3)) + 1.0 / (1260.0 * m.powi(5))
+            - 1.0 / (1680.0 * m.powi(7));
+        let ln_top = (m - x) + m * ((x - m) / m).ln_1p()
+            - 0.5 * (2.0 * std::f64::consts::PI * m).ln()
+            - stirling;
+        let (mut term, mut sum, mut k) = (ln_top.exp(), 0.0, m);
+        loop {
+            sum += term;
+            if k == 0.0 || term < sum * 1e-18 {
+                return 1.0 - sum;
+            }
+            term *= k / x;
+            k -= 1.0;
+        }
+    }
+
+    #[test]
+    fn gamma_p_matches_the_poisson_identity_at_large_shape() {
+        for a in [10u64, 100, 1_000, 10_000, 50_000, 100_000] {
+            for r in [0.95, 0.99, 0.999, 1.0, 1.001, 1.01, 1.05] {
+                let x = a as f64 * r;
+                let (got, want) = (gamma_p(a as f64, x), poisson_identity(a, x));
+                assert!((got - want).abs() <= 1e-9, "a={a} x={x}: {got} vs {want}");
+            }
         }
     }
 
