@@ -7,7 +7,7 @@
 //! EXPERIMENTS.md's "Parallel mining after the arena refactor" section is
 //! regenerated from this binary's output. Scale via `MARAS_SCALE` as usual.
 
-use maras_bench::{generate_quarter, percentile, print_table};
+use maras_bench::{alternating_medians, generate_quarter, percentile, print_table};
 use maras_faers::{clean_quarter, CleanConfig};
 use maras_mining::{mine_patterns_parallel, TransactionDb};
 use maras_obs::ObsConfig;
@@ -116,35 +116,29 @@ fn main() {
 }
 
 /// Times the miner with span tracing on (draining the collector each rep,
-/// as a `--trace` run would) against `ObsConfig::disabled()`, and enforces
-/// the observability budget: instrumented p50 must stay within 5% of the
-/// disabled p50 (plus a 500 µs floor so micro-runs don't trip on noise).
+/// as a `--trace` run would) against `ObsConfig::disabled()`, alternating
+/// the two rep by rep, and enforces the observability budget: the
+/// instrumented median must stay within 5% of the disabled median (plus a
+/// 500 µs floor so micro-runs don't trip on noise).
 fn measure_obs_overhead(db: &TransactionDb, n_patterns: usize) -> Value {
     let threads = 4;
-    let mut p50_us = [0u64; 2];
-    for (slot, tracing) in [(0usize, true), (1, false)] {
+    let (on, off) = alternating_medians(REPS, |tracing, samples| {
         let cfg = if tracing { ObsConfig::enabled() } else { ObsConfig::disabled() };
         maras_obs::init(&cfg);
-        maras_obs::take_spans(); // start each mode from an empty collector
-        let mut lat_us: Vec<u64> = Vec::with_capacity(REPS);
-        for _ in 0..=REPS {
-            let t = Instant::now();
-            let store = mine_patterns_parallel(db, MIN_SUPPORT, threads);
-            let spans = maras_obs::take_spans();
-            lat_us.push(t.elapsed().as_micros() as u64);
-            assert_eq!(store.len(), n_patterns);
-            assert_eq!(spans.is_empty(), !tracing, "tracing mode not honored");
-        }
-        lat_us.remove(0); // discard the warm-up rep
-        lat_us.sort_unstable();
-        p50_us[slot] = percentile(&lat_us, 0.50);
-    }
+        maras_obs::take_spans(); // start each rep from an empty collector
+        let t = Instant::now();
+        let store = mine_patterns_parallel(db, MIN_SUPPORT, threads);
+        let spans = maras_obs::take_spans();
+        samples.push(t.elapsed().as_micros() as u64);
+        assert_eq!(store.len(), n_patterns);
+        assert_eq!(spans.is_empty(), !tracing, "tracing mode not honored");
+    });
     maras_obs::init(&ObsConfig::enabled());
-    let [on, off] = p50_us;
     let overhead_pct = (on as f64 - off as f64) / off as f64 * 100.0;
     let budget = (off as f64 * 0.05).max(500.0);
     println!(
-        "obs overhead @ {threads} threads: tracing on p50 {on} us, off p50 {off} us \
+        "obs overhead @ {threads} threads, alternated reps: tracing on median {on} us, \
+         off median {off} us \
          ({overhead_pct:+.1}%; budget 5% or 500 us)"
     );
     assert!(

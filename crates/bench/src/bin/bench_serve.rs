@@ -8,7 +8,7 @@
 //! realistic mix), severity filters, autocomplete keystrokes, and
 //! cluster drill-downs. Scale via `MARAS_SCALE` as usual.
 
-use maras_bench::{generate_quarter, percentile, run_pipeline};
+use maras_bench::{alternating_medians, generate_quarter, percentile, run_pipeline};
 use maras_core::PipelineConfig;
 use maras_serve::http::Request;
 use maras_serve::{respond, ServeState, Snapshot};
@@ -53,49 +53,56 @@ fn workload(snap: &Snapshot) -> Vec<Request> {
     reqs
 }
 
-/// Replays the script `PASSES` times against `state`, returning
-/// `(sorted latencies µs, wall seconds)`.
-fn run(state: &ServeState, script: &[Request]) -> (Vec<u64>, f64) {
-    let mut latencies_us: Vec<u64> = Vec::with_capacity(script.len() * PASSES);
-    let started = Instant::now();
-    for _ in 0..PASSES {
-        for req in script {
-            let t = Instant::now();
-            let (_, status, body) = respond(state, req);
-            latencies_us.push(t.elapsed().as_micros() as u64);
-            assert!(status == 200 || status == 404, "unexpected {status} for {req:?}");
-            assert!(!body.is_empty());
-        }
+/// Times one pass of the script against `state`, pushing each request's
+/// latency in ns: cached requests finish in well under a microsecond, so
+/// µs resolution would round them to 0.
+fn pass(state: &ServeState, script: &[Request], latencies_ns: &mut Vec<u64>) {
+    for req in script {
+        let t = Instant::now();
+        let (_, status, body) = respond(state, req);
+        latencies_ns.push(t.elapsed().as_nanos() as u64);
+        assert!(status == 200 || status == 404, "unexpected {status} for {req:?}");
+        assert!(!body.is_empty());
     }
-    let wall = started.elapsed().as_secs_f64();
-    latencies_us.sort_unstable();
-    (latencies_us, wall)
 }
 
-fn summarize(label: &str, latencies_us: &[u64], wall: f64) -> Value {
-    let n = latencies_us.len();
+/// Replays the script `PASSES` times against `state`, returning
+/// `(sorted latencies ns, wall seconds)`.
+fn run(state: &ServeState, script: &[Request]) -> (Vec<u64>, f64) {
+    let mut latencies_ns: Vec<u64> = Vec::with_capacity(script.len() * PASSES);
+    let started = Instant::now();
+    for _ in 0..PASSES {
+        pass(state, script, &mut latencies_ns);
+    }
+    let wall = started.elapsed().as_secs_f64();
+    latencies_ns.sort_unstable();
+    (latencies_ns, wall)
+}
+
+fn summarize(label: &str, latencies_ns: &[u64], wall: f64) -> Value {
+    let n = latencies_ns.len();
     let throughput = n as f64 / wall;
     let (p50, p95, p99) = (
-        percentile(latencies_us, 0.50),
-        percentile(latencies_us, 0.95),
-        percentile(latencies_us, 0.99),
+        percentile(latencies_ns, 0.50),
+        percentile(latencies_ns, 0.95),
+        percentile(latencies_ns, 0.99),
     );
     println!(
         "{label}: {n} requests in {wall:.4}s -> {throughput:.0} req/s; \
-         latency_us p50 {p50}, p95 {p95}, p99 {p99}, max {}",
-        latencies_us[n - 1]
+         latency_ns p50 {p50}, p95 {p95}, p99 {p99}, max {}",
+        latencies_ns[n - 1]
     );
     Value::obj([
         ("requests", Value::from(n)),
         ("wall_seconds", Value::from(wall)),
         ("throughput_rps", Value::from(throughput)),
         (
-            "latency_us",
+            "latency_ns",
             Value::obj([
                 ("p50", Value::from(p50)),
                 ("p95", Value::from(p95)),
                 ("p99", Value::from(p99)),
-                ("max", Value::from(latencies_us[n - 1])),
+                ("max", Value::from(latencies_ns[n - 1])),
             ]),
         ),
     ])
@@ -134,9 +141,9 @@ fn main() {
 
     let log_overhead = measure_log_overhead(&hot_state, &script);
 
-    let metrics = hot_state.metrics.to_json();
-    let hit_rate = metrics["cache"]["hit_rate"].as_f64().unwrap_or(0.0);
-    println!("cache: {} hits, hit rate {:.1}%", hot_state.metrics.cache_hits(), hit_rate * 100.0);
+    let hits = hot_state.metrics.cache_hits.get();
+    let hit_rate = hits as f64 / (hits + hot_state.metrics.cache_misses.get()).max(1) as f64;
+    println!("cache: {hits} hits, hit rate {:.1}%", hit_rate * 100.0);
 
     let json = Value::obj([
         ("clusters", Value::from(n_clusters)),
@@ -154,38 +161,24 @@ fn main() {
 
 /// Times the cached workload with flight-recorder logging in its
 /// always-on default (every routed request appends a `serve.route`
-/// event to the ring) against recording disabled, and enforces the
-/// observability budget: recording p50 must stay within 5% of the
-/// disabled p50 (plus a 20 µs floor so cache-hit-speed requests don't
-/// trip on scheduler noise).
+/// event to the ring) against recording disabled, alternating the two
+/// pass by pass, and enforces the observability budget: the recording
+/// median must stay within 5% of the disabled median (plus a 20 µs floor
+/// so cache-hit-speed requests don't trip on scheduler noise).
 fn measure_log_overhead(state: &ServeState, script: &[Request]) -> Value {
-    let mut p50_ns = [0u64; 2];
-    for (slot, recording) in [(0usize, true), (1, false)] {
+    // Start from an empty ring, so no recording pass pays for evictions.
+    maras_obs::clear_log_ring();
+    let (on, off) = alternating_medians(PASSES, |recording, samples| {
         maras_obs::set_recording(recording);
-        maras_obs::clear_log_ring();
-        // Hot cached requests finish in well under a microsecond, so
-        // this loop times in nanoseconds — µs resolution would round
-        // the logging cost away entirely.
-        let mut lat_ns: Vec<u64> = Vec::with_capacity(script.len() * PASSES);
-        for _ in 0..PASSES {
-            for req in script {
-                let t = Instant::now();
-                let (_, status, _) = respond(state, req);
-                lat_ns.push(t.elapsed().as_nanos() as u64);
-                assert!(status == 200 || status == 404, "unexpected {status} for {req:?}");
-            }
-        }
-        let recorded = maras_obs::log_tail(usize::MAX, maras_obs::Level::Trace).len();
-        assert_eq!(recorded > 0, recording, "recording mode not honored");
-        lat_ns.sort_unstable();
-        p50_ns[slot] = percentile(&lat_ns, 0.50);
-    }
+        let seen = maras_obs::log_events_seen();
+        pass(state, script, samples);
+        assert_eq!(maras_obs::log_events_seen() > seen, recording, "recording mode not honored");
+    });
     maras_obs::set_recording(true);
-    let [on, off] = p50_ns;
     let overhead_pct = (on as f64 - off as f64) / (off as f64).max(1.0) * 100.0;
     let budget = (off as f64 * 0.05).max(20_000.0);
     println!(
-        "log overhead: recording on p50 {on} ns, off p50 {off} ns \
+        "log overhead, alternated passes: recording on median {on} ns, off median {off} ns \
          ({overhead_pct:+.1}%; budget 5% or 20 us)"
     );
     assert!(

@@ -100,6 +100,29 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[((sorted.len() - 1) as f64 * p).round() as usize]
 }
 
+/// Times two modes of one workload rep by rep, alternating which mode
+/// runs first, so a host whose speed drifts over seconds slows both modes
+/// alike. `run(mode, samples)` puts the workload in `mode`, times one rep
+/// and pushes its samples; round 0 of `1 + rounds` is a discarded warm-up.
+/// Returns the median sample of mode `true`, then of mode `false`.
+pub fn alternating_medians(rounds: usize, mut run: impl FnMut(bool, &mut Vec<u64>)) -> (u64, u64) {
+    let mut samples = [Vec::new(), Vec::new()]; // [true, false]
+    for round in 0..=rounds {
+        for mode in [round % 2 == 0, round % 2 == 1] {
+            let mut rep = Vec::new();
+            run(mode, &mut rep);
+            if round > 0 {
+                samples[usize::from(!mode)].extend(rep);
+            }
+        }
+    }
+    let [on, off] = samples.map(|mut s| {
+        s.sort_unstable();
+        percentile(&s, 0.5)
+    });
+    (on, off)
+}
+
 /// Prints a fixed-width table: a header row plus data rows.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -147,6 +170,25 @@ mod tests {
         assert_eq!(percentile(&sample, 0.95), 50);
         assert_eq!(percentile(&sample, 1.0), 50);
         assert_eq!(percentile(&[7], 0.99), 7);
+    }
+
+    #[test]
+    fn alternating_medians_interleaves_modes_and_drops_the_warm_up() {
+        let mut order = Vec::new();
+        let (on, off) = alternating_medians(3, |mode, samples| {
+            order.push(mode);
+            // The warm-up round pushes outliers that must not count.
+            let warm_up = order.len() <= 2;
+            samples.push(if warm_up {
+                1_000
+            } else if mode {
+                10
+            } else {
+                20
+            });
+        });
+        assert_eq!(order, [true, false, false, true, true, false, false, true]);
+        assert_eq!((on, off), (10, 20));
     }
 
     #[test]

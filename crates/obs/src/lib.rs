@@ -18,7 +18,8 @@
 //!   stderr/file gated by `--log-level` / `MARAS_LOG`.
 //! * [`Registry`] — named counters, gauges, and fixed-bucket histograms
 //!   (with optional labels) that replace per-layer bespoke stat structs as
-//!   the scrapeable surface.
+//!   the scrapeable surface: the pipeline's in the global [`registry`],
+//!   each query server's in a registry its state owns.
 //! * [`prom`] — Prometheus text exposition v0.0.4 rendering (`# HELP` /
 //!   `# TYPE`, label escaping, cumulative `_bucket` series ending in
 //!   `+Inf`), served by `maras serve` on `GET /metrics`.

@@ -1,9 +1,11 @@
 //! The global metrics registry: named counters, gauges, and fixed-bucket
 //! histograms with optional labels, rendered for Prometheus scrapes.
 //!
-//! Registration goes through the global [`registry`]; handles are cheap
-//! `Arc`-backed atomics, so callers register once (often in a `OnceLock`)
-//! and update lock-free on the hot path.
+//! Pipeline layers register into the global [`registry`]; the query
+//! server registers its own series into a [`Registry`] each serving state
+//! owns. Handles are cheap `Arc`-backed atomics, so callers register once
+//! (often in a `OnceLock`) and update lock-free on the hot path; the
+//! registry's mutex guards only registration and rendering.
 
 use crate::prom::PromText;
 use std::collections::BTreeMap;
@@ -41,9 +43,26 @@ impl Gauge {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Adds `v` (negative to subtract), atomically.
+    pub fn add(&self, v: f64) {
+        add_f64(&self.0, v);
+    }
+
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
+    }
+}
+
+/// Adds `v` to an `f64` held as bits, by compare-and-swap.
+fn add_f64(bits: &AtomicU64, v: f64) {
+    let mut cur = bits.load(Ordering::Relaxed);
+    loop {
+        let next = (f64::from_bits(cur) + v).to_bits();
+        match bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => break,
+            Err(actual) => cur = actual,
+        }
     }
 }
 
@@ -82,19 +101,7 @@ impl Histogram {
         let idx = self.0.bounds.partition_point(|&ub| ub < v);
         self.0.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.0.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.0.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
+        add_f64(&self.0.sum_bits, v);
     }
 
     /// Bucket upper bounds (excluding `+Inf`).
@@ -179,7 +186,8 @@ struct Series {
 }
 
 /// A registry of named metric series. One process-global instance lives
-/// behind [`registry`]; fresh instances exist only for tests.
+/// behind [`registry`]; each query-server state owns another, so servers
+/// sharing a process keep separate ledgers.
 #[derive(Debug, Default)]
 pub struct Registry {
     series: Mutex<BTreeMap<SeriesKey, Series>>,
@@ -192,7 +200,7 @@ fn sorted_labels(labels: &[(&str, &str)]) -> Labels {
 }
 
 impl Registry {
-    /// Creates an empty registry (tests; production uses [`registry`]).
+    /// Creates an empty registry.
     pub fn new() -> Registry {
         Registry::default()
     }
@@ -345,6 +353,9 @@ mod tests {
         let g = reg.gauge("depth", "queue depth");
         g.set(2.5);
         assert_eq!(reg.gauge("depth", "queue depth").get(), 2.5);
+        g.add(1.0);
+        g.add(-3.5);
+        assert_eq!(g.get(), 0.0);
     }
 
     #[test]

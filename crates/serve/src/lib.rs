@@ -39,12 +39,15 @@
 //!   notable requests with phase timings, and a runtime health dump
 //!   (all three gated by `ServeConfig::debug_endpoints`).
 //! * [`cache`] + [`metrics`] — a sharded LRU over rendered responses
-//!   (invalidated on swap) and lock-free per-endpoint counters and
-//!   latency histograms, exposed as Prometheus text on `/metrics` and
-//!   as the legacy JSON dump on `/metrics.json`. Requests slower than
-//!   [`ServeState::slow_threshold_us`](router::ServeState) are logged
-//!   and counted; every request records parse/route/cache/render spans
-//!   into [`maras_obs`].
+//!   (invalidated on swap) and [`ServeMetrics`]: per-endpoint counters
+//!   and latency histograms, per-phase timings and the robustness ledger
+//!   as [`maras_obs`] handles in a registry each [`ServeState`] owns,
+//!   exposed as Prometheus text on `/metrics` (followed by the
+//!   process-global registry) and as the legacy JSON dump on
+//!   `/metrics.json`. Requests slower than
+//!   [`ServeState::slow_threshold_us`] become a `serve.request` event
+//!   and are counted; every request records parse/route/cache/render
+//!   spans into [`maras_obs`].
 //!
 //! No dependencies beyond the workspace: the whole server is `std`.
 
@@ -62,7 +65,7 @@ pub mod store;
 
 pub use cache::QueryCache;
 pub use debug::{FlightRecorder, RequestId, RequestRecord, REQUEST_ID_HEADER};
-pub use metrics::{Endpoint, Metrics};
+pub use metrics::{Endpoint, ServeMetrics};
 pub use router::{respond, ReloadError, ServeState, DEFAULT_SLOW_THRESHOLD_US};
 pub use server::{serve, serve_with, ServeConfig, ServerHandle};
 pub use snapshot::{scores_json, ClusterEntry, ContextEntry, Snapshot, SortBy};

@@ -1,27 +1,28 @@
-//! Lock-free server metrics: per-endpoint request counters and latency
-//! histograms, cache hit/miss counts, robustness counters (shed /
-//! timeout / recovered-panic totals plus worker-liveness, queue-depth
-//! and in-flight gauges), and both exposition formats.
+//! Server metrics: per-endpoint request counters and latency histograms,
+//! cache hit/miss counts, robustness counters (shed / timeout /
+//! recovered-panic totals plus worker-liveness, queue-depth and
+//! in-flight gauges), and per-phase request timings.
 //!
-//! Everything is `AtomicU64` with relaxed ordering — the numbers are
-//! monitoring data, not synchronization, so torn cross-counter reads
-//! (e.g. a request counted but its latency not yet recorded) are
-//! acceptable and each individual counter is still exact.
-//!
-//! Two render paths share these counters: [`Metrics::to_json`] preserves
-//! the legacy `/metrics.json` schema (global histogram, summed across
-//! endpoints), and [`Metrics::to_prometheus`] emits text exposition
-//! v0.0.4 with one `maras_request_latency_us` histogram per endpoint.
-//! Reloads only ever *increment* `maras_snapshot_reloads_total`; no
-//! cumulative series resets on a snapshot swap.
+//! [`ServeMetrics`] holds `maras_obs` handles registered once into the
+//! [`Registry`] its [`ServeState`](crate::ServeState) owns — one registry
+//! per state, so servers sharing a process keep separate ledgers. The
+//! registry renders `/metrics`; [`ServeMetrics::to_json`] projects the
+//! same handles onto the legacy `/metrics.json` schema, whose single
+//! latency histogram is the per-endpoint ones summed. Reloads only ever
+//! *increment* `maras_snapshot_reloads_total`; no cumulative series
+//! resets on a snapshot swap.
 
+use maras_obs::{Counter, Gauge, Histogram, Registry};
 use serde_json::Value;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bounds (µs) of the latency histogram buckets; the last bucket
 /// is the +Inf overflow.
-pub const LATENCY_BUCKETS_US: [u64; 10] =
-    [50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000];
+pub const LATENCY_BUCKETS_US: [f64; 10] =
+    [50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 50_000.0, 250_000.0];
+
+/// Upper bounds (µs) of the per-phase (parse / route / write) histograms.
+const PHASE_BUCKETS_US: [f64; 8] =
+    [10.0, 50.0, 100.0, 250.0, 1_000.0, 5_000.0, 25_000.0, 100_000.0];
 
 /// Endpoints the server distinguishes in its counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,225 +49,169 @@ pub enum Endpoint {
     Debug,
 }
 
-const N_ENDPOINTS: usize = 10;
-
 impl Endpoint {
-    fn idx(self) -> usize {
+    /// Every endpoint, in declaration order (`endpoint as usize` indexes
+    /// the per-endpoint handles).
+    const ALL: [Endpoint; 10] = [
+        Endpoint::Healthz,
+        Endpoint::Metrics,
+        Endpoint::Search,
+        Endpoint::Autocomplete,
+        Endpoint::Cluster,
+        Endpoint::Reload,
+        Endpoint::Other,
+        Endpoint::Reports,
+        Endpoint::Report,
+        Endpoint::Debug,
+    ];
+
+    fn name(self) -> &'static str {
         match self {
-            Endpoint::Healthz => 0,
-            Endpoint::Metrics => 1,
-            Endpoint::Search => 2,
-            Endpoint::Autocomplete => 3,
-            Endpoint::Cluster => 4,
-            Endpoint::Reload => 5,
-            Endpoint::Other => 6,
-            // Appended after the original seven so every pre-existing
-            // series keeps its index (and its `/metrics.json` key order).
-            Endpoint::Reports => 7,
-            Endpoint::Report => 8,
-            Endpoint::Debug => 9,
+            Endpoint::Healthz => "healthz",
+            Endpoint::Metrics => "metrics",
+            Endpoint::Search => "search",
+            Endpoint::Autocomplete => "autocomplete",
+            Endpoint::Cluster => "cluster",
+            Endpoint::Reload => "reload",
+            Endpoint::Other => "other",
+            Endpoint::Reports => "reports",
+            Endpoint::Report => "report",
+            Endpoint::Debug => "debug",
         }
     }
-
-    fn name(i: usize) -> &'static str {
-        [
-            "healthz",
-            "metrics",
-            "search",
-            "autocomplete",
-            "cluster",
-            "reload",
-            "other",
-            "reports",
-            "report",
-            "debug",
-        ][i]
-    }
 }
 
-/// One endpoint's request count and latency histogram.
-#[derive(Default)]
-struct EndpointSeries {
-    requests: AtomicU64,
-    latency: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    latency_total_us: AtomicU64,
+/// Handles to the server's metric series; cheap to record from any
+/// worker thread.
+#[derive(Clone)]
+pub struct ServeMetrics {
+    /// Requests served, indexed by `Endpoint as usize`.
+    pub requests: [Counter; Endpoint::ALL.len()],
+    /// Request wall latency in µs, indexed by `Endpoint as usize`.
+    pub latency_us: [Histogram; Endpoint::ALL.len()],
+    /// Requests answered with status ≥ 400.
+    pub errors: Counter,
+    /// Response-cache hits.
+    pub cache_hits: Counter,
+    /// Response-cache misses.
+    pub cache_misses: Counter,
+    /// Completed snapshot reloads.
+    pub reloads: Counter,
+    /// Requests slower than the slow-request threshold.
+    pub slow_requests: Counter,
+    /// Connections answered 503 by admission control (full queue or drain).
+    pub shed: Counter,
+    /// Connections dropped after exceeding their I/O deadline.
+    pub timeouts: Counter,
+    /// Handler panics caught and recovered by a worker.
+    pub worker_panics: Counter,
+    /// Worker threads currently alive (the liveness gauge).
+    pub workers_alive: Gauge,
+    /// Connections currently waiting in the accept queue.
+    pub queue_used: Gauge,
+    /// Requests currently being handled by workers.
+    pub in_flight: Gauge,
+    /// Wall time of reading and parsing one request, µs.
+    pub parse_us: Histogram,
+    /// Wall time of routing one request, µs.
+    pub route_us: Histogram,
+    /// Wall time of writing one response, µs.
+    pub write_us: Histogram,
+    cache_entries: Gauge,
+    latency_p50_us: Gauge,
+    latency_p99_us: Gauge,
 }
 
-impl EndpointSeries {
-    fn bucket_counts(&self) -> Vec<u64> {
-        self.latency.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-}
-
-/// Shared server metrics; cheap to record from any worker thread.
-#[derive(Default)]
-pub struct Metrics {
-    endpoints: [EndpointSeries; N_ENDPOINTS],
-    errors: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    reloads: AtomicU64,
-    slow_requests: AtomicU64,
-    shed: AtomicU64,
-    timeouts: AtomicU64,
-    worker_panics: AtomicU64,
-    workers_alive: AtomicU64,
-    queue_used: AtomicU64,
-    in_flight: AtomicU64,
-}
-
-impl Metrics {
-    /// Fresh, all-zero metrics.
-    pub fn new() -> Metrics {
-        Metrics::default()
+impl ServeMetrics {
+    /// Registers (or re-acquires) the series in `reg`.
+    pub fn register(reg: &Registry) -> ServeMetrics {
+        let phase = |name| {
+            reg.histogram_with(
+                "maras_serve_phase_us",
+                "request handling wall time by phase, microseconds",
+                &PHASE_BUCKETS_US,
+                &[("phase", name)],
+            )
+        };
+        let quantile =
+            |name| reg.gauge(name, "interpolated global latency quantile in microseconds");
+        ServeMetrics {
+            requests: Endpoint::ALL.map(|e| {
+                reg.counter_with(
+                    "maras_requests_total",
+                    "requests served, by endpoint",
+                    &[("endpoint", e.name())],
+                )
+            }),
+            latency_us: Endpoint::ALL.map(|e| {
+                reg.histogram_with(
+                    "maras_request_latency_us",
+                    "request wall latency in microseconds, by endpoint",
+                    &LATENCY_BUCKETS_US,
+                    &[("endpoint", e.name())],
+                )
+            }),
+            errors: reg
+                .counter("maras_request_errors_total", "requests answered with status >= 400"),
+            cache_hits: reg.counter("maras_cache_hits_total", "response-cache hits"),
+            cache_misses: reg.counter("maras_cache_misses_total", "response-cache misses"),
+            reloads: reg.counter("maras_snapshot_reloads_total", "snapshot reloads completed"),
+            slow_requests: reg.counter(
+                "maras_slow_requests_total",
+                "requests slower than the slow-request threshold",
+            ),
+            shed: reg.counter(
+                "maras_serve_shed_total",
+                "connections answered 503 by admission control (full queue or drain)",
+            ),
+            timeouts: reg.counter(
+                "maras_serve_timeouts_total",
+                "connections dropped after exceeding the socket I/O deadline",
+            ),
+            worker_panics: reg.counter(
+                "maras_serve_worker_panics_total",
+                "handler panics caught and recovered by the worker pool",
+            ),
+            workers_alive: reg.gauge("maras_serve_workers_alive", "worker threads currently alive"),
+            queue_used: reg
+                .gauge("maras_serve_queue_used", "connections waiting in the bounded accept queue"),
+            in_flight: reg
+                .gauge("maras_serve_inflight", "requests currently being handled by workers"),
+            parse_us: phase("parse"),
+            route_us: phase("route"),
+            write_us: phase("write"),
+            cache_entries: reg.gauge("maras_cache_entries", "response-cache entries"),
+            latency_p50_us: quantile("maras_request_latency_p50_us"),
+            latency_p99_us: quantile("maras_request_latency_p99_us"),
+        }
     }
 
     /// Records one served request with its wall latency.
     pub fn record(&self, endpoint: Endpoint, latency_us: u64, is_error: bool) {
-        let series = &self.endpoints[endpoint.idx()];
-        series.requests.fetch_add(1, Ordering::Relaxed);
+        self.requests[endpoint as usize].inc();
         if is_error {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+            self.errors.inc();
         }
-        let bucket = LATENCY_BUCKETS_US
-            .iter()
-            .position(|&ub| latency_us <= ub)
-            .unwrap_or(LATENCY_BUCKETS_US.len());
-        series.latency[bucket].fetch_add(1, Ordering::Relaxed);
-        series.latency_total_us.fetch_add(latency_us, Ordering::Relaxed);
-    }
-
-    /// Records a request that exceeded the slow-request threshold.
-    pub fn slow_request(&self) {
-        self.slow_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Slow requests so far.
-    pub fn slow_requests(&self) -> u64 {
-        self.slow_requests.load(Ordering::Relaxed)
-    }
-
-    /// Records a connection shed with 503 (full queue or draining).
-    pub fn shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connections shed so far.
-    pub fn sheds(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Records a connection dropped after exceeding its I/O deadline.
-    pub fn timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connection timeouts so far.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Records a handler panic caught and recovered by a worker.
-    pub fn worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Handler panics recovered so far.
-    pub fn worker_panics(&self) -> u64 {
-        self.worker_panics.load(Ordering::Relaxed)
-    }
-
-    /// A worker thread entered its serve loop.
-    pub fn worker_started(&self) {
-        self.workers_alive.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker thread exited (clean shutdown or death).
-    pub fn worker_exited(&self) {
-        self.workers_alive.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Worker threads currently alive (the liveness gauge).
-    pub fn workers_alive(&self) -> u64 {
-        self.workers_alive.load(Ordering::Relaxed)
-    }
-
-    /// A connection was admitted into the bounded accept queue.
-    pub fn enqueued(&self) {
-        self.queue_used.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection left the accept queue (picked up or shed).
-    pub fn dequeued(&self) {
-        self.queue_used.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Connections currently waiting in the accept queue.
-    pub fn queue_used(&self) -> u64 {
-        self.queue_used.load(Ordering::Relaxed)
-    }
-
-    /// A worker began handling a connection.
-    pub fn request_started(&self) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker finished handling a connection.
-    pub fn request_finished(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Requests currently being handled by workers.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Records a response-cache hit.
-    pub fn cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a response-cache miss.
-    pub fn cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a completed snapshot reload. Strictly increments — request
-    /// and latency series are cumulative across reloads by design.
-    pub fn reload(&self) {
-        self.reloads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot reloads so far.
-    pub fn reloads(&self) -> u64 {
-        self.reloads.load(Ordering::Relaxed)
+        self.latency_us[endpoint as usize].observe(latency_us as f64);
     }
 
     /// Total requests across all endpoints.
     pub fn total_requests(&self) -> u64 {
-        self.endpoints.iter().map(|e| e.requests.load(Ordering::Relaxed)).sum()
+        self.requests.iter().map(Counter::get).sum()
     }
 
-    /// Cache hits so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Global per-bucket latency counts (all endpoints summed), including
-    /// the trailing +Inf overflow bucket.
-    fn global_buckets(&self) -> [u64; LATENCY_BUCKETS_US.len() + 1] {
-        let mut out = [0u64; LATENCY_BUCKETS_US.len() + 1];
-        for series in &self.endpoints {
-            for (slot, c) in out.iter_mut().zip(&series.latency) {
-                *slot += c.load(Ordering::Relaxed);
+    /// Latency bucket counts (with the trailing +Inf overflow) and total
+    /// µs, summed across endpoints.
+    fn summed_latency(&self) -> (Vec<u64>, f64) {
+        let mut counts = vec![0u64; LATENCY_BUCKETS_US.len() + 1];
+        let mut total_us = 0.0;
+        for h in &self.latency_us {
+            for (slot, c) in counts.iter_mut().zip(h.counts()) {
+                *slot += c;
             }
+            total_us += h.sum();
         }
-        out
+        (counts, total_us)
     }
 
     /// Approximate global latency quantile in µs, linearly interpolated
@@ -274,152 +219,55 @@ impl Metrics {
     /// bucket is clamped to the last finite bound). `None` before any
     /// request was recorded.
     pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        let bounds: Vec<f64> = LATENCY_BUCKETS_US.iter().map(|&ub| ub as f64).collect();
-        maras_obs::quantile_from_buckets(&bounds, &self.global_buckets(), q)
+        maras_obs::quantile_from_buckets(&LATENCY_BUCKETS_US, &self.summed_latency().0, q)
     }
 
-    /// Renders the full counter set as JSON for `GET /metrics.json`.
+    /// Sets the gauges a scrape computes rather than records — the global
+    /// p50/p99 and the response cache's current size (owned by the
+    /// router) — just before the registry renders them.
+    pub fn refresh(&self, cache_entries: usize) {
+        self.latency_p50_us.set(self.latency_quantile(0.5).unwrap_or(0.0));
+        self.latency_p99_us.set(self.latency_quantile(0.99).unwrap_or(0.0));
+        self.cache_entries.set(cache_entries as f64);
+    }
+
+    /// The legacy JSON counter dump for `GET /metrics.json`.
     pub fn to_json(&self) -> Value {
-        let requests = Value::obj((0..N_ENDPOINTS).map(|i| {
-            (Endpoint::name(i), Value::from(self.endpoints[i].requests.load(Ordering::Relaxed)))
-        }));
-        let global = self.global_buckets();
-        let histogram = Value::arr((0..global.len()).map(|i| {
+        let (counts, total_us) = self.summed_latency();
+        let buckets = Value::arr(counts.iter().enumerate().map(|(i, &count)| {
             let le = LATENCY_BUCKETS_US
                 .get(i)
-                .map_or_else(|| Value::from("+Inf"), |&ub| Value::from(ub));
-            Value::obj([("le_us", le), ("count", Value::from(global[i]))])
+                .map_or_else(|| Value::from("+Inf"), |&ub| Value::from(ub as u64));
+            Value::obj([("le_us", le), ("count", Value::from(count))])
         }));
-        let total_us: u64 =
-            self.endpoints.iter().map(|e| e.latency_total_us.load(Ordering::Relaxed)).sum();
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        let lookups = hits + misses;
+        let (hits, misses) = (self.cache_hits.get(), self.cache_misses.get());
+        let hit_rate = if hits + misses == 0 {
+            Value::Null
+        } else {
+            Value::from(hits as f64 / (hits + misses) as f64)
+        };
         Value::obj([
-            ("requests", requests),
-            ("errors", Value::from(self.errors.load(Ordering::Relaxed))),
-            ("latency_us", Value::obj([("buckets", histogram), ("total", Value::from(total_us))])),
+            (
+                "requests",
+                Value::obj(
+                    Endpoint::ALL.map(|e| (e.name(), self.requests[e as usize].get().into())),
+                ),
+            ),
+            ("errors", Value::from(self.errors.get())),
+            (
+                "latency_us",
+                Value::obj([("buckets", buckets), ("total", Value::from(total_us as u64))]),
+            ),
             (
                 "cache",
                 Value::obj([
                     ("hits", Value::from(hits)),
                     ("misses", Value::from(misses)),
-                    (
-                        "hit_rate",
-                        if lookups == 0 {
-                            Value::Null
-                        } else {
-                            Value::from(hits as f64 / lookups as f64)
-                        },
-                    ),
+                    ("hit_rate", hit_rate),
                 ]),
             ),
-            ("reloads", Value::from(self.reloads.load(Ordering::Relaxed))),
+            ("reloads", Value::from(self.reloads.get())),
         ])
-    }
-
-    /// Renders the counter set as Prometheus text exposition v0.0.4 for
-    /// `GET /metrics`. `cache_entries` is the response cache's current
-    /// size (owned by the router, not these counters).
-    pub fn to_prometheus(&self, cache_entries: usize) -> String {
-        let bounds: Vec<f64> = LATENCY_BUCKETS_US.iter().map(|&ub| ub as f64).collect();
-        let mut text = maras_obs::PromText::new();
-        for (i, series) in self.endpoints.iter().enumerate() {
-            text.counter(
-                "maras_requests_total",
-                "requests served, by endpoint",
-                &[("endpoint", Endpoint::name(i))],
-                series.requests.load(Ordering::Relaxed),
-            );
-        }
-        text.counter(
-            "maras_request_errors_total",
-            "requests answered with status >= 400",
-            &[],
-            self.errors.load(Ordering::Relaxed),
-        );
-        for (i, series) in self.endpoints.iter().enumerate() {
-            text.histogram(
-                "maras_request_latency_us",
-                "request wall latency in microseconds, by endpoint",
-                &[("endpoint", Endpoint::name(i))],
-                &bounds,
-                &series.bucket_counts(),
-                series.latency_total_us.load(Ordering::Relaxed) as f64,
-            );
-        }
-        for (q, name) in
-            [(0.5, "maras_request_latency_p50_us"), (0.99, "maras_request_latency_p99_us")]
-        {
-            text.gauge(
-                name,
-                "interpolated global latency quantile in microseconds",
-                &[],
-                self.latency_quantile(q).unwrap_or(0.0),
-            );
-        }
-        text.counter(
-            "maras_cache_hits_total",
-            "response-cache hits",
-            &[],
-            self.cache_hits.load(Ordering::Relaxed),
-        );
-        text.counter(
-            "maras_cache_misses_total",
-            "response-cache misses",
-            &[],
-            self.cache_misses.load(Ordering::Relaxed),
-        );
-        text.gauge("maras_cache_entries", "response-cache entries", &[], cache_entries as f64);
-        text.counter(
-            "maras_snapshot_reloads_total",
-            "snapshot reloads completed",
-            &[],
-            self.reloads.load(Ordering::Relaxed),
-        );
-        text.counter(
-            "maras_slow_requests_total",
-            "requests slower than the slow-request threshold",
-            &[],
-            self.slow_requests.load(Ordering::Relaxed),
-        );
-        text.counter(
-            "maras_serve_shed_total",
-            "connections answered 503 by admission control (full queue or drain)",
-            &[],
-            self.shed.load(Ordering::Relaxed),
-        );
-        text.counter(
-            "maras_serve_timeouts_total",
-            "connections dropped after exceeding the socket I/O deadline",
-            &[],
-            self.timeouts.load(Ordering::Relaxed),
-        );
-        text.counter(
-            "maras_serve_worker_panics_total",
-            "handler panics caught and recovered by the worker pool",
-            &[],
-            self.worker_panics.load(Ordering::Relaxed),
-        );
-        text.gauge(
-            "maras_serve_workers_alive",
-            "worker threads currently alive",
-            &[],
-            self.workers_alive.load(Ordering::Relaxed) as f64,
-        );
-        text.gauge(
-            "maras_serve_queue_used",
-            "connections waiting in the bounded accept queue",
-            &[],
-            self.queue_used.load(Ordering::Relaxed) as f64,
-        );
-        text.gauge(
-            "maras_serve_inflight",
-            "requests currently being handled by workers",
-            &[],
-            self.in_flight.load(Ordering::Relaxed) as f64,
-        );
-        text.finish()
     }
 }
 
@@ -427,16 +275,28 @@ impl Metrics {
 mod tests {
     use super::*;
 
+    fn fresh() -> (Registry, ServeMetrics) {
+        let reg = Registry::new();
+        let m = ServeMetrics::register(&reg);
+        (reg, m)
+    }
+
+    /// What `/metrics` renders of the server's own registry.
+    fn prometheus(reg: &Registry, m: &ServeMetrics, cache_entries: usize) -> String {
+        m.refresh(cache_entries);
+        reg.render_prometheus()
+    }
+
     #[test]
     fn counters_accumulate_and_render() {
-        let m = Metrics::new();
+        let (_reg, m) = fresh();
         m.record(Endpoint::Search, 120, false);
         m.record(Endpoint::Search, 30, false);
         m.record(Endpoint::Other, 999_999, true);
-        m.cache_hit();
-        m.cache_miss();
-        m.cache_miss();
-        m.reload();
+        m.cache_hits.inc();
+        m.cache_misses.inc();
+        m.cache_misses.inc();
+        m.reloads.inc();
         assert_eq!(m.total_requests(), 3);
         let json = m.to_json();
         assert_eq!(json["requests"]["search"], 2u64);
@@ -456,13 +316,13 @@ mod tests {
 
     #[test]
     fn hit_rate_is_null_before_any_lookup() {
-        let m = Metrics::new();
+        let (_reg, m) = fresh();
         assert!(m.to_json()["cache"]["hit_rate"].is_null());
     }
 
     #[test]
     fn latency_quantile_interpolates_within_bucket() {
-        let m = Metrics::new();
+        let (_reg, m) = fresh();
         assert_eq!(m.latency_quantile(0.99), None, "no observations yet");
         // 100 requests, all in the (100, 250] bucket.
         for _ in 0..100 {
@@ -473,48 +333,48 @@ mod tests {
         assert_eq!(m.latency_quantile(0.5), Some(175.0));
         assert_eq!(m.latency_quantile(0.99), Some(248.5));
         // Overflow-bucket observations clamp to the last finite bound.
-        let m2 = Metrics::new();
+        let (_reg2, m2) = fresh();
         m2.record(Endpoint::Search, 10_000_000, false);
         assert_eq!(m2.latency_quantile(0.99), Some(250_000.0));
     }
 
     #[test]
     fn reload_never_resets_cumulative_series() {
-        let m = Metrics::new();
+        let (reg, m) = fresh();
         m.record(Endpoint::Search, 100, false);
         m.record(Endpoint::Cluster, 100, true);
-        m.cache_hit();
+        m.cache_hits.inc();
         let before = m.to_json();
-        m.reload();
-        m.reload();
+        m.reloads.inc();
+        m.reloads.inc();
         let after = m.to_json();
         assert_eq!(after["requests"], before["requests"]);
         assert_eq!(after["errors"], before["errors"]);
         assert_eq!(after["latency_us"], before["latency_us"]);
         assert_eq!(after["cache"]["hits"], before["cache"]["hits"]);
         assert_eq!(after["reloads"], 2u64);
-        assert!(m.to_prometheus(0).contains("maras_snapshot_reloads_total 2"));
+        assert!(prometheus(&reg, &m, 0).contains("maras_snapshot_reloads_total 2"));
     }
 
     #[test]
     fn robustness_counters_render_as_serve_series() {
-        let m = Metrics::new();
-        m.shed();
-        m.shed();
-        m.timeout();
-        m.worker_panic();
-        m.worker_started();
-        m.worker_started();
-        m.worker_exited();
-        m.enqueued();
-        m.request_started();
-        assert_eq!(m.sheds(), 2);
-        assert_eq!(m.timeouts(), 1);
-        assert_eq!(m.worker_panics(), 1);
-        assert_eq!(m.workers_alive(), 1);
-        assert_eq!(m.queue_used(), 1);
-        assert_eq!(m.in_flight(), 1);
-        let text = m.to_prometheus(0);
+        let (reg, m) = fresh();
+        m.shed.inc();
+        m.shed.inc();
+        m.timeouts.inc();
+        m.worker_panics.inc();
+        m.workers_alive.add(1.0);
+        m.workers_alive.add(1.0);
+        m.workers_alive.add(-1.0);
+        m.queue_used.add(1.0);
+        m.in_flight.add(1.0);
+        assert_eq!(m.shed.get(), 2);
+        assert_eq!(m.timeouts.get(), 1);
+        assert_eq!(m.worker_panics.get(), 1);
+        assert_eq!(m.workers_alive.get(), 1.0);
+        assert_eq!(m.queue_used.get(), 1.0);
+        assert_eq!(m.in_flight.get(), 1.0);
+        let text = prometheus(&reg, &m, 0);
         assert!(text.contains("# TYPE maras_serve_shed_total counter"));
         assert!(text.contains("maras_serve_shed_total 2"));
         assert!(text.contains("maras_serve_timeouts_total 1"));
@@ -536,7 +396,7 @@ mod tests {
         // legacy `/metrics.json` consumers keep every key they had, with
         // the same shapes, and the new endpoint counters appear alongside
         // the old ones instead of displacing them.
-        let m = Metrics::new();
+        let (_reg, m) = fresh();
         m.record(Endpoint::Search, 100, false);
         m.record(Endpoint::Reports, 200, false);
         m.record(Endpoint::Report, 50, true);
@@ -571,11 +431,11 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_has_per_endpoint_series() {
-        let m = Metrics::new();
+        let (reg, m) = fresh();
         m.record(Endpoint::Search, 120, false);
         m.record(Endpoint::Healthz, 10, false);
-        m.slow_request();
-        let text = m.to_prometheus(3);
+        m.slow_requests.inc();
+        let text = prometheus(&reg, &m, 3);
         assert!(text.contains("# TYPE maras_requests_total counter"));
         assert!(text.contains("maras_requests_total{endpoint=\"search\"} 1"));
         assert!(text.contains("maras_requests_total{endpoint=\"healthz\"} 1"));

@@ -3,21 +3,21 @@
 //! [`ServeState`] owns everything a worker thread needs: the current
 //! [`Snapshot`] behind `RwLock<Arc<..>>` (readers clone the `Arc` and
 //! release the lock immediately, so a reload never blocks in-flight
-//! queries), the response cache, and the metrics. [`respond`] is a pure
-//! request → `(status, body)` function over that state, which is what
-//! lets the bench harness and the integration tests drive the exact
-//! production code path without a socket in the way.
+//! queries), the response cache, and the metrics registry. [`respond`]
+//! is a pure request → `(status, body)` function over that state, which
+//! is what lets the bench harness and the integration tests drive the
+//! exact production code path without a socket in the way.
 
 use crate::cache::QueryCache;
 use crate::debug::{self, FlightRecorder, DEFAULT_RECENT_REQUESTS};
 use crate::http::Request;
-use crate::metrics::{Endpoint, Metrics};
+use crate::metrics::{Endpoint, ServeMetrics};
 use crate::snapshot::{Snapshot, SortBy};
 use crate::store::{self, StoreError};
 use maras_core::RuleQuery;
 use maras_evidence::{EvidenceError, EvidenceReader};
 use maras_faers::CaseReport;
-use maras_obs::{Event, Level};
+use maras_obs::{Event, Level, Registry};
 use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,10 +49,13 @@ pub struct ServeState {
     snapshot_path: Option<PathBuf>,
     /// Rendered-response cache, cleared on every successful swap.
     pub cache: QueryCache,
-    /// Request/latency/cache counters.
-    pub metrics: Metrics,
-    /// Requests slower than this (µs) are logged to stderr and counted in
-    /// `maras_slow_requests_total`.
+    /// This state's own metrics registry: what `/metrics` renders ahead
+    /// of the process-global one.
+    registry: Registry,
+    /// Handles to the series in `registry`.
+    pub metrics: ServeMetrics,
+    /// Requests slower than this (µs) become a `serve.request` event and
+    /// count in `maras_slow_requests_total`.
     slow_threshold_us: AtomicU64,
     /// Flipped by [`ServeState::begin_drain`]: `/healthz` answers 503
     /// `{"status":"draining"}` so load balancers deregister the instance.
@@ -86,11 +89,13 @@ impl ServeState {
         snapshot_path: Option<PathBuf>,
         cache_capacity: usize,
     ) -> ServeState {
+        let registry = Registry::new();
         ServeState {
             snapshot: RwLock::new(Arc::new(snapshot)),
             snapshot_path,
             cache: QueryCache::new(cache_capacity),
-            metrics: Metrics::new(),
+            metrics: ServeMetrics::register(&registry),
+            registry,
             slow_threshold_us: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_US),
             draining: AtomicBool::new(false),
             reload_lock: Mutex::new(()),
@@ -183,7 +188,7 @@ impl ServeState {
     pub fn swap(&self, next: Snapshot) {
         *self.snapshot.write().unwrap() = Arc::new(next);
         self.cache.clear();
-        self.metrics.reload();
+        self.metrics.reloads.inc();
     }
 
     /// Re-reads the snapshot file and swaps it in. On any error the
@@ -306,10 +311,10 @@ fn cached(
     let hit = state.cache.get(&key);
     drop(cache_span);
     if let Some(body) = hit {
-        state.metrics.cache_hit();
+        state.metrics.cache_hits.inc();
         return (endpoint, 200, body);
     }
-    state.metrics.cache_miss();
+    state.metrics.cache_misses.inc();
     let _render = maras_obs::span("render");
     let (status, body) = handler(state, req);
     if status == 200 {
@@ -345,11 +350,12 @@ fn metrics_json(state: &ServeState) -> String {
     Value::Object(m).to_string()
 }
 
-/// Prometheus text exposition for `/metrics`: the server's own counters
+/// Prometheus text exposition for `/metrics`: this state's registry
 /// followed by every series in the process-global registry (pipeline
 /// counters, interner gauges, ... — whatever this process recorded).
 fn metrics_prometheus(state: &ServeState) -> String {
-    let mut text = state.metrics.to_prometheus(state.cache.len());
+    state.metrics.refresh(state.cache.len());
+    let mut text = state.registry.render_prometheus();
     text.push_str(&maras_obs::registry().render_prometheus());
     text
 }
@@ -439,21 +445,21 @@ fn debug_runtime(state: &ServeState) -> String {
     Value::obj([
         ("uptime_ms", Value::from(state.started.elapsed().as_millis() as u64)),
         ("draining", Value::from(state.is_draining())),
-        ("workers_alive", Value::from(m.workers_alive())),
-        ("queue_used", Value::from(m.queue_used())),
-        ("in_flight", Value::from(m.in_flight())),
+        ("workers_alive", Value::from(m.workers_alive.get() as u64)),
+        ("queue_used", Value::from(m.queue_used.get() as u64)),
+        ("in_flight", Value::from(m.in_flight.get() as u64)),
         ("requests", Value::from(m.total_requests())),
-        ("shed", Value::from(m.sheds())),
-        ("timeouts", Value::from(m.timeouts())),
-        ("worker_panics", Value::from(m.worker_panics())),
-        ("reloads", Value::from(m.reloads())),
-        ("slow_requests", Value::from(m.slow_requests())),
+        ("shed", Value::from(m.shed.get())),
+        ("timeouts", Value::from(m.timeouts.get())),
+        ("worker_panics", Value::from(m.worker_panics.get())),
+        ("reloads", Value::from(m.reloads.get())),
+        ("slow_requests", Value::from(m.slow_requests.get())),
         (
             "cache",
             Value::obj([
                 ("entries", Value::from(state.cache.len())),
-                ("hits", Value::from(m.cache_hits())),
-                ("misses", Value::from(m.cache_misses())),
+                ("hits", Value::from(m.cache_hits.get())),
+                ("misses", Value::from(m.cache_misses.get())),
             ]),
         ),
         (
@@ -788,7 +794,7 @@ mod tests {
         let (_, status2, body2) = respond(&st, &req);
         assert_eq!(status2, 200);
         assert_eq!(body2, body);
-        assert_eq!(st.metrics.cache_hits(), 1);
+        assert_eq!(st.metrics.cache_hits.get(), 1);
     }
 
     #[test]
@@ -855,6 +861,42 @@ mod tests {
         let req = Request { method: "POST".into(), path: "/metrics.json".into(), query: vec![] };
         let (_, status, _) = respond(&st, &req);
         assert_eq!(status, 405);
+    }
+
+    #[test]
+    fn two_states_in_one_process_keep_separate_ledgers() {
+        let (busy, idle) = (state(), state());
+        respond(&busy, &get("/search", &[]));
+        busy.metrics.record(Endpoint::Search, 120, false);
+        busy.metrics.record(Endpoint::Other, 80, true);
+        busy.metrics.shed.inc();
+        let json = |st: &ServeState| -> serde_json::Value {
+            serde_json::from_str(&respond(st, &get("/metrics.json", &[])).2).unwrap()
+        };
+        let (busy_json, idle_json) = (json(&busy), json(&idle));
+        assert_eq!(busy_json["requests"]["search"], 1u64);
+        assert_eq!(busy_json["cache"]["misses"], 1u64);
+        for (key, v) in idle_json["requests"].as_object().unwrap() {
+            assert_eq!(*v, 0u64, "idle state counted requests.{key}");
+        }
+        assert_eq!(idle_json["errors"], 0u64);
+        assert_eq!(idle_json["latency_us"]["total"], 0u64);
+        assert_eq!(idle_json["cache"]["misses"], 0u64);
+        // Every series the state registers reads zero on the idle one's
+        // scrape; the global registry's pipeline series follow them.
+        let serve_series = |line: &&str| {
+            ["maras_request", "maras_cache_", "maras_serve_", "maras_snapshot_", "maras_slow_"]
+                .iter()
+                .any(|p| line.starts_with(p))
+        };
+        let (_, _, busy_prom) = respond(&busy, &get("/metrics", &[]));
+        assert!(busy_prom.lines().any(|l| l == "maras_serve_shed_total 1"));
+        let (_, _, idle_prom) = respond(&idle, &get("/metrics", &[]));
+        let idle_samples: Vec<&str> = idle_prom.lines().filter(serve_series).collect();
+        assert!(idle_samples.len() > 100, "scrape lost the serve series");
+        for line in idle_samples {
+            assert!(line.ends_with(" 0"), "idle state's scrape reads nonzero: {line}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::debug::{self, RequestId, RequestRecord, REQUEST_ID_HEADER};
 use crate::http::{self, ParseError};
 use crate::metrics::Endpoint;
 use crate::router::{self, ServeState};
-use maras_obs::{Event, Level};
+use maras_obs::{Event, Histogram, Level};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -115,7 +115,7 @@ impl ServerHandle {
         let deadline = Instant::now() + limit;
         while Instant::now() < deadline {
             let m = &self.state.metrics;
-            if m.queue_used() == 0 && m.in_flight() == 0 {
+            if m.queue_used.get() == 0.0 && m.in_flight.get() == 0.0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -203,7 +203,7 @@ pub fn serve_with(
                 let _ = stream.set_read_timeout(io_timeout);
                 let _ = stream.set_write_timeout(io_timeout);
                 if accept_state.is_draining() {
-                    accept_state.metrics.shed();
+                    accept_state.metrics.shed.inc();
                     shed_503(
                         &accept_state,
                         &mut stream,
@@ -213,14 +213,14 @@ pub fn serve_with(
                     );
                     continue;
                 }
-                accept_state.metrics.enqueued();
+                accept_state.metrics.queue_used.add(1.0);
                 match tx.try_send(Admitted { stream, id }) {
                     Ok(()) => {}
                     // Admission control: full queue means the reply is an
                     // immediate 503 from here, not an unbounded wait.
                     Err(TrySendError::Full(Admitted { mut stream, id })) => {
-                        accept_state.metrics.dequeued();
-                        accept_state.metrics.shed();
+                        accept_state.metrics.queue_used.add(-1.0);
+                        accept_state.metrics.shed.inc();
                         shed_503(
                             &accept_state,
                             &mut stream,
@@ -254,7 +254,7 @@ struct WorkerLiveness<'a>(&'a ServeState);
 
 impl Drop for WorkerLiveness<'_> {
     fn drop(&mut self) {
-        self.0.metrics.worker_exited();
+        self.0.metrics.workers_alive.add(-1.0);
     }
 }
 
@@ -278,7 +278,7 @@ fn worker_loop(
     shed_remaining: &AtomicBool,
     io_timeout: Option<Duration>,
 ) {
-    state.metrics.worker_started();
+    state.metrics.workers_alive.add(1.0);
     let _liveness = WorkerLiveness(state);
     loop {
         // Holding the receiver lock only for the recv keeps the other
@@ -288,10 +288,10 @@ fn worker_loop(
         let conn = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
         match conn {
             Ok(Admitted { mut stream, id }) => {
-                state.metrics.dequeued();
+                state.metrics.queue_used.add(-1.0);
                 if shed_remaining.load(Ordering::SeqCst) {
                     // Drain deadline passed: flush the queue with 503s.
-                    state.metrics.shed();
+                    state.metrics.shed.inc();
                     shed_503(
                         state,
                         &mut stream,
@@ -301,7 +301,7 @@ fn worker_loop(
                     );
                     continue;
                 }
-                state.metrics.request_started();
+                state.metrics.in_flight.add(1.0);
                 debug::set_current_request(Some(id));
                 let mut ctx = RequestCtx {
                     id,
@@ -314,12 +314,12 @@ fn worker_loop(
                     handle_connection(state, &mut stream, io_timeout, &mut ctx)
                 }));
                 debug::set_current_request(None);
-                state.metrics.request_finished();
+                state.metrics.in_flight.add(-1.0);
                 if outcome.is_err() {
                     // Self-healing: count the panic, answer 500, keep
                     // serving. The pool never silently shrinks — and the
                     // flight recorder knows exactly which request did it.
-                    state.metrics.worker_panic();
+                    state.metrics.worker_panics.inc();
                     let id_text = id.to_string();
                     let _ = http::write_response_with(
                         &mut stream,
@@ -406,25 +406,15 @@ fn elapsed_us(since: Instant) -> u64 {
     since.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// Phase wall times feed one labelled histogram per request phase, in µs.
-fn phase_histogram(phase: &'static str) -> maras_obs::Histogram {
-    const PHASE_BUCKETS_US: [f64; 8] =
-        [10.0, 50.0, 100.0, 250.0, 1_000.0, 5_000.0, 25_000.0, 100_000.0];
-    maras_obs::histogram_with(
-        "maras_serve_phase_us",
-        "request handling wall time by phase, microseconds",
-        &PHASE_BUCKETS_US,
-        &[("phase", phase)],
-    )
-}
-
-fn timed<T>(phase: &'static str, f: impl FnOnce() -> T) -> (T, u64) {
+/// Runs one request phase under a span of that name and records its wall
+/// time, in µs, into the phase's histogram.
+fn timed<T>(phase: &'static str, hist: &Histogram, f: impl FnOnce() -> T) -> (T, u64) {
     let t = Instant::now();
     let span = maras_obs::span(phase);
     let out = f();
     drop(span);
-    let us = t.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    phase_histogram(phase).observe(us as f64);
+    let us = elapsed_us(t);
+    hist.observe(us as f64);
     (out, us)
 }
 
@@ -451,14 +441,15 @@ fn handle_connection(
     // Satellite of the flight recorder: the request line is captured
     // into `ctx.line` *before* parse errors propagate, so a slowloris
     // cut off by the deadline still yields an attributable event.
-    let (parsed, parse_us) =
-        timed("parse", || http::read_request_capturing(stream, io_timeout, &mut ctx.line));
+    let (parsed, parse_us) = timed("parse", &state.metrics.parse_us, || {
+        http::read_request_capturing(stream, io_timeout, &mut ctx.line)
+    });
     ctx.parse_us = parse_us;
     let (target, endpoint, status, body, failure) = match parsed {
         Ok(req) => {
             ctx.line = Some(format!("{} {}", req.method, req.path));
             let ((endpoint, status, body), route_us) =
-                timed("route", || router::respond(state, &req));
+                timed("route", &state.metrics.route_us, || router::respond(state, &req));
             ctx.route_us = route_us;
             (Some(req), endpoint, status, body, None)
         }
@@ -479,7 +470,7 @@ fn handle_connection(
         // The client blew its I/O deadline (slowloris or dead peer):
         // count it, answer 408 best-effort, and release this worker.
         Err(ParseError::Timeout) => {
-            state.metrics.timeout();
+            state.metrics.timeouts.inc();
             (
                 None,
                 Endpoint::Other,
@@ -499,7 +490,7 @@ fn handle_connection(
         _ => "application/json",
     };
     let id_text = ctx.id.to_string();
-    let (write_result, write_us) = timed("write", || {
+    let (write_result, write_us) = timed("write", &state.metrics.write_us, || {
         http::write_response_with(
             stream,
             status,
@@ -512,7 +503,7 @@ fn handle_connection(
         if is_timeout(&e) {
             // The peer stopped reading its own response: count the
             // released worker the same way as a read-side stall.
-            state.metrics.timeout();
+            state.metrics.timeouts.inc();
         }
     }
     let latency_us = elapsed_us(started);
@@ -520,7 +511,7 @@ fn handle_connection(
     drop(request_span);
     let slow = latency_us > state.slow_threshold_us();
     if slow {
-        state.metrics.slow_request();
+        state.metrics.slow_requests.inc();
     }
     if !slow && status < 400 {
         return; // healthy and fast: not flight-recorder material

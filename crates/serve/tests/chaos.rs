@@ -70,14 +70,18 @@ fn assert_recovered(addr: SocketAddr, state: &ServeState, workers: u64) {
         Some(200),
         "server must answer a healthy probe within 2s after the scenario"
     );
-    assert_eq!(state.metrics.workers_alive(), workers, "no worker may die to a scenario");
+    assert_eq!(
+        state.metrics.workers_alive.get(),
+        workers as f64,
+        "no worker may die to a scenario"
+    );
 }
 
 /// The exact counter ledger a scenario is expected to leave behind.
 fn assert_ledger(state: &ServeState, shed: u64, timeouts: u64, panics: u64) {
-    assert_eq!(state.metrics.sheds(), shed, "shed ledger");
-    assert_eq!(state.metrics.timeouts(), timeouts, "timeout ledger");
-    assert_eq!(state.metrics.worker_panics(), panics, "panic ledger");
+    assert_eq!(state.metrics.shed.get(), shed, "shed ledger");
+    assert_eq!(state.metrics.timeouts.get(), timeouts, "timeout ledger");
+    assert_eq!(state.metrics.worker_panics.get(), panics, "panic ledger");
 }
 
 #[test]
@@ -106,7 +110,7 @@ fn slowloris_is_cut_off_and_releases_the_worker() {
         "slowloris held its worker for {:?}",
         started.elapsed()
     );
-    wait_for("timeout counted", || state.metrics.timeouts() == 1);
+    wait_for("timeout counted", || state.metrics.timeouts.get() == 1);
     assert_ledger(&state, 0, 1, 0);
     assert_recovered(addr, &state, 2);
     server.shutdown();
@@ -153,7 +157,7 @@ fn abort_mid_body_is_a_silent_dead_peer() {
     // to respond to, nothing shed, no timeout, no panic. Probe first so
     // the ledger is read after the aborted connection was processed.
     assert_recovered(addr, &state, 2);
-    wait_for("connection fully handled", || state.metrics.in_flight() == 0);
+    wait_for("connection fully handled", || state.metrics.in_flight.get() == 0.0);
     assert_ledger(&state, 0, 0, 0);
     server.shutdown();
 }
@@ -171,11 +175,11 @@ fn connection_flood_beyond_queue_depth_sheds_exactly() {
 
     // Pin the single worker on a stalled connection...
     let c0 = chaos::open_stalled(addr).expect("stalled connection");
-    wait_for("worker pinned", || state.metrics.in_flight() == 1);
+    wait_for("worker pinned", || state.metrics.in_flight.get() == 1.0);
     // ...park 4 well-formed requests to fill the admission queue...
     let fills: Vec<TcpStream> =
         (0..4).map(|_| chaos::open_request(addr, "/healthz").expect("fill connection")).collect();
-    wait_for("queue full", || state.metrics.queue_used() == 4);
+    wait_for("queue full", || state.metrics.queue_used.get() == 4.0);
 
     // ...then flood past the depth: every extra connection must get an
     // immediate 503 `overloaded` from the accept side, never a wait.
@@ -186,11 +190,11 @@ fn connection_flood_beyond_queue_depth_sheds_exactly() {
         assert!(body.contains("overloaded"), "shed body must say so, got {body:?}");
         assert!(t.elapsed() < Duration::from_secs(1), "shed must be immediate, not queued");
     }
-    assert_eq!(state.metrics.sheds(), 5, "exactly the 5 beyond-depth connections shed");
+    assert_eq!(state.metrics.shed.get(), 5, "exactly the 5 beyond-depth connections shed");
 
     // The stalled connection times out, the worker drains the queue,
     // and every parked request is answered — flood over, nothing lost.
-    wait_for("stalled connection timed out", || state.metrics.timeouts() == 1);
+    wait_for("stalled connection timed out", || state.metrics.timeouts.get() == 1);
     for (i, mut stream) in fills.into_iter().enumerate() {
         let status = chaos::read_response_status(&mut stream, Duration::from_secs(3));
         assert_eq!(status, Some(200), "parked request {i} must still be served");
@@ -259,10 +263,10 @@ fn graceful_drain_finishes_in_flight_and_queued_work() {
     let mut c1 = chaos::open_stalled(addr).expect("connect");
     use std::io::Write;
     c1.write_all(b"GET /search?limit=1 HTTP/1.1\r\nhost: chaos\r\n").expect("partial request");
-    wait_for("in-flight request", || state.metrics.in_flight() == 1);
+    wait_for("in-flight request", || state.metrics.in_flight.get() == 1.0);
     // c2: a well-formed request parked in the queue behind it.
     let mut c2 = chaos::open_request(addr, "/cluster/1").expect("queued request");
-    wait_for("queued request", || state.metrics.queue_used() == 1);
+    wait_for("queued request", || state.metrics.queue_used.get() == 1.0);
 
     let shutdown = std::thread::spawn(move || server.shutdown());
     wait_for("drain begins", || state.is_draining());
@@ -291,9 +295,9 @@ fn graceful_drain_finishes_in_flight_and_queued_work() {
         Some(status) => assert_eq!(status, 503, "post-drain probe must not be served"),
     }
     assert_ledger(&state, 1, 0, 0);
-    assert_eq!(state.metrics.workers_alive(), 0, "workers exit cleanly after the drain");
-    assert_eq!(state.metrics.in_flight(), 0);
-    assert_eq!(state.metrics.queue_used(), 0);
+    assert_eq!(state.metrics.workers_alive.get(), 0.0, "workers exit cleanly after the drain");
+    assert_eq!(state.metrics.in_flight.get(), 0.0);
+    assert_eq!(state.metrics.queue_used.get(), 0.0);
 }
 
 #[test]
@@ -310,9 +314,9 @@ fn drain_deadline_sheds_stragglers_with_503() {
     // A stalled in-flight connection that will never complete, and a
     // well-formed request queued behind it.
     let c1 = chaos::open_stalled(addr).expect("stalled connection");
-    wait_for("worker pinned", || state.metrics.in_flight() == 1);
+    wait_for("worker pinned", || state.metrics.in_flight.get() == 1.0);
     let mut c2 = chaos::open_request(addr, "/healthz").expect("queued request");
-    wait_for("queued request", || state.metrics.queue_used() == 1);
+    wait_for("queued request", || state.metrics.queue_used.get() == 1.0);
 
     // The drain window (250 ms) expires while the worker is still stuck
     // on the stalled peer (800 ms deadline): the queued request must be
@@ -324,9 +328,9 @@ fn drain_deadline_sheds_stragglers_with_503() {
     drop(c1);
 
     assert_ledger(&state, 1, 1, 0); // c2 shed at the deadline, c1 timed out
-    assert_eq!(state.metrics.workers_alive(), 0);
-    assert_eq!(state.metrics.in_flight(), 0);
-    assert_eq!(state.metrics.queue_used(), 0);
+    assert_eq!(state.metrics.workers_alive.get(), 0.0);
+    assert_eq!(state.metrics.in_flight.get(), 0.0);
+    assert_eq!(state.metrics.queue_used.get(), 0.0);
 }
 
 #[test]
@@ -367,7 +371,7 @@ fn concurrent_reloads_serialize_behind_the_try_lock() {
         }
     }
     assert!(oks >= 1, "at least one reload must win the lock");
-    assert_eq!(state.metrics.reloads(), oks, "completed reloads == 200 responses");
+    assert_eq!(state.metrics.reloads.get(), oks, "completed reloads == 200 responses");
     assert_ledger(&state, 0, 0, 0);
     assert_recovered(addr, &state, 4);
     server.shutdown();

@@ -206,9 +206,9 @@ fn shed_connection_is_correlated_end_to_end() {
     // Pin the single worker, fill the one queue slot, then overflow:
     // the third connection is shed with 503 from the accept side.
     let c0 = chaos::open_stalled(addr).expect("stalled connection");
-    wait_for("worker pinned", || state.metrics.in_flight() == 1);
+    wait_for("worker pinned", || state.metrics.in_flight.get() == 1.0);
     let mut c1 = chaos::open_request(addr, "/healthz").expect("queued request");
-    wait_for("queue full", || state.metrics.queue_used() == 1);
+    wait_for("queue full", || state.metrics.queue_used.get() == 1.0);
 
     let (status, id, body) =
         chaos::request_with_id(addr, "GET", "/healthz", Duration::from_secs(2));
@@ -219,7 +219,9 @@ fn shed_connection_is_correlated_end_to_end() {
     // Release the worker so the debug endpoints can answer.
     drop(c0);
     assert_eq!(chaos::read_response_status(&mut c1, Duration::from_secs(3)), Some(200));
-    wait_for("queue drained", || state.metrics.queue_used() == 0 && state.metrics.in_flight() == 0);
+    wait_for("queue drained", || {
+        state.metrics.queue_used.get() == 0.0 && state.metrics.in_flight.get() == 0.0
+    });
 
     let entry = flight_entry(addr, &id);
     assert_eq!(entry["outcome"].as_str(), Some("shed"));

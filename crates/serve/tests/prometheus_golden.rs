@@ -7,16 +7,19 @@
 //! Regenerate the golden file after an intentional format change with
 //! `UPDATE_GOLDEN=1 cargo test -p maras-serve --test prometheus_golden`.
 
-use maras_serve::{Endpoint, Metrics};
+use maras_obs::Registry;
+use maras_serve::{Endpoint, ServeMetrics};
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/metrics.prom")
 }
 
-/// The fixed counter state every golden render uses.
-fn fixed_metrics() -> Metrics {
-    let m = Metrics::new();
+/// The fixed counter state every golden render uses, rendered the way a
+/// `/metrics` scrape renders the server's own registry.
+fn fixed_exposition() -> String {
+    let reg = Registry::new();
+    let m = ServeMetrics::register(&reg);
     m.record(Endpoint::Healthz, 40, false);
     m.record(Endpoint::Search, 120, false);
     m.record(Endpoint::Search, 800, false);
@@ -28,31 +31,32 @@ fn fixed_metrics() -> Metrics {
     m.record(Endpoint::Report, 60, false);
     // One flight-recorder introspection hit.
     m.record(Endpoint::Debug, 75, false);
-    m.cache_hit();
-    m.cache_miss();
-    m.cache_miss();
-    m.reload();
-    m.slow_request();
+    m.cache_hits.inc();
+    m.cache_misses.inc();
+    m.cache_misses.inc();
+    m.reloads.inc();
+    m.slow_requests.inc();
     // Robustness ledger: shed twice, one I/O timeout, one recovered
     // panic, and a live pool of 3 workers with one queued + one
     // in-flight request at scrape time.
-    m.shed();
-    m.shed();
-    m.timeout();
-    m.worker_panic();
+    m.shed.inc();
+    m.shed.inc();
+    m.timeouts.inc();
+    m.worker_panics.inc();
     for _ in 0..3 {
-        m.worker_started();
+        m.workers_alive.add(1.0);
     }
-    m.enqueued();
-    m.enqueued();
-    m.dequeued();
-    m.request_started();
-    m
+    m.queue_used.add(1.0);
+    m.queue_used.add(1.0);
+    m.queue_used.add(-1.0);
+    m.in_flight.add(1.0);
+    m.refresh(5);
+    reg.render_prometheus()
 }
 
 #[test]
 fn exposition_matches_golden_file() {
-    let rendered = fixed_metrics().to_prometheus(5);
+    let rendered = fixed_exposition();
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -66,7 +70,7 @@ fn exposition_matches_golden_file() {
 
 #[test]
 fn exposition_is_structurally_valid() {
-    let text = fixed_metrics().to_prometheus(5);
+    let text = fixed_exposition();
     let mut seen_types = std::collections::HashSet::new();
     for line in text.lines() {
         assert!(!line.is_empty(), "no blank lines inside the exposition");

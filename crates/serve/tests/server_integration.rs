@@ -183,10 +183,10 @@ fn full_server_lifecycle() {
     assert_eq!(err["error"]["code"], "bad_request");
 
     // -- cache behaviour: repeat query hits the cache ---------------------
-    let before = state.metrics.cache_hits();
+    let before = state.metrics.cache_hits.get();
     let (_, repeat) = http(addr, "GET", &target);
     assert_eq!(repeat, found, "cached response must be byte-identical");
-    assert!(state.metrics.cache_hits() > before, "second identical query must hit the cache");
+    assert!(state.metrics.cache_hits.get() > before, "second identical query must hit the cache");
 
     // -- corrupted snapshot: reload refused, old snapshot keeps serving ---
     let good_bytes = std::fs::read(&snap_path).unwrap();
@@ -257,6 +257,19 @@ fn full_server_lifecycle() {
         .expect("search series");
     let search_count: u64 = search_line.rsplit(' ').next().unwrap().parse().unwrap();
     assert_eq!(search_count, metrics["requests"]["search"].as_u64().unwrap());
+    // The state's registry and the global one render back to back and
+    // never share a metric name.
+    let mut typed = std::collections::HashSet::new();
+    for name in prom.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+        assert!(typed.insert(name.split(' ').next().unwrap()), "# TYPE repeats: {name}");
+    }
+    // Every request above went through the worker's timed phases.
+    for phase in ["parse", "route", "write"] {
+        let key = format!("maras_serve_phase_us_count{{phase=\"{phase}\"}} ");
+        let line = prom.lines().find(|l| l.starts_with(&key)).expect("phase histogram");
+        let count: u64 = line[key.len()..].parse().unwrap();
+        assert!(count > 0, "{line}");
+    }
 
     // -- malformed request handling ---------------------------------------
     let (status, err) = http(addr, "GET", "/search?min_severity=high");
