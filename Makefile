@@ -8,17 +8,18 @@
 # contract.
 
 FIRST_PARTY = -p maras -p maras-bench -p maras-core -p maras-evidence \
-              -p maras-faers -p maras-mcac -p maras-mining -p maras-obs \
-              -p maras-rules -p maras-serve -p maras-signals -p maras-study \
-              -p maras-tidset -p maras-viz
+              -p maras-faers -p maras-format -p maras-mcac -p maras-mining \
+              -p maras-obs -p maras-rules -p maras-serve -p maras-signals \
+              -p maras-study -p maras-tidset -p maras-viz
 
 .PHONY: verify fmt fmt-check clippy doc-check test obs-test logs-test \
-        serve-test evidence-test signals-test tidset-test chaos snapshot trace \
+        serve-test evidence-test format-test signals-test tidset-test chaos \
+        snapshot trace \
         bench-serve bench-mining bench-ingest bench-evidence bench-signals \
         bench-tidset
 
 verify: fmt-check clippy doc-check test obs-test logs-test serve-test \
-        evidence-test signals-test tidset-test chaos
+        evidence-test format-test signals-test tidset-test chaos
 
 fmt:
 	cargo fmt
@@ -73,6 +74,26 @@ evidence-test:
 		--quarter 2014Q1 --out target/evidence-data/2014Q1.evid
 	cargo run -q --release --bin maras -- evidence check \
 		--archive target/evidence-data/2014Q1.evid
+
+# The shared on-disk format end to end: the format crate's unit tests
+# (header, bounded cursor, durable atomic write), the mutation sweep over
+# both files (every truncation and length lie under a recomputed checksum
+# must load or get a typed error, within a heap bound), the MARASNAP
+# store tests, the corrupt-archive suite, and a CLI round trip that writes
+# a snapshot and an archive and verifies both.
+format-test:
+	cargo test -q -p maras-format
+	cargo test -q --test format_mutation
+	cargo test -q -p maras-serve --lib store::
+	cargo test -q -p maras-evidence --test corrupt
+	cargo run -q --release --bin maras -- generate --out target/format-data --reports 2000
+	cargo run -q --release --bin maras -- snapshot --dir target/format-data \
+		--quarter 2014Q1 --out target/format-data/2014Q1.snap \
+		--evidence target/format-data/2014Q1.evid
+	cargo run -q --release --bin maras -- serve --snapshot target/format-data/2014Q1.snap \
+		--evidence target/format-data/2014Q1.evid --check
+	cargo run -q --release --bin maras -- evidence check \
+		--archive target/format-data/2014Q1.evid
 
 # The signal-scoring layer end to end: the signals crate's unit +
 # property suites (Haldane–Anscombe corrections, checked tables, EBGM

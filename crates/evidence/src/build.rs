@@ -6,18 +6,20 @@
 //! alignment is what lets a postings intersection reproduce
 //! `core::link::supporting_reports` byte-for-byte.
 
-use crate::format::{
-    fnv1a, put_str, put_u32, put_u64, EvidenceError, DEFAULT_BLOCK_SIZE, FORMAT_VERSION, MAGIC,
-};
 use crate::postings::encode_postings;
 use crate::record::encode_block;
+use crate::{FORMAT_VERSION, MAGIC};
 use maras_core::pipeline::AnalysisResult;
 use maras_faers::Vocabulary;
+use maras_format::{fnv1a, put_str, put_u32, put_u64, FormatError, HEADER_LEN};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
-use std::fs::{self, File};
-use std::io::Write;
 use std::path::Path;
+
+/// Default records per block. Small enough that a point lookup decodes a
+/// bounded slice, large enough that varint packing and the shared symbol
+/// table amortize.
+pub const DEFAULT_BLOCK_SIZE: u32 = 256;
 
 /// Build-time knobs.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +61,7 @@ pub fn build_archive(
     adr_vocab: &Vocabulary,
     path: &Path,
     config: BuildConfig,
-) -> Result<ArchiveSummary, EvidenceError> {
+) -> Result<ArchiveSummary, FormatError> {
     let _span = maras_obs::span("evidence_build");
     let block_size = config.block_size.max(1) as usize;
     let n_records = result.cleaned.len();
@@ -157,35 +159,17 @@ pub fn build_archive(
     }
     let data_bytes = offset;
 
-    // Header + atomic tmp→rename write, like the snapshot store.
-    let mut file_buf =
-        Vec::with_capacity(crate::format::HEADER_LEN + meta.len() + data_bytes as usize);
-    file_buf.extend_from_slice(MAGIC);
-    file_buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    file_buf.extend_from_slice(&(meta.len() as u64).to_le_bytes());
-    file_buf.extend_from_slice(&fnv1a(&meta).to_le_bytes());
-    file_buf.extend_from_slice(&meta);
-    for block in &blocks {
-        file_buf.extend_from_slice(block);
-    }
-
-    let tmp = path.with_extension("evid.tmp");
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    let mut f = File::create(&tmp)?;
-    f.write_all(&file_buf)?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, path)?;
+    let header = maras_format::header(MAGIC, FORMAT_VERSION, &meta);
+    let mut parts: Vec<&[u8]> = vec![&header, &meta];
+    parts.extend(blocks.iter().map(Vec::as_slice));
+    maras_format::write_atomic(path, &parts)?;
+    let file_bytes = (HEADER_LEN + meta.len()) as u64 + data_bytes;
 
     maras_obs::Event::new(maras_obs::Level::Info, "evidence.build")
         .field("quarter", result.quarter.id.to_string())
         .field("records", n_records)
         .field("blocks", blocks.len())
-        .field("file_bytes", file_buf.len())
+        .field("file_bytes", file_bytes)
         .emit();
     Ok(ArchiveSummary {
         n_records,
@@ -193,7 +177,7 @@ pub fn build_archive(
         n_symbols: symbols.len(),
         n_drug_keys: drug_postings.len(),
         n_adr_keys: adr_postings.len(),
-        file_bytes: file_buf.len() as u64,
+        file_bytes,
         data_bytes,
     })
 }

@@ -7,7 +7,7 @@
 //! goes through the shared `maras-tidset` kernels (the crate-local
 //! galloping `intersect_k` this module used to carry is gone).
 
-use crate::format::{put_varint, Cursor, EvidenceError};
+use maras_format::{put_varint, Cursor, FormatError};
 use maras_tidset::TidSet;
 
 /// Appends a sorted tid list, delta-encoded.
@@ -21,20 +21,26 @@ pub fn encode_postings(buf: &mut Vec<u8>, tids: &[u32]) {
     }
 }
 
-/// Decodes a delta-encoded tid list into a compressed set; enforces
-/// strictly ascending order.
-pub fn decode_postings(c: &mut Cursor<'_>) -> Result<TidSet, EvidenceError> {
-    let n = c.varint()? as usize;
+/// Decodes a delta-encoded tid list into a compressed set. Each tid must
+/// lie strictly above the one before and below `n_records`, and is refused
+/// as soon as it is read, so a hostile list cannot grow the set past the
+/// archive's own records.
+pub fn decode_postings(c: &mut Cursor<'_>, n_records: usize) -> Result<TidSet, FormatError> {
+    let n = c.varint()?;
     let mut tids = TidSet::new();
     let mut prev: u64 = 0;
     for i in 0..n {
         let delta = c.varint()?;
-        let tid = if i == 0 { delta } else { prev + delta };
-        if tid > u64::from(u32::MAX) || (i > 0 && delta == 0) {
-            return Err(EvidenceError::Corrupt("postings list not strictly ascending u32"));
+        if i > 0 && delta == 0 {
+            return Err(FormatError::Corrupt("postings list not strictly ascending"));
         }
-        tids.push_ascending(tid as u32);
-        prev = tid;
+        let tid = prev.saturating_add(delta);
+        let tid = u32::try_from(tid)
+            .ok()
+            .filter(|&t| (t as usize) < n_records)
+            .ok_or(FormatError::Corrupt("postings tid out of range"))?;
+        tids.push_ascending(tid);
+        prev = u64::from(tid);
     }
     Ok(tids)
 }
@@ -47,7 +53,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_postings(&mut buf, tids);
         let mut c = Cursor::new(&buf);
-        let out = decode_postings(&mut c).unwrap();
+        let out = decode_postings(&mut c, usize::MAX).unwrap();
         assert!(c.is_exhausted());
         out.to_vec()
     }
@@ -72,6 +78,20 @@ mod tests {
         put_varint(&mut buf, 5);
         put_varint(&mut buf, 0); // zero gap == duplicate tid
         put_varint(&mut buf, 1);
-        assert!(matches!(decode_postings(&mut Cursor::new(&buf)), Err(EvidenceError::Corrupt(_))));
+        assert!(matches!(
+            decode_postings(&mut Cursor::new(&buf), 10),
+            Err(FormatError::Corrupt("postings list not strictly ascending"))
+        ));
+    }
+
+    #[test]
+    fn decode_rejects_tids_past_the_record_count() {
+        let mut buf = Vec::new();
+        encode_postings(&mut buf, &[1, 4, 9]);
+        assert_eq!(decode_postings(&mut Cursor::new(&buf), 10).unwrap().to_vec(), vec![1, 4, 9]);
+        assert!(matches!(
+            decode_postings(&mut Cursor::new(&buf), 9),
+            Err(FormatError::Corrupt("postings tid out of range"))
+        ));
     }
 }

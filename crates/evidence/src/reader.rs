@@ -6,12 +6,13 @@
 //! through a sharded LRU cache on demand. A full quarter is never
 //! materialized in memory.
 
-use crate::format::{fnv1a, Cursor, EvidenceError, FORMAT_VERSION, HEADER_LEN, MAGIC};
 use crate::metrics::EvidenceMetrics;
 use crate::postings::decode_postings;
 use crate::record::decode_block;
+use crate::{FORMAT_VERSION, MAGIC};
 use maras_faers::intern::{IStr, SymbolTable};
 use maras_faers::CaseReport;
+use maras_format::{Cursor, FormatError, Header, HEADER_LEN};
 use maras_tidset::TidSet;
 use rustc_hash::FxHashMap;
 use std::fs::File;
@@ -99,19 +100,19 @@ pub struct EvidenceReader {
     metrics: EvidenceMetrics,
 }
 
-fn read_exact_or_truncated(f: &mut File, buf: &mut [u8]) -> Result<(), EvidenceError> {
+fn read_exact_or_truncated(f: &mut File, buf: &mut [u8]) -> Result<(), FormatError> {
     f.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            EvidenceError::Truncated
+            FormatError::Truncated
         } else {
-            EvidenceError::Io(e)
+            FormatError::Io(e)
         }
     })
 }
 
 impl EvidenceReader {
     /// Opens and verifies an archive with the default block-cache size.
-    pub fn open(path: &Path) -> Result<EvidenceReader, EvidenceError> {
+    pub fn open(path: &Path) -> Result<EvidenceReader, FormatError> {
         EvidenceReader::open_with_cache(path, DEFAULT_CACHE_BLOCKS)
     }
 
@@ -119,121 +120,91 @@ impl EvidenceReader {
     pub fn open_with_cache(
         path: &Path,
         cache_blocks: usize,
-    ) -> Result<EvidenceReader, EvidenceError> {
+    ) -> Result<EvidenceReader, FormatError> {
         let _span = maras_obs::span("evidence_open");
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
 
         let mut header = [0u8; HEADER_LEN];
         read_exact_or_truncated(&mut file, &mut header)?;
-        if &header[..8] != MAGIC {
-            return Err(EvidenceError::BadMagic);
+        let header = Header::parse(&header, MAGIC, FORMAT_VERSION)?;
+        if header.len > file_len.saturating_sub(HEADER_LEN as u64) {
+            return Err(FormatError::Truncated);
         }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version != FORMAT_VERSION {
-            return Err(EvidenceError::BadVersion(version));
-        }
-        let meta_len = u64::from_le_bytes(header[12..20].try_into().unwrap());
-        let stored_checksum = u64::from_le_bytes(header[20..28].try_into().unwrap());
-        if meta_len > file_len.saturating_sub(HEADER_LEN as u64) {
-            return Err(EvidenceError::Truncated);
-        }
-        let mut meta = vec![0u8; meta_len as usize];
+        let mut meta = vec![0u8; header.len as usize];
         read_exact_or_truncated(&mut file, &mut meta)?;
-        let actual = fnv1a(&meta);
-        if actual != stored_checksum {
-            return Err(EvidenceError::ChecksumMismatch {
-                what: "meta".to_string(),
-                stored: stored_checksum,
-                actual,
-            });
-        }
+        header.verify(&meta, "meta")?;
 
         let mut c = Cursor::new(&meta);
         let quarter = c.str()?.to_string();
         let n_records = c.u64()? as usize;
         let block_size = c.u32()? as usize;
         if block_size == 0 {
-            return Err(EvidenceError::Corrupt("zero block size"));
+            return Err(FormatError::Corrupt("zero block size"));
         }
         let n_blocks = c.u32()? as usize;
         if n_blocks != n_records.div_ceil(block_size) {
-            return Err(EvidenceError::Corrupt("block count disagrees with record count"));
+            return Err(FormatError::Corrupt("block count disagrees with record count"));
         }
         let n_symbols = c.u32()? as usize;
         let mut table = SymbolTable::new();
-        let mut symbols = Vec::with_capacity(c.capacity_for(n_symbols, 4));
-        for _ in 0..n_symbols {
-            symbols.push(table.intern(c.str()?));
-        }
-        let mut case_index = Vec::with_capacity(c.capacity_for(n_records, 12));
-        for _ in 0..n_records {
+        let symbols = c.items(n_symbols, 4, |c| Ok(table.intern(c.str()?)))?;
+        let case_index = c.items(n_records, 12, |c| {
             let case_id = c.u64()?;
             let tid = c.u32()?;
             if tid as usize >= n_records {
-                return Err(EvidenceError::Corrupt("case-index tid out of range"));
+                return Err(FormatError::Corrupt("case-index tid out of range"));
             }
-            case_index.push((case_id, tid));
-        }
+            Ok((case_id, tid))
+        })?;
         if !case_index.windows(2).all(|w| w[0].0 <= w[1].0) {
-            return Err(EvidenceError::Corrupt("case index not sorted"));
+            return Err(FormatError::Corrupt("case index not sorted"));
         }
-        let read_keyed_postings =
-            |c: &mut Cursor<'_>| -> Result<Vec<(String, TidSet)>, EvidenceError> {
-                let n = c.u32()? as usize;
-                let mut out: Vec<(String, TidSet)> = Vec::with_capacity(c.capacity_for(n, 5));
-                for _ in 0..n {
-                    let key = c.str()?.to_string();
-                    let tids = decode_postings(c)?;
-                    if tids.last().is_some_and(|t| t as usize >= n_records) {
-                        return Err(EvidenceError::Corrupt("postings tid out of range"));
-                    }
-                    if out.last().is_some_and(|(k, _)| *k >= key) {
-                        return Err(EvidenceError::Corrupt("postings keys not sorted"));
-                    }
-                    tids.record_build();
-                    out.push((key, tids));
-                }
-                Ok(out)
-            };
-        let drug_postings = read_keyed_postings(&mut c)?;
-        let adr_postings = read_keyed_postings(&mut c)?;
+        let postings = |c: &mut Cursor<'_>| -> Result<TidSet, FormatError> {
+            let tids = decode_postings(c, n_records)?;
+            tids.record_build();
+            Ok(tids)
+        };
+        let keyed_postings = |c: &mut Cursor<'_>| -> Result<Vec<(String, TidSet)>, FormatError> {
+            let n = c.u32()? as usize;
+            let out = c.items(n, 5, |c| Ok((c.str()?.to_string(), postings(c)?)))?;
+            if !out.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(FormatError::Corrupt("postings keys not sorted"));
+            }
+            Ok(out)
+        };
+        let drug_postings = keyed_postings(&mut c)?;
+        let adr_postings = keyed_postings(&mut c)?;
         let mut severity_postings: [TidSet; 7] = Default::default();
         for list in severity_postings.iter_mut() {
-            *list = decode_postings(&mut c)?;
-            if list.last().is_some_and(|t| t as usize >= n_records) {
-                return Err(EvidenceError::Corrupt("severity tid out of range"));
-            }
-            list.record_build();
+            *list = postings(&mut c)?;
         }
-        let data_start = HEADER_LEN as u64 + meta_len;
+        let data_start = HEADER_LEN as u64 + header.len;
         let data_len = file_len - data_start;
-        let mut blocks = Vec::with_capacity(c.capacity_for(n_blocks, 32));
         let mut expected_offset = 0u64;
-        for b in 0..n_blocks {
-            let offset = c.u64()?;
-            let len = c.u64()?;
-            let checksum = c.u64()?;
-            let first_tid = c.u32()?;
-            let n = c.u32()?;
+        let mut expected_first = 0usize;
+        let blocks = c.items(n_blocks, 32, |c| {
+            let (offset, len, checksum) = (c.u64()?, c.u64()?, c.u64()?);
+            let (first_tid, n) = (c.u32()?, c.u32()?);
             if offset != expected_offset
-                || first_tid as usize != b * block_size
+                || first_tid as usize != expected_first
                 || n == 0
                 || n as usize > block_size
             {
-                return Err(EvidenceError::Corrupt("invalid block index entry"));
+                return Err(FormatError::Corrupt("invalid block index entry"));
             }
             if offset.checked_add(len).is_none_or(|end| end > data_len) {
-                return Err(EvidenceError::Truncated);
+                return Err(FormatError::Truncated);
             }
             expected_offset = offset + len;
-            blocks.push(BlockMeta { offset, len, checksum, n });
-        }
+            expected_first += block_size;
+            Ok(BlockMeta { offset, len, checksum, n })
+        })?;
         if blocks.iter().map(|b| b.n as usize).sum::<usize>() != n_records {
-            return Err(EvidenceError::Corrupt("block record counts disagree with total"));
+            return Err(FormatError::Corrupt("block record counts disagree with total"));
         }
         if !c.is_exhausted() {
-            return Err(EvidenceError::Corrupt("trailing bytes after meta section"));
+            return Err(FormatError::Corrupt("trailing bytes after meta section"));
         }
 
         Ok(EvidenceReader {
@@ -321,13 +292,13 @@ impl EvidenceReader {
         acc.to_vec()
     }
 
-    fn fetch_block(&self, block: usize) -> Result<Arc<Vec<CaseReport>>, EvidenceError> {
+    fn fetch_block(&self, block: usize) -> Result<Arc<Vec<CaseReport>>, FormatError> {
         if let Some(hit) = self.cache.get(block) {
             self.metrics.cache_hits.inc();
             return Ok(hit);
         }
         self.metrics.cache_misses.inc();
-        let meta = self.blocks.get(block).ok_or(EvidenceError::Corrupt("block out of range"))?;
+        let meta = self.blocks.get(block).ok_or(FormatError::Corrupt("block out of range"))?;
         let read_start = Instant::now();
         let mut bytes = vec![0u8; meta.len as usize];
         {
@@ -336,14 +307,7 @@ impl EvidenceReader {
             read_exact_or_truncated(&mut file, &mut bytes)?;
         }
         self.metrics.block_read_us.observe(read_start.elapsed().as_secs_f64() * 1e6);
-        let actual = fnv1a(&bytes);
-        if actual != meta.checksum {
-            return Err(EvidenceError::ChecksumMismatch {
-                what: format!("block {block}"),
-                stored: meta.checksum,
-                actual,
-            });
-        }
+        maras_format::verify(&bytes, meta.checksum, format_args!("block {block}"))?;
         let decode_start = Instant::now();
         let reports = Arc::new(decode_block(&bytes, meta.n as usize, &self.symbols)?);
         self.metrics.block_decode_us.observe(decode_start.elapsed().as_secs_f64() * 1e6);
@@ -353,9 +317,9 @@ impl EvidenceReader {
     }
 
     /// Fetches one record by tid.
-    pub fn report_by_tid(&self, tid: u32) -> Result<CaseReport, EvidenceError> {
+    pub fn report_by_tid(&self, tid: u32) -> Result<CaseReport, FormatError> {
         if tid as usize >= self.n_records {
-            return Err(EvidenceError::Corrupt("tid out of range"));
+            return Err(FormatError::Corrupt("tid out of range"));
         }
         let block = tid as usize / self.block_size;
         let reports = self.fetch_block(block)?;
@@ -371,7 +335,7 @@ impl EvidenceReader {
     }
 
     /// Fetches one record by FAERS case id.
-    pub fn report_by_case_id(&self, case_id: u64) -> Result<Option<CaseReport>, EvidenceError> {
+    pub fn report_by_case_id(&self, case_id: u64) -> Result<Option<CaseReport>, FormatError> {
         match self.tid_of_case(case_id) {
             None => Ok(None),
             Some(tid) => Ok(Some(self.report_by_tid(tid)?)),
@@ -379,7 +343,7 @@ impl EvidenceReader {
     }
 
     /// Fetches the records for a page of tids, in the given order.
-    pub fn reports_for(&self, tids: &[u32]) -> Result<Vec<CaseReport>, EvidenceError> {
+    pub fn reports_for(&self, tids: &[u32]) -> Result<Vec<CaseReport>, FormatError> {
         tids.iter().map(|&t| self.report_by_tid(t)).collect()
     }
 }
@@ -404,7 +368,7 @@ pub struct CheckReport {
 /// Verifies an entire archive: header, meta checksum, index invariants and
 /// every block's checksum + decode. Returns a typed error on the first
 /// problem found — never panics on corrupt input.
-pub fn check_archive(path: &Path) -> Result<CheckReport, EvidenceError> {
+pub fn check_archive(path: &Path) -> Result<CheckReport, FormatError> {
     let _span = maras_obs::span("evidence_check");
     let reader = EvidenceReader::open_with_cache(path, 1)?;
     let mut seen = 0usize;
@@ -413,7 +377,7 @@ pub fn check_archive(path: &Path) -> Result<CheckReport, EvidenceError> {
         seen += reports.len();
     }
     if seen != reader.n_records {
-        return Err(EvidenceError::Corrupt("decoded record count disagrees with meta"));
+        return Err(FormatError::Corrupt("decoded record count disagrees with meta"));
     }
     Ok(CheckReport {
         quarter: reader.quarter.clone(),

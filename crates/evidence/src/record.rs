@@ -8,9 +8,9 @@
 //! block: drugs, reactions and countries are symbol ids into the archive's
 //! shared dictionary, interned through `faers::intern` on decode.
 
-use crate::format::{put_varint, Cursor, EvidenceError};
 use maras_faers::intern::IStr;
 use maras_faers::model::{CaseReport, DrugEntry, DrugRole, Outcome, ReportType, Sex};
+use maras_format::{put_varint, Cursor, FormatError};
 
 fn report_type_code(t: ReportType) -> u8 {
     match t {
@@ -20,12 +20,12 @@ fn report_type_code(t: ReportType) -> u8 {
     }
 }
 
-fn report_type_from(code: u8) -> Result<ReportType, EvidenceError> {
+fn report_type_from(code: u8) -> Result<ReportType, FormatError> {
     match code {
         0 => Ok(ReportType::Expedited),
         1 => Ok(ReportType::Periodic),
         2 => Ok(ReportType::Direct),
-        _ => Err(EvidenceError::Corrupt("unknown report-type code")),
+        _ => Err(FormatError::Corrupt("unknown report-type code")),
     }
 }
 
@@ -37,12 +37,12 @@ fn sex_code(s: Sex) -> u8 {
     }
 }
 
-fn sex_from(code: u8) -> Result<Sex, EvidenceError> {
+fn sex_from(code: u8) -> Result<Sex, FormatError> {
     match code {
         0 => Ok(Sex::Female),
         1 => Ok(Sex::Male),
         2 => Ok(Sex::Unknown),
-        _ => Err(EvidenceError::Corrupt("unknown sex code")),
+        _ => Err(FormatError::Corrupt("unknown sex code")),
     }
 }
 
@@ -55,13 +55,13 @@ fn role_code(r: DrugRole) -> u8 {
     }
 }
 
-fn role_from(code: u8) -> Result<DrugRole, EvidenceError> {
+fn role_from(code: u8) -> Result<DrugRole, FormatError> {
     match code {
         0 => Ok(DrugRole::PrimarySuspect),
         1 => Ok(DrugRole::SecondarySuspect),
         2 => Ok(DrugRole::Concomitant),
         3 => Ok(DrugRole::Interacting),
-        _ => Err(EvidenceError::Corrupt("unknown drug-role code")),
+        _ => Err(FormatError::Corrupt("unknown drug-role code")),
     }
 }
 
@@ -70,8 +70,8 @@ fn outcome_code(o: Outcome) -> u8 {
     Outcome::ALL.iter().position(|&x| x == o).unwrap() as u8
 }
 
-fn outcome_from(code: u8) -> Result<Outcome, EvidenceError> {
-    Outcome::ALL.get(code as usize).copied().ok_or(EvidenceError::Corrupt("unknown outcome code"))
+fn outcome_from(code: u8) -> Result<Outcome, FormatError> {
+    Outcome::ALL.get(code as usize).copied().ok_or(FormatError::Corrupt("unknown outcome code"))
 }
 
 fn put_opt_f32(buf: &mut Vec<u8>, v: Option<f32>) {
@@ -84,16 +84,16 @@ fn put_opt_f32(buf: &mut Vec<u8>, v: Option<f32>) {
     }
 }
 
-fn opt_f32(c: &mut Cursor<'_>) -> Result<Option<f32>, EvidenceError> {
+fn opt_f32(c: &mut Cursor<'_>) -> Result<Option<f32>, FormatError> {
     match c.u8()? {
         0 => Ok(None),
         1 => {
             let bits = c.varint()?;
             let bits =
-                u32::try_from(bits).map_err(|_| EvidenceError::Corrupt("f32 bits overflow"))?;
+                u32::try_from(bits).map_err(|_| FormatError::Corrupt("f32 bits overflow"))?;
             Ok(Some(f32::from_bits(bits)))
         }
-        _ => Err(EvidenceError::Corrupt("bad Option tag")),
+        _ => Err(FormatError::Corrupt("bad Option tag")),
     }
 }
 
@@ -107,15 +107,15 @@ fn put_opt_u32(buf: &mut Vec<u8>, v: Option<u32>) {
     }
 }
 
-fn opt_u32(c: &mut Cursor<'_>) -> Result<Option<u32>, EvidenceError> {
+fn opt_u32(c: &mut Cursor<'_>) -> Result<Option<u32>, FormatError> {
     match c.u8()? {
         0 => Ok(None),
         1 => {
             let v = c.varint()?;
-            let v = u32::try_from(v).map_err(|_| EvidenceError::Corrupt("u32 overflow"))?;
+            let v = u32::try_from(v).map_err(|_| FormatError::Corrupt("u32 overflow"))?;
             Ok(Some(v))
         }
-        _ => Err(EvidenceError::Corrupt("bad Option tag")),
+        _ => Err(FormatError::Corrupt("bad Option tag")),
     }
 }
 
@@ -165,85 +165,44 @@ pub fn encode_block(reports: &[&CaseReport], mut sym: impl FnMut(&str) -> u32) -
     buf
 }
 
-/// Bound on per-record collection lengths inside one block — a corrupt
-/// varint must not cause a huge allocation before the next read fails.
-const MAX_INLINE_LEN: u64 = 1 << 16;
-
-fn checked_len(c: &mut Cursor<'_>) -> Result<usize, EvidenceError> {
-    let n = c.varint()?;
-    if n > MAX_INLINE_LEN {
-        return Err(EvidenceError::Corrupt("implausible in-record collection length"));
-    }
-    Ok(n as usize)
-}
+/// The fewest bytes a record takes in a block: one in each of the eight
+/// columns and one for each of its three collection lengths.
+const MIN_RECORD_BYTES: usize = 11;
 
 /// Decodes a block of exactly `n` records against the symbol dictionary.
 pub fn decode_block(
     bytes: &[u8],
     n: usize,
     symbols: &[IStr],
-) -> Result<Vec<CaseReport>, EvidenceError> {
-    let lookup = |id: u64| -> Result<IStr, EvidenceError> {
+) -> Result<Vec<CaseReport>, FormatError> {
+    let lookup = |id: u64| -> Result<IStr, FormatError> {
         symbols
-            .get(usize::try_from(id).map_err(|_| EvidenceError::Corrupt("symbol id overflow"))?)
+            .get(usize::try_from(id).map_err(|_| FormatError::Corrupt("symbol id overflow"))?)
             .cloned()
-            .ok_or(EvidenceError::Corrupt("symbol id out of range"))
+            .ok_or(FormatError::Corrupt("symbol id out of range"))
     };
     let mut c = Cursor::new(bytes);
-    // Every record takes at least one byte in each column.
-    let cap = c.capacity_for(n, 1);
-    let mut case_ids = Vec::with_capacity(cap);
-    for _ in 0..n {
-        case_ids.push(c.varint()?);
-    }
-    let mut versions = Vec::with_capacity(cap);
-    for _ in 0..n {
-        let v = c.varint()?;
-        versions.push(u32::try_from(v).map_err(|_| EvidenceError::Corrupt("version overflow"))?);
-    }
-    let mut report_types = Vec::with_capacity(cap);
-    for _ in 0..n {
-        report_types.push(report_type_from(c.u8()?)?);
-    }
-    let mut sexes = Vec::with_capacity(cap);
-    for _ in 0..n {
-        sexes.push(sex_from(c.u8()?)?);
-    }
-    let mut ages = Vec::with_capacity(cap);
-    for _ in 0..n {
-        ages.push(opt_f32(&mut c)?);
-    }
-    let mut weights = Vec::with_capacity(cap);
-    for _ in 0..n {
-        weights.push(opt_f32(&mut c)?);
-    }
-    let mut countries = Vec::with_capacity(cap);
-    for _ in 0..n {
-        countries.push(lookup(c.varint()?)?);
-    }
-    let mut event_dates = Vec::with_capacity(cap);
-    for _ in 0..n {
-        event_dates.push(opt_u32(&mut c)?);
-    }
-    let mut out = Vec::with_capacity(cap);
+    let case_ids = c.items(n, MIN_RECORD_BYTES, Cursor::varint)?;
+    let versions = c.items(n, MIN_RECORD_BYTES, |c| {
+        u32::try_from(c.varint()?).map_err(|_| FormatError::Corrupt("version overflow"))
+    })?;
+    let report_types = c.items(n, MIN_RECORD_BYTES, |c| report_type_from(c.u8()?))?;
+    let sexes = c.items(n, MIN_RECORD_BYTES, |c| sex_from(c.u8()?))?;
+    let ages = c.items(n, MIN_RECORD_BYTES, opt_f32)?;
+    let weights = c.items(n, MIN_RECORD_BYTES, opt_f32)?;
+    let countries = c.items(n, MIN_RECORD_BYTES, |c| lookup(c.varint()?))?;
+    let event_dates = c.items(n, MIN_RECORD_BYTES, opt_u32)?;
+    // What is left is the per-record payloads: three lengths at least.
+    let mut out = Vec::with_capacity(c.capacity_for(n, 3));
     for i in 0..n {
-        let n_drugs = checked_len(&mut c)?;
-        let mut drugs = Vec::with_capacity(n_drugs);
-        for _ in 0..n_drugs {
-            let name = lookup(c.varint()?)?;
-            let role = role_from(c.u8()?)?;
-            drugs.push(DrugEntry { name, role });
-        }
-        let n_reac = checked_len(&mut c)?;
-        let mut reactions = Vec::with_capacity(n_reac);
-        for _ in 0..n_reac {
-            reactions.push(lookup(c.varint()?)?);
-        }
-        let n_outc = checked_len(&mut c)?;
-        let mut outcomes = Vec::with_capacity(n_outc);
-        for _ in 0..n_outc {
-            outcomes.push(outcome_from(c.u8()?)?);
-        }
+        let n_drugs = c.varint()? as usize;
+        let drugs = c.items(n_drugs, 2, |c| {
+            Ok(DrugEntry { name: lookup(c.varint()?)?, role: role_from(c.u8()?)? })
+        })?;
+        let n_reac = c.varint()? as usize;
+        let reactions = c.items(n_reac, 1, |c| lookup(c.varint()?))?;
+        let n_outc = c.varint()? as usize;
+        let outcomes = c.items(n_outc, 1, |c| outcome_from(c.u8()?))?;
         out.push(CaseReport {
             case_id: case_ids[i],
             version: versions[i],
@@ -259,7 +218,7 @@ pub fn decode_block(
         });
     }
     if !c.is_exhausted() {
-        return Err(EvidenceError::Corrupt("trailing bytes after block payload"));
+        return Err(FormatError::Corrupt("trailing bytes after block payload"));
     }
     Ok(out)
 }
@@ -329,7 +288,7 @@ mod tests {
         // A record count far beyond what the bytes can hold is refused
         // before anything is reserved for it.
         let res = decode_block(&bytes, 1 << 40, &symbols);
-        assert!(matches!(res, Err(EvidenceError::Truncated)));
+        assert!(matches!(res, Err(FormatError::Truncated)));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Corrupt-archive suite: damaged files must be refused with typed
-//! [`EvidenceError`]s — `evidence check`, `EvidenceReader::open`, and
+//! [`FormatError`]s — `evidence check`, `EvidenceReader::open`, and
 //! fetch paths never panic on hostile bytes.
 
 use maras_core::config::PipelineConfig;
 use maras_core::pipeline::Pipeline;
-use maras_evidence::format::{fnv1a, HEADER_LEN};
-use maras_evidence::{build_archive, check_archive, BuildConfig, EvidenceError, EvidenceReader};
+use maras_evidence::{build_archive, check_archive, BuildConfig, EvidenceReader};
 use maras_faers::{QuarterId, SynthConfig, Synthesizer};
+use maras_format::{fnv1a, FormatError, HEADER_LEN};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -41,7 +41,7 @@ fn write_variant(tag: &str, bytes: &[u8]) -> PathBuf {
 
 /// Both entry points must refuse the file, and the error must satisfy the
 /// given predicate.
-fn assert_refused(tag: &str, bytes: &[u8], is_expected: impl Fn(&EvidenceError) -> bool) {
+fn assert_refused(tag: &str, bytes: &[u8], is_expected: impl Fn(&FormatError) -> bool) {
     let path = write_variant(tag, bytes);
     let open_err = EvidenceReader::open(&path).err().unwrap_or_else(|| panic!("{tag}: opened"));
     assert!(is_expected(&open_err), "{tag}: open gave {open_err}");
@@ -56,16 +56,16 @@ fn bad_magic_and_version_are_refused() {
 
     let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xff;
-    assert_refused("bad-magic", &bad_magic, |e| matches!(e, EvidenceError::BadMagic));
+    assert_refused("bad-magic", &bad_magic, |e| matches!(e, FormatError::BadMagic));
 
     let mut bad_version = good.clone();
     bad_version[8..12].copy_from_slice(&999u32.to_le_bytes());
-    assert_refused("bad-version", &bad_version, |e| matches!(e, EvidenceError::BadVersion(999)));
+    assert_refused("bad-version", &bad_version, |e| matches!(e, FormatError::BadVersion(999)));
 
     let empty: &[u8] = b"";
-    assert_refused("empty", empty, |e| matches!(e, EvidenceError::Truncated));
+    assert_refused("empty", empty, |e| matches!(e, FormatError::Truncated));
     assert_refused("short-header", &good[..HEADER_LEN - 5], |e| {
-        matches!(e, EvidenceError::Truncated)
+        matches!(e, FormatError::Truncated)
     });
 }
 
@@ -79,7 +79,7 @@ fn flipped_meta_byte_is_a_checksum_mismatch() {
     assert_refused(
         "meta-flip",
         &bad,
-        |e| matches!(e, EvidenceError::ChecksumMismatch { what, .. } if what == "meta"),
+        |e| matches!(e, FormatError::ChecksumMismatch { what, .. } if what == "meta"),
     );
 
     // Damage the stored checksum itself: same refusal.
@@ -88,7 +88,7 @@ fn flipped_meta_byte_is_a_checksum_mismatch() {
     assert_refused(
         "checksum-flip",
         &bad_sum,
-        |e| matches!(e, EvidenceError::ChecksumMismatch { what, .. } if what == "meta"),
+        |e| matches!(e, FormatError::ChecksumMismatch { what, .. } if what == "meta"),
     );
 }
 
@@ -96,14 +96,10 @@ fn flipped_meta_byte_is_a_checksum_mismatch() {
 fn truncated_meta_and_truncated_blocks_are_refused() {
     let good = pristine();
     // Cut inside the meta section.
-    assert_refused("short-meta", &good[..HEADER_LEN + 10], |e| {
-        matches!(e, EvidenceError::Truncated)
-    });
+    assert_refused("short-meta", &good[..HEADER_LEN + 10], |e| matches!(e, FormatError::Truncated));
     // Cut inside the data section: the block index promises more bytes
     // than the file holds.
-    assert_refused("short-data", &good[..good.len() - 7], |e| {
-        matches!(e, EvidenceError::Truncated)
-    });
+    assert_refused("short-data", &good[..good.len() - 7], |e| matches!(e, FormatError::Truncated));
 }
 
 #[test]
@@ -121,7 +117,7 @@ fn lying_record_count_under_a_valid_checksum_is_refused() {
     bad[geometry + 12..geometry + 16].copy_from_slice(&257u32.to_le_bytes());
     let checksum = fnv1a(&bad[HEADER_LEN..HEADER_LEN + meta_len]);
     bad[20..28].copy_from_slice(&checksum.to_le_bytes());
-    assert_refused("lying-count", &bad, |e| matches!(e, EvidenceError::Truncated));
+    assert_refused("lying-count", &bad, |e| matches!(e, FormatError::Truncated));
 }
 
 #[test]
@@ -139,7 +135,7 @@ fn flipped_block_byte_fails_check_and_fetch_but_not_open() {
     let n = reader.n_records() as u32;
     let fetch_err = reader.report_by_tid(n - 1).expect_err("fetch of damaged block fails");
     assert!(
-        matches!(&fetch_err, EvidenceError::ChecksumMismatch { what, .. } if what.starts_with("block")),
+        matches!(&fetch_err, FormatError::ChecksumMismatch { what, .. } if what.starts_with("block")),
         "fetch gave {fetch_err}"
     );
     // The first block is undamaged and still serves.
@@ -147,7 +143,7 @@ fn flipped_block_byte_fails_check_and_fetch_but_not_open() {
 
     let check_err = check_archive(&path).expect_err("check fails");
     assert!(
-        matches!(&check_err, EvidenceError::ChecksumMismatch { what, .. } if what.starts_with("block")),
+        matches!(&check_err, FormatError::ChecksumMismatch { what, .. } if what.starts_with("block")),
         "check gave {check_err}"
     );
     std::fs::remove_file(&path).ok();

@@ -10,9 +10,10 @@
 //!   [`RuleQuery`](maras_core::RuleQuery) dispatches through index
 //!   intersection instead of a full scan — with results guaranteed
 //!   identical to the scan path.
-//! * [`store`] — versioned binary persistence (magic, format version,
-//!   FNV-1a checksum; refuses mismatches) with atomic temp-file +
-//!   rename writes.
+//! * [`store`] — MARASNAP, the versioned binary snapshot file, on the
+//!   shared [`maras_format`] container (magic, format version, FNV-1a
+//!   checksum, typed refusals, durable atomic writes); loading rebuilds
+//!   the posting indexes instead of reading them.
 //! * [`server`] + [`router`] + [`http`] — an HTTP/1.1 JSON API on
 //!   `std::net` and a fixed thread pool: `/search`, `/autocomplete`,
 //!   `/cluster/<rank>`, `/cluster/<rank>/reports` and
@@ -69,4 +70,4 @@ pub use metrics::{Endpoint, ServeMetrics};
 pub use router::{respond, ReloadError, ServeState, DEFAULT_SLOW_THRESHOLD_US};
 pub use server::{serve, serve_with, ServeConfig, ServerHandle};
 pub use snapshot::{scores_json, ClusterEntry, ContextEntry, Snapshot, SortBy};
-pub use store::{load, save, StoreError, FORMAT_VERSION, MAGIC};
+pub use store::{load, save, FORMAT_VERSION, MAGIC};

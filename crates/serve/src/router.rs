@@ -13,10 +13,11 @@ use crate::debug::{self, FlightRecorder, DEFAULT_RECENT_REQUESTS};
 use crate::http::Request;
 use crate::metrics::{Endpoint, ServeMetrics};
 use crate::snapshot::{Snapshot, SortBy};
-use crate::store::{self, StoreError};
+use crate::store;
 use maras_core::RuleQuery;
-use maras_evidence::{EvidenceError, EvidenceReader};
+use maras_evidence::EvidenceReader;
 use maras_faers::CaseReport;
+use maras_format::FormatError;
 use maras_obs::{Event, Level, Registry};
 use serde_json::Value;
 use std::path::PathBuf;
@@ -35,10 +36,10 @@ pub enum ReloadError {
     /// The server was started without a snapshot file to re-read.
     NoPath,
     /// The file failed to load or verify; the old snapshot keeps serving.
-    Store(StoreError),
+    Store(FormatError),
     /// The evidence archive failed to reopen or verify; the old snapshot
     /// *and* the old archive keep serving.
-    Evidence(EvidenceError),
+    Evidence(FormatError),
 }
 
 /// Everything the server shares across worker threads.

@@ -219,35 +219,6 @@ impl Snapshot {
             }
             n_drugs_index.entry(c.drugs.len()).or_default().push_ascending(rank);
         }
-        Snapshot::assemble(
-            quarter,
-            n_reports,
-            drug_vocab,
-            adr_vocab,
-            clusters,
-            drug_index,
-            adr_index,
-            severity_at_least,
-            n_drugs_index,
-        )
-    }
-
-    /// Final assembly shared by the build path and the store's v3 load
-    /// path (which decodes the posting indexes from disk instead of
-    /// rebuilding them): derives the per-measure permutation indexes and
-    /// records the container-mix metrics for the long-lived postings.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        quarter: String,
-        n_reports: u64,
-        drug_vocab: Vocabulary,
-        adr_vocab: Vocabulary,
-        clusters: Vec<ClusterEntry>,
-        drug_index: FxHashMap<String, TidSet>,
-        adr_index: FxHashMap<String, TidSet>,
-        severity_at_least: Vec<TidSet>,
-        n_drugs_index: FxHashMap<usize, TidSet>,
-    ) -> Snapshot {
         for postings in drug_index
             .values()
             .chain(adr_index.values())

@@ -1,147 +1,86 @@
-//! Versioned binary snapshot persistence.
+//! Versioned binary snapshot persistence (MARASNAP).
 //!
-//! Layout, all integers little-endian:
+//! A snapshot file is a [`maras_format`] container: the shared 28-byte
+//! header (magic `MARASNAP`, [`FORMAT_VERSION`], payload length, FNV-1a
+//! checksum), then one checksummed payload. Integers are little-endian and
+//! strings carry a `u32` byte length:
 //!
 //! ```text
-//! magic    8 bytes  b"MARASNAP"
-//! version  u32      FORMAT_VERSION — refuse anything else
-//! length   u64      payload byte count
-//! checksum u64      FNV-1a 64 over the payload
-//! payload  ...      length-prefixed fields (see encode_snapshot)
+//! quarter      str
+//! n_reports    u64
+//! drug vocab   u64 count, then each term as a str
+//! ADR vocab    u64 count, then each term as a str
+//! clusters     u64 count, then per cluster in rank order:
+//!   drugs, adrs                        u64 count + strs, each
+//!   score                              f64
+//!   support                            u64
+//!   confidence, lift                   f64 each
+//!   max_severity, known, has_novel_adr u8 each
+//!   case ids                           u64 count + u64 each
+//!   context                            u64 count, then per rule: drugs,
+//!                                      adrs, support u64, confidence f64,
+//!                                      lift f64
+//!   score block                        see put_scores
 //! ```
 //!
-//! Loading verifies magic, version, length, and checksum before touching
-//! the payload, so a truncated or bit-flipped file is rejected with a
-//! structured [`StoreError`] instead of yielding a half-parsed snapshot.
-//! Saving goes through a temp file + rename, so a crash mid-write never
+//! The file stores nothing it can derive: [`load`] rebuilds every posting
+//! index from the clusters through [`Snapshot::from_parts`], the path
+//! [`Snapshot::build`] takes, so a loaded snapshot indexes exactly like the
+//! one that was saved and no index can disagree with the clusters.
+//! Loading verifies magic, version, length and checksum before touching
+//! the payload, so a truncated or bit-flipped file is refused with a typed
+//! [`FormatError`] instead of yielding a half-parsed snapshot. Saving goes
+//! through [`maras_format::write_atomic`], so a crash mid-write never
 //! clobbers the previous good snapshot, and a reload that races a save
-//! sees either the old file or the new one, never a torn mix.
+//! sees either the old file or the new one.
 
 use crate::snapshot::{ClusterEntry, ContextEntry, Snapshot};
 use maras_faers::Vocabulary;
+use maras_format::{put_f64, put_str, put_u64, Cursor, FormatError, Header, HEADER_LEN};
 use maras_signals::{
     ConfidenceInterval, ContingencyTable, EbgmScores, InformationComponent, SignalScores,
 };
-use maras_tidset::TidSet;
-use rustc_hash::FxHashMap;
-use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 /// File magic: identifies a MARAS snapshot regardless of extension.
 pub const MAGIC: &[u8; 8] = b"MARASNAP";
-/// Current on-disk format version. Version 3 serializes the filter-grid
-/// posting indexes (drug, ADR, severity, antecedent-cardinality) as
-/// hybrid array/bitmap containers, so loading maps postings straight into
-/// the compressed sets the query path intersects instead of rebuilding
-/// them from the clusters. Version 2 appended the per-cluster
-/// disproportionality score block. Older versions are refused with
-/// [`StoreError::BadVersion`] (the snapshot is cheap to rebuild from the
-/// quarter, and guessing at missing sections would corrupt query
-/// results silently).
-pub const FORMAT_VERSION: u32 = 3;
+/// Current on-disk format version. Version 4 stores no posting indexes
+/// (they are rebuilt from the clusters at load) and writes strings behind
+/// `u32` lengths. Version 3 serialized the posting indexes as hybrid
+/// array/bitmap containers and version 2 appended the per-cluster score
+/// block. Older versions are refused with [`FormatError::BadVersion`]
+/// (the snapshot is cheap to rebuild from the quarter, and guessing at
+/// another layout would corrupt query results silently).
+pub const FORMAT_VERSION: u32 = 4;
 
-/// Why a snapshot file was refused.
-#[derive(Debug)]
-pub enum StoreError {
-    /// Underlying filesystem error.
-    Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file's format version is not [`FORMAT_VERSION`].
-    BadVersion(u32),
-    /// Payload shorter/longer than the header promised.
-    Truncated,
-    /// FNV-1a checksum mismatch (stored vs recomputed).
-    ChecksumMismatch {
-        /// Checksum recorded in the header.
-        stored: u64,
-        /// Checksum recomputed over the payload as read.
-        actual: u64,
-    },
-    /// Structurally invalid payload (bad length prefix, non-UTF-8 text).
-    Corrupt(&'static str),
-}
+/// Encoded size of [`put_scores`]' block: four `u64` table cells,
+/// seventeen `f64` measures and the Evans flag.
+const SCORE_BLOCK_BYTES: usize = 4 * 8 + 17 * 8 + 1;
+/// The fewest bytes a cluster encodes to: empty name lists, case ids and
+/// context.
+const MIN_CLUSTER_BYTES: usize = 2 * 8 + 4 * 8 + 3 + 2 * 8 + SCORE_BLOCK_BYTES;
+/// The fewest bytes a context rule encodes to: empty name lists.
+const MIN_CONTEXT_BYTES: usize = 2 * 8 + 3 * 8;
+/// The fewest bytes a string encodes to: its length.
+const MIN_STR_BYTES: usize = 4;
 
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Io(e) => write!(f, "i/o error: {e}"),
-            StoreError::BadMagic => write!(f, "not a MARAS snapshot (bad magic)"),
-            StoreError::BadVersion(v) => {
-                write!(f, "unsupported snapshot format version {v} (expected {FORMAT_VERSION})")
-            }
-            StoreError::Truncated => write!(f, "snapshot file truncated"),
-            StoreError::ChecksumMismatch { stored, actual } => write!(
-                f,
-                "snapshot checksum mismatch (header {stored:#018x}, payload {actual:#018x})"
-            ),
-            StoreError::Corrupt(what) => write!(f, "snapshot payload corrupt: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e)
-    }
-}
-
-/// FNV-1a 64-bit — tiny, dependency-free, and plenty for integrity
-/// (corruption detection, not adversarial tamper-proofing).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Serializes a snapshot and writes it atomically (temp file + rename).
-pub fn save(snapshot: &Snapshot, path: &Path) -> Result<(), StoreError> {
+/// Serializes a snapshot and writes it atomically.
+pub fn save(snapshot: &Snapshot, path: &Path) -> Result<(), FormatError> {
     let _span = maras_obs::span("snapshot_save");
     let payload = encode_snapshot(snapshot);
-    let mut file = Vec::with_capacity(payload.len() + 28);
-    file.extend_from_slice(MAGIC);
-    file.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    file.extend_from_slice(&payload);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut out = fs::File::create(&tmp)?;
-        out.write_all(&file)?;
-        out.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
+    let header = maras_format::header(MAGIC, FORMAT_VERSION, &payload);
+    maras_format::write_atomic(path, &[&header, &payload])?;
     Ok(())
 }
 
 /// Loads and fully validates a snapshot file, rebuilding every index.
-pub fn load(path: &Path) -> Result<Snapshot, StoreError> {
+pub fn load(path: &Path) -> Result<Snapshot, FormatError> {
     let _span = maras_obs::span("snapshot_load");
     let bytes = fs::read(path)?;
-    if bytes.len() < 28 || &bytes[..8] != MAGIC {
-        return Err(if bytes.len() >= 8 { StoreError::BadMagic } else { StoreError::Truncated });
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(StoreError::BadVersion(version));
-    }
-    let length = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    let stored = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    let payload = &bytes[28..];
-    if payload.len() != length {
-        return Err(StoreError::Truncated);
-    }
-    let actual = fnv1a(payload);
-    if actual != stored {
-        return Err(StoreError::ChecksumMismatch { stored, actual });
-    }
+    let header = Header::parse(&bytes, MAGIC, FORMAT_VERSION)?;
+    let payload = &bytes[HEADER_LEN..];
+    header.verify(payload, "payload")?;
     decode_snapshot(payload)
 }
 
@@ -176,38 +115,11 @@ fn encode_snapshot(s: &Snapshot) -> Vec<u8> {
         }
         put_scores(&mut out, &c.scores);
     }
-    // Format v3: the filter-grid posting indexes as hybrid containers, so
-    // the load path deserializes exactly what the query path intersects.
-    put_str_sets(&mut out, &s.drug_index);
-    put_str_sets(&mut out, &s.adr_index);
-    put_u64(&mut out, s.severity_at_least.len() as u64);
-    for set in &s.severity_at_least {
-        maras_tidset::encode_set(&mut out, set);
-    }
-    let mut by_n: Vec<(&usize, &TidSet)> = s.n_drugs_index.iter().collect();
-    by_n.sort_unstable_by_key(|(n, _)| **n);
-    put_u64(&mut out, by_n.len() as u64);
-    for (n, set) in by_n {
-        put_u64(&mut out, *n as u64);
-        maras_tidset::encode_set(&mut out, set);
-    }
     out
 }
 
-/// A string-keyed posting index, keys sorted so encoding is
-/// deterministic for a given snapshot.
-fn put_str_sets(out: &mut Vec<u8>, index: &FxHashMap<String, TidSet>) {
-    let mut entries: Vec<(&String, &TidSet)> = index.iter().collect();
-    entries.sort_unstable_by_key(|(k, _)| *k);
-    put_u64(out, entries.len() as u64);
-    for (key, set) in entries {
-        put_str(out, key);
-        maras_tidset::encode_set(out, set);
-    }
-}
-
-/// Score block, format v2: the 2×2 table, every disproportionality
-/// measure, and the cluster-level scores, in a fixed field order.
+/// Score block: the 2×2 table, every disproportionality measure, and the
+/// cluster-level scores, in a fixed field order.
 fn put_scores(out: &mut Vec<u8>, s: &SignalScores) {
     put_u64(out, s.table.a);
     put_u64(out, s.table.b);
@@ -233,100 +145,6 @@ fn put_scores(out: &mut Vec<u8>, s: &SignalScores) {
     put_f64(out, s.exclusiveness);
 }
 
-fn decode_snapshot(payload: &[u8]) -> Result<Snapshot, StoreError> {
-    let mut r = Reader { buf: payload, pos: 0 };
-    let quarter = r.str()?;
-    let n_reports = r.u64()?;
-    let drug_vocab = r.vocab()?;
-    let adr_vocab = r.vocab()?;
-    let n_clusters = r.u64()? as usize;
-    let mut clusters = Vec::with_capacity(n_clusters.min(1 << 20));
-    for _ in 0..n_clusters {
-        let drugs = r.strs()?;
-        let adrs = r.strs()?;
-        let score = r.f64()?;
-        let support = r.u64()?;
-        let confidence = r.f64()?;
-        let lift = r.f64()?;
-        let max_severity = r.u8()?;
-        let known = r.u8()? != 0;
-        let has_novel_adr = r.u8()? != 0;
-        let n_cases = r.u64()? as usize;
-        let mut case_ids = Vec::with_capacity(n_cases.min(1 << 20));
-        for _ in 0..n_cases {
-            case_ids.push(r.u64()?);
-        }
-        let n_ctx = r.u64()? as usize;
-        let mut context = Vec::with_capacity(n_ctx.min(1 << 20));
-        for _ in 0..n_ctx {
-            context.push(ContextEntry {
-                drugs: r.strs()?,
-                adrs: r.strs()?,
-                support: r.u64()?,
-                confidence: r.f64()?,
-                lift: r.f64()?,
-            });
-        }
-        let scores = r.scores()?;
-        clusters.push(ClusterEntry {
-            drugs,
-            adrs,
-            score,
-            support,
-            confidence,
-            lift,
-            max_severity,
-            known,
-            has_novel_adr,
-            case_ids,
-            context,
-            scores,
-        });
-    }
-    let drug_index = r.str_sets(n_clusters)?;
-    let adr_index = r.str_sets(n_clusters)?;
-    let n_sev = r.u64()? as usize;
-    let mut severity_at_least = Vec::with_capacity(n_sev.min(64));
-    for _ in 0..n_sev {
-        severity_at_least.push(r.set(n_clusters)?);
-    }
-    let n_card = r.u64()? as usize;
-    let mut n_drugs_index: FxHashMap<usize, TidSet> = FxHashMap::default();
-    for _ in 0..n_card {
-        let n = r.u64()? as usize;
-        if n_drugs_index.insert(n, r.set(n_clusters)?).is_some() {
-            return Err(StoreError::Corrupt("duplicate cardinality index key"));
-        }
-    }
-    if r.pos != payload.len() {
-        return Err(StoreError::Corrupt("trailing bytes after posting indexes"));
-    }
-    Ok(Snapshot::assemble(
-        quarter,
-        n_reports,
-        drug_vocab,
-        adr_vocab,
-        clusters,
-        drug_index,
-        adr_index,
-        severity_at_least,
-        n_drugs_index,
-    ))
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn put_strs(out: &mut Vec<u8>, ss: &[String]) {
     put_u64(out, ss.len() as u64);
     for s in ss {
@@ -341,109 +159,83 @@ fn put_vocab(out: &mut Vec<u8>, v: &Vocabulary) {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn decode_snapshot(payload: &[u8]) -> Result<Snapshot, FormatError> {
+    let mut c = Cursor::new(payload);
+    let quarter = c.str()?.to_owned();
+    let n_reports = c.u64()?;
+    let drug_vocab = Vocabulary::from_terms(strs(&mut c)?);
+    let adr_vocab = Vocabulary::from_terms(strs(&mut c)?);
+    let n_clusters = c.u64()? as usize;
+    let clusters = c.items(n_clusters, MIN_CLUSTER_BYTES, cluster)?;
+    if !c.is_exhausted() {
+        return Err(FormatError::Corrupt("trailing bytes after clusters"));
+    }
+    Ok(Snapshot::from_parts(quarter, n_reports, drug_vocab, adr_vocab, clusters))
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], StoreError> {
-        let end = self.pos.checked_add(n).ok_or(StoreError::Corrupt("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(StoreError::Corrupt("length prefix past end of payload"));
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
+/// Mirrors the per-cluster loop of `encode_snapshot` field for field.
+fn cluster(c: &mut Cursor<'_>) -> Result<ClusterEntry, FormatError> {
+    let drugs = strs(c)?;
+    let adrs = strs(c)?;
+    let score = c.f64()?;
+    let support = c.u64()?;
+    let confidence = c.f64()?;
+    let lift = c.f64()?;
+    let max_severity = c.u8()?;
+    let known = c.u8()? != 0;
+    let has_novel_adr = c.u8()? != 0;
+    let n_cases = c.u64()? as usize;
+    let case_ids = c.items(n_cases, 8, Cursor::u64)?;
+    let n_ctx = c.u64()? as usize;
+    let context = c.items(n_ctx, MIN_CONTEXT_BYTES, |c| {
+        Ok(ContextEntry {
+            drugs: strs(c)?,
+            adrs: strs(c)?,
+            support: c.u64()?,
+            confidence: c.f64()?,
+            lift: c.f64()?,
+        })
+    })?;
+    let scores = scores(c)?;
+    Ok(ClusterEntry {
+        drugs,
+        adrs,
+        score,
+        support,
+        confidence,
+        lift,
+        max_severity,
+        known,
+        has_novel_adr,
+        case_ids,
+        context,
+        scores,
+    })
+}
 
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
+fn strs(c: &mut Cursor<'_>) -> Result<Vec<String>, FormatError> {
+    let n = c.u64()? as usize;
+    c.items(n, MIN_STR_BYTES, |c| Ok(c.str()?.to_owned()))
+}
 
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+/// Mirrors `put_scores` field for field.
+fn scores(c: &mut Cursor<'_>) -> Result<SignalScores, FormatError> {
+    let table = ContingencyTable { a: c.u64()?, b: c.u64()?, c: c.u64()?, d: c.u64()? };
+    let rrr = c.f64()?;
+    let prr = ci(c)?;
+    let ror = ci(c)?;
+    let chi2 = c.f64()?;
+    let evans = c.u8()? != 0;
+    let ic = InformationComponent { ic: c.f64()?, ic025: c.f64()?, ic975: c.f64()? };
+    let ebgm =
+        EbgmScores { ebgm: c.f64()?, eb05: c.f64()?, eb95: c.f64()?, posterior_w1: c.f64()? };
+    let interaction = c.f64()?;
+    let exclusiveness = c.f64()?;
+    Ok(SignalScores { table, rrr, prr, ror, chi2, evans, ic, ebgm, interaction, exclusiveness })
+}
 
-    fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, StoreError> {
-        let n = self.u64()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Corrupt("non-UTF-8 string"))
-    }
-
-    fn strs(&mut self) -> Result<Vec<String>, StoreError> {
-        let n = self.u64()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(self.str()?);
-        }
-        Ok(out)
-    }
-
-    /// Mirrors `put_scores` field for field.
-    fn scores(&mut self) -> Result<SignalScores, StoreError> {
-        let table =
-            ContingencyTable { a: self.u64()?, b: self.u64()?, c: self.u64()?, d: self.u64()? };
-        let rrr = self.f64()?;
-        let prr = self.ci()?;
-        let ror = self.ci()?;
-        let chi2 = self.f64()?;
-        let evans = self.u8()? != 0;
-        let ic = InformationComponent { ic: self.f64()?, ic025: self.f64()?, ic975: self.f64()? };
-        let ebgm = EbgmScores {
-            ebgm: self.f64()?,
-            eb05: self.f64()?,
-            eb95: self.f64()?,
-            posterior_w1: self.f64()?,
-        };
-        let interaction = self.f64()?;
-        let exclusiveness = self.f64()?;
-        Ok(SignalScores { table, rrr, prr, ror, chi2, evans, ic, ebgm, interaction, exclusiveness })
-    }
-
-    fn ci(&mut self) -> Result<ConfidenceInterval, StoreError> {
-        Ok(ConfidenceInterval { estimate: self.f64()?, lower: self.f64()?, upper: self.f64()? })
-    }
-
-    /// One compressed posting set; container validation (canonical
-    /// density, sorted members, cardinality/popcount agreement) happens
-    /// in the tidset wire decoder, and the ranks must stay within the
-    /// cluster table the query path indexes into.
-    fn set(&mut self, n_clusters: usize) -> Result<TidSet, StoreError> {
-        let set = maras_tidset::decode_set(self.buf, &mut self.pos).map_err(StoreError::Corrupt)?;
-        if set.last().is_some_and(|max| max as usize >= n_clusters) {
-            return Err(StoreError::Corrupt("posting rank beyond cluster table"));
-        }
-        Ok(set)
-    }
-
-    /// A string-keyed posting index section.
-    fn str_sets(&mut self, n_clusters: usize) -> Result<FxHashMap<String, TidSet>, StoreError> {
-        let n = self.u64()? as usize;
-        let mut index = FxHashMap::default();
-        index.reserve(n.min(1 << 20));
-        for _ in 0..n {
-            let key = self.str()?;
-            let set = self.set(n_clusters)?;
-            if index.insert(key, set).is_some() {
-                return Err(StoreError::Corrupt("duplicate posting index key"));
-            }
-        }
-        Ok(index)
-    }
-
-    fn vocab(&mut self) -> Result<Vocabulary, StoreError> {
-        let n = self.u64()? as usize;
-        let mut terms = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            terms.push(self.str()?);
-        }
-        Ok(Vocabulary::from_terms(terms))
-    }
+fn ci(c: &mut Cursor<'_>) -> Result<ConfidenceInterval, FormatError> {
+    Ok(ConfidenceInterval { estimate: c.f64()?, lower: c.f64()?, upper: c.f64()? })
 }
 
 #[cfg(test)]
@@ -467,11 +259,22 @@ mod tests {
         let dir = std::env::temp_dir().join("maras-store-roundtrip");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("q.snap");
+        // A neighbour that happens to share the snapshot's stem is not
+        // the save's temp file.
+        let sibling = dir.join("q.tmp");
+        fs::write(&sibling, b"not the snapshot's").unwrap();
         save(&snap, &path).unwrap();
+        assert_eq!(fs::read(&sibling).unwrap(), b"not the snapshot's");
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.quarter, snap.quarter);
         assert_eq!(loaded.n_reports, snap.n_reports);
         assert_eq!(loaded.clusters, snap.clusters);
+        // The posting indexes are rebuilt at load, not stored, and come
+        // out identical to the built snapshot's.
+        assert_eq!(loaded.drug_index, snap.drug_index);
+        assert_eq!(loaded.adr_index, snap.adr_index);
+        assert_eq!(loaded.severity_at_least, snap.severity_at_least);
+        assert_eq!(loaded.n_drugs_index, snap.n_drugs_index);
         let q = RuleQuery::new().with_min_severity(3);
         assert_eq!(loaded.query(&q), snap.query(&q));
         // Score blocks survive bit-exactly, and the rebuilt per-measure
@@ -492,21 +295,21 @@ mod tests {
     }
 
     #[test]
-    fn refuses_pre_v3_files() {
+    fn refuses_pre_v4_files() {
         let snap = snapshot();
         let dir = std::env::temp_dir().join("maras-store-oldver");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("q.snap");
-        for old in [1u32, 2] {
+        for old in [1u32, 2, 3] {
             save(&snap, &path).unwrap();
             let mut bytes = fs::read(&path).unwrap();
-            // A genuine v1/v2 file differs in payload too (v2 has no
-            // posting-index sections), but version alone must already
-            // refuse it — the payload is never parsed.
+            // A genuine v1–v3 file differs in payload too (u64 string
+            // lengths; v3 also stores posting-index sections), but version
+            // alone must already refuse it — the payload is never parsed.
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             fs::write(&path, &bytes).unwrap();
             match load(&path) {
-                Err(StoreError::BadVersion(v)) => assert_eq!(v, old),
+                Err(FormatError::BadVersion(v)) => assert_eq!(v, old),
                 other => panic!("version {old} accepted: {other:?}"),
             }
         }
@@ -525,21 +328,21 @@ mod tests {
         let mut bad = good.clone();
         bad[0] ^= 0xff;
         fs::write(&path, &bad).unwrap();
-        assert!(matches!(load(&path), Err(StoreError::BadMagic)));
+        assert!(matches!(load(&path), Err(FormatError::BadMagic)));
 
         let mut bad = good.clone();
         bad[8] = 99;
         fs::write(&path, &bad).unwrap();
-        assert!(matches!(load(&path), Err(StoreError::BadVersion(99))));
+        assert!(matches!(load(&path), Err(FormatError::BadVersion(99))));
 
         fs::write(&path, &good[..good.len() - 5]).unwrap();
-        assert!(matches!(load(&path), Err(StoreError::Truncated)));
+        assert!(matches!(load(&path), Err(FormatError::Truncated)));
 
         let mut bad = good.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         fs::write(&path, &bad).unwrap();
-        assert!(matches!(load(&path), Err(StoreError::ChecksumMismatch { .. })));
+        assert!(matches!(load(&path), Err(FormatError::ChecksumMismatch { .. })));
 
         fs::write(&path, &good).unwrap();
         assert!(load(&path).is_ok());

@@ -26,4 +26,4 @@ mod set;
 
 pub use container::{Container, ARRAY_MAX, BITMAP_WORDS};
 pub use metrics::TidsetMetrics;
-pub use set::{decode_set, encode_set, TidSet};
+pub use set::TidSet;

@@ -1,7 +1,7 @@
 //! The hybrid compressed tid-set: sorted `(chunk key, container)` pairs
 //! over 2^16-aligned chunks of the `u32` tid space.
 
-use crate::container::{Container, BITMAP_WORDS};
+use crate::container::Container;
 use crate::metrics::metrics;
 
 /// A compressed set of `u32` transaction ids.
@@ -361,100 +361,6 @@ impl FromIterator<u32> for TidSet {
     }
 }
 
-/// Wire format for one set, shared by the MARASNAP v3 snapshot postings:
-/// `u32` chunk count, then per chunk `u16` key, `u8` tag (0 = array,
-/// 1 = bitmap), and the payload (`u16` count + values for arrays,
-/// `u32` cardinality + 1024 LE `u64` words for bitmaps).
-pub fn encode_set(out: &mut Vec<u8>, set: &TidSet) {
-    out.extend_from_slice(&(set.chunks.len() as u32).to_le_bytes());
-    for &(key, ref c) in &set.chunks {
-        out.extend_from_slice(&key.to_le_bytes());
-        match c {
-            Container::Array(a) => {
-                out.push(0);
-                out.extend_from_slice(&(a.len() as u16).to_le_bytes());
-                for &v in a {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Container::Bitmap { words, card } => {
-                out.push(1);
-                out.extend_from_slice(&card.to_le_bytes());
-                for &w in words.iter() {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-        }
-    }
-}
-
-/// Decodes a set written by [`encode_set`], advancing `*pos`. Refuses
-/// non-canonical containers (wrong density for the representation,
-/// unsorted arrays, cardinality/popcount mismatch) and unsorted chunk
-/// keys, so corrupt bytes can never break set invariants downstream.
-pub fn decode_set(buf: &[u8], pos: &mut usize) -> Result<TidSet, &'static str> {
-    let n_chunks = u32::from_le_bytes(take::<4>(buf, pos)?) as usize;
-    let mut chunks = Vec::with_capacity(n_chunks.min(1 << 16));
-    let mut len = 0u64;
-    for _ in 0..n_chunks {
-        let key = u16::from_le_bytes(take::<2>(buf, pos)?);
-        if chunks.last().is_some_and(|&(k, _)| k >= key) {
-            return Err("tid-set chunk keys not ascending");
-        }
-        let tag = take::<1>(buf, pos)?[0];
-        let container = match tag {
-            0 => {
-                let n = u16::from_le_bytes(take::<2>(buf, pos)?) as usize;
-                if n > crate::container::ARRAY_MAX {
-                    return Err("array container above the density threshold");
-                }
-                let mut vals = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let v = u16::from_le_bytes(take::<2>(buf, pos)?);
-                    if vals.last().is_some_and(|&last| last >= v) {
-                        return Err("array container not strictly ascending");
-                    }
-                    vals.push(v);
-                }
-                Container::Array(vals)
-            }
-            1 => {
-                let card = u32::from_le_bytes(take::<4>(buf, pos)?);
-                let mut words = Box::new([0u64; BITMAP_WORDS]);
-                let mut popcount = 0u32;
-                for w in words.iter_mut() {
-                    *w = u64::from_le_bytes(take::<8>(buf, pos)?);
-                    popcount += w.count_ones();
-                }
-                if popcount != card {
-                    return Err("bitmap cardinality disagrees with popcount");
-                }
-                if card as usize <= crate::container::ARRAY_MAX {
-                    return Err("bitmap container below the density threshold");
-                }
-                Container::Bitmap { words, card }
-            }
-            _ => return Err("unknown container tag"),
-        };
-        if container.is_empty() {
-            return Err("empty container chunk");
-        }
-        len += container.len() as u64;
-        chunks.push((key, container));
-    }
-    Ok(TidSet { chunks, len })
-}
-
-fn take<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], &'static str> {
-    let end = pos.checked_add(N).ok_or("tid-set length overflow")?;
-    if end > buf.len() {
-        return Err("tid-set bytes truncated");
-    }
-    let out: [u8; N] = buf[*pos..end].try_into().expect("length checked");
-    *pos = end;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,48 +459,6 @@ mod tests {
     fn from_iter_sorts_and_dedups() {
         let s: TidSet = [5u32, 1, 5, 70_000, 1].into_iter().collect();
         assert_eq!(s.to_vec(), vec![1, 5, 70_000]);
-    }
-
-    #[test]
-    fn wire_roundtrip_array_bitmap_mixed() {
-        for s in [TidSet::new(), set(&[0]), set(&[1, 9, 65_536, 131_072]), range(0..10_000), {
-            let mut v: Vec<u32> = (0..5_000).collect();
-            v.extend(100_000..100_010);
-            set(&v)
-        }] {
-            let mut buf = vec![0xAA]; // leading noise the cursor must skip
-            encode_set(&mut buf, &s);
-            let mut pos = 1usize;
-            let back = decode_set(&buf, &mut pos).expect("roundtrip decodes");
-            assert_eq!(back, s);
-            assert_eq!(pos, buf.len(), "decode consumed exactly what encode wrote");
-        }
-    }
-
-    #[test]
-    fn wire_refuses_corruption() {
-        let mut buf = Vec::new();
-        encode_set(&mut buf, &range(0..10_000));
-        // Flip one payload byte: popcount no longer matches cardinality.
-        let mut bad = buf.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        assert!(decode_set(&bad, &mut 0).is_err());
-        // Truncation.
-        assert!(decode_set(&buf[..buf.len() - 3], &mut 0).is_err());
-        // Unknown tag.
-        let mut bad = buf.clone();
-        bad[6] = 9;
-        assert!(decode_set(&bad, &mut 0).is_err());
-        // Unsorted array container.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&1u32.to_le_bytes());
-        bad.extend_from_slice(&0u16.to_le_bytes());
-        bad.push(0);
-        bad.extend_from_slice(&2u16.to_le_bytes());
-        bad.extend_from_slice(&7u16.to_le_bytes());
-        bad.extend_from_slice(&7u16.to_le_bytes());
-        assert!(decode_set(&bad, &mut 0).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! `BTreeSet<u32>` model, across array/bitmap/mixed container regimes
 //! and chunk boundaries, including the empty-set and single-chunk edges.
 
-use maras_tidset::{decode_set, encode_set, TidSet, ARRAY_MAX};
+use maras_tidset::{TidSet, ARRAY_MAX};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -106,17 +106,6 @@ proptest! {
             prop_assert_eq!(set.rank(t), i as u64);
         }
     }
-
-    #[test]
-    fn wire_roundtrip_is_identity(tids in tid_pool()) {
-        let (set, _) = build(tids);
-        let mut buf = Vec::new();
-        encode_set(&mut buf, &set);
-        let mut pos = 0usize;
-        let back = decode_set(&buf, &mut pos).expect("canonical sets decode");
-        prop_assert_eq!(pos, buf.len());
-        prop_assert_eq!(back, set);
-    }
 }
 
 #[test]
@@ -131,9 +120,6 @@ fn empty_set_edges() {
     assert_eq!(empty.select(0), None);
     assert_eq!(empty.page(0, 10), Vec::<u32>::new());
     assert!(TidSet::intersect_k(&[&empty, &empty]).is_empty());
-    let mut buf = Vec::new();
-    encode_set(&mut buf, &empty);
-    assert_eq!(decode_set(&buf, &mut 0).unwrap(), empty);
 }
 
 #[test]

@@ -22,14 +22,15 @@
 
 use maras::core::ingest::{run_quarters_dir, QuarterOutcome};
 use maras::core::{supporting_reports, KnowledgeBase, Pipeline, PipelineConfig, RankBy};
-use maras::evidence::{build_archive, check_archive, BuildConfig, EvidenceError, EvidenceReader};
+use maras::evidence::{build_archive, check_archive, BuildConfig, EvidenceReader};
 use maras::faers::ascii::{
     read_quarter_dir_with, write_quarter_dir, AsciiError, ErrorBudget, IngestMetrics, IngestMode,
     IngestOptions, IngestReport, Ingested,
 };
 use maras::faers::{CleaningStats, QuarterId, SynthConfig, Synthesizer, Vocabulary};
+use maras::format::FormatError;
 use maras::rules::{DrugAdrRule, Measure};
-use maras::serve::{ServeState, Snapshot, StoreError};
+use maras::serve::{ServeState, Snapshot};
 use maras::study::{appendix_a_battery, run_study, Encoding, StudyConfig};
 use maras::viz::{glyph_svg, panorama_svg, GlyphConfig, PanoramaConfig, Theme, DARK, LIGHT};
 use std::collections::HashMap;
@@ -51,9 +52,9 @@ enum CliError {
     Io { context: String, source: std::io::Error },
     /// A snapshot file was refused (bad magic/version/checksum, corrupt
     /// payload) when loading for `serve`.
-    Snapshot(StoreError),
+    Snapshot(FormatError),
     /// An evidence archive could not be built, validated, or opened.
-    Evidence(EvidenceError),
+    Evidence(FormatError),
     /// Anything else (empty mining output, render failures, …).
     Other(String),
 }
@@ -90,12 +91,6 @@ impl fmt::Display for CliError {
 impl From<AsciiError> for CliError {
     fn from(e: AsciiError) -> CliError {
         CliError::Ingest(e)
-    }
-}
-
-impl From<EvidenceError> for CliError {
-    fn from(e: EvidenceError) -> CliError {
-        CliError::Evidence(e)
     }
 }
 
@@ -803,7 +798,8 @@ fn cmd_snapshot(flags: &Flags) -> Result<(), CliError> {
     let mut evidence_json = serde_json::Value::Null;
     if let Some(evid_path) = flags.get("evidence") {
         let summary =
-            build_archive(&result, &dv, &av, Path::new(evid_path), BuildConfig::default())?;
+            build_archive(&result, &dv, &av, Path::new(evid_path), BuildConfig::default())
+                .map_err(CliError::Evidence)?;
         println!(
             "wrote {evid_path} (evidence v{}, {} reports in {} blocks, {} bytes)",
             maras::evidence::FORMAT_VERSION,
@@ -856,7 +852,8 @@ fn cmd_evidence_build(flags: &Flags) -> Result<(), CliError> {
     let (ingested, dv, av) = load(&dir, id, &opts)?;
     print_ingest(&ingested.report);
     let result = Pipeline::new(pipeline_config(flags)?).run(ingested.data, &dv, &av);
-    let summary = build_archive(&result, &dv, &av, &out, BuildConfig { block_size })?;
+    let summary = build_archive(&result, &dv, &av, &out, BuildConfig { block_size })
+        .map_err(CliError::Evidence)?;
     println!(
         "wrote {} (evidence v{}, {} reports in {} blocks of {block_size}, {} bytes; {} drug keys, {} adr keys)",
         out.display(),
@@ -877,7 +874,7 @@ fn cmd_evidence_build(flags: &Flags) -> Result<(), CliError> {
 /// `maras evidence check`: re-read every block against its checksum.
 fn cmd_evidence_check(flags: &Flags) -> Result<(), CliError> {
     let path = PathBuf::from(flag(flags, "archive")?);
-    let report = check_archive(&path)?;
+    let report = check_archive(&path).map_err(CliError::Evidence)?;
     println!(
         "{} ok: {} ({} reports in {} blocks, {} symbols, {} drug keys, {} adr keys)",
         path.display(),
@@ -942,7 +939,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
     let evidence = match &evidence_path {
         None => None,
         Some(p) => {
-            let reader = EvidenceReader::open(p)?;
+            let reader = EvidenceReader::open(p).map_err(CliError::Evidence)?;
             if reader.quarter() != snap.quarter {
                 return Err(CliError::Other(format!(
                     "evidence archive covers {} but snapshot covers {}",

@@ -19,6 +19,7 @@
 //! | [`study`] | `maras-study` | simulated user-study harness |
 //! | [`core`] | `maras-core` | end-to-end pipeline, query API, knowledge base, drill-down |
 //! | [`evidence`] | `maras-evidence` | on-disk case archive: columnar blocks, postings, block-cached reader |
+//! | [`format`](mod@format) | `maras-format` | the on-disk container both files share: header, bounded cursor, typed errors, durable atomic writes |
 //! | [`serve`] | `maras-serve` | indexed snapshots, binary store, HTTP query server |
 //! | [`obs`] | `maras-obs` | span tracing, metrics registry, Prometheus + Chrome-trace export |
 //! | [`tidset`] | `maras-tidset` | hybrid array/bitmap compressed tid-sets, shared set-algebra kernels |
@@ -51,6 +52,7 @@ pub mod report;
 pub use maras_core as core;
 pub use maras_evidence as evidence;
 pub use maras_faers as faers;
+pub use maras_format as format;
 pub use maras_mcac as mcac;
 pub use maras_mining as mining;
 pub use maras_obs as obs;
