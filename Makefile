@@ -13,13 +13,14 @@ FIRST_PARTY = -p maras -p maras-bench -p maras-core -p maras-evidence \
               -p maras-study -p maras-tidset -p maras-viz
 
 .PHONY: verify fmt fmt-check clippy doc-check test obs-test logs-test \
-        serve-test evidence-test format-test signals-test tidset-test chaos \
+        serve-test evidence-test format-test signals-test tidset-test \
+        clean-test chaos \
         snapshot trace \
         bench-serve bench-mining bench-ingest bench-evidence bench-signals \
         bench-tidset
 
 verify: fmt-check clippy doc-check test obs-test logs-test serve-test \
-        evidence-test format-test signals-test tidset-test chaos
+        evidence-test format-test signals-test tidset-test clean-test chaos
 
 fmt:
 	cargo fmt
@@ -113,6 +114,18 @@ signals-test:
 tidset-test:
 	cargo test -q -p maras-tidset
 	cargo test -q --test tidset_differential
+
+# The cleaning layer end to end: the faers crate's unit + property suites
+# (the banded Levenshtein check against the full DP, the spelling index
+# against a linear scan over a tiny alphabet where distance ties are
+# common), the cleaning properties, and the spelling differential suite
+# proving the symmetric-delete index returns the brute-force nearest term
+# for every distinct drug string of several faulty seeded years, at
+# radius 0, 1 and 2.
+clean-test:
+	cargo test -q -p maras-faers
+	cargo test -q --test clean_properties
+	cargo test -q --test spell_differential
 
 # The chaos suite: seeded misbehaving clients (slowloris, header floods,
 # aborts, connection floods, panic routes, drain races) against a live

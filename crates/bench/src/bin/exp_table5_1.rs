@@ -21,7 +21,7 @@ fn main() {
     ];
     let mut headers: Vec<String> = vec![String::new()];
     for q in &corpus.quarters {
-        let exp = q.expedited_only();
+        let exp = q.clone().expedited_only();
         let s = exp.stats();
         headers.push(format!("Q{}", q.id.quarter));
         rows[0].push(s.reports.to_string());

@@ -10,9 +10,10 @@ use maras_faers::{CleanConfig, Vocabulary};
 
 /// Canonicalizes one raw query term against a vocabulary the same way the
 /// ingest cleaner resolves report strings (§5.2 step 1): whitespace folding,
-/// exact match, case-folded exact match, then bounded BK-tree fuzzy lookup.
-/// Terms that resolve nowhere are returned uppercased, which (like the
-/// legacy scan behaviour for unknown names) matches nothing.
+/// exact match, case-folded exact match, then fuzzy lookup within the
+/// cleaner's edit distance. Terms that resolve nowhere are returned
+/// uppercased, which (like the legacy scan behaviour for unknown names)
+/// matches nothing.
 pub fn canonical_query_term(raw: &str, vocab: &Vocabulary) -> String {
     let max_dist = CleanConfig::default().max_edit_distance;
     let trimmed: String = raw.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -121,11 +122,11 @@ impl RuleQuery {
     }
 
     /// Returns a copy of the query with `require_drugs` and `any_adr`
-    /// canonicalized through the vocabularies (BK-tree spelling
-    /// correction), so near-miss spellings in queries resolve exactly like
-    /// report strings do at ingest. [`RuleQuery::apply`] calls this
-    /// internally; the indexed serving path reuses it so scan and index
-    /// share one resolution rule.
+    /// canonicalized through the vocabularies (spelling correction by
+    /// [`Vocabulary::nearest`]), so near-miss spellings in queries resolve
+    /// exactly like report strings do at ingest. [`RuleQuery::apply`] calls
+    /// this internally; the indexed serving path reuses it so scan and
+    /// index share one resolution rule.
     pub fn resolved(&self, drug_vocab: &Vocabulary, adr_vocab: &Vocabulary) -> RuleQuery {
         let mut q = self.clone();
         q.require_drugs = self

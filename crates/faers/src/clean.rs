@@ -8,8 +8,8 @@
 //! 1. de-duplicates case versions — follow-ups share a `case_id`; the
 //!    highest version wins;
 //! 2. normalizes verbatim drug strings: uppercasing, dosage/formulation
-//!    token stripping, then exact → fuzzy (BK-tree, bounded edit distance)
-//!    matching against the canonical drug vocabulary;
+//!    token stripping, then exact → fuzzy (symmetric-delete index, edit
+//!    distance ≤ 2) matching against the canonical drug vocabulary;
 //! 3. canonicalizes reaction terms: case-folded exact match, then fuzzy
 //!    matching against the ADR vocabulary;
 //! 4. abstracts each surviving case into its (drug-id set, ADR-id set) pair,
@@ -24,7 +24,8 @@ use rustc_hash::FxHashMap;
 #[derive(Debug, Clone)]
 pub struct CleanConfig {
     /// Maximum Levenshtein distance for spelling correction (0 disables
-    /// fuzzy matching).
+    /// fuzzy matching). The spelling index serves distances up to 2, so a
+    /// larger value corrects as 2 does.
     pub max_edit_distance: usize,
     /// Strip dosage / formulation tokens from drug strings before matching.
     pub strip_dosage: bool,
@@ -34,7 +35,7 @@ pub struct CleanConfig {
     pub min_reactions: usize,
     /// Memoize canonicalization per raw string. Raw FAERS strings are
     /// wildly repetitive, so most mentions replay a cached verdict instead
-    /// of re-running normalization + the BK-tree walk. Output and the
+    /// of re-running normalization + the fuzzy lookup. Output and the
     /// legacy stats counters are identical either way (differential-
     /// tested); only the `*_cache_*` counters depend on this flag.
     pub memoize: bool,
@@ -95,7 +96,7 @@ pub struct CleaningStats {
     pub unmatched_adrs: usize,
     /// Drug mentions answered by the canonicalization memo.
     pub drug_cache_hits: usize,
-    /// Drug mentions that ran full normalization + BK-tree resolution.
+    /// Drug mentions that ran full normalization + fuzzy resolution.
     pub drug_cache_misses: usize,
     /// Reaction mentions answered by the canonicalization memo.
     pub adr_cache_hits: usize,
@@ -298,7 +299,7 @@ pub struct Cleaner<'a> {
     config: CleanConfig,
     drug_memo: FxHashMap<Box<str>, Option<(u32, bool)>>,
     /// Second-level memo keyed on the *normalized* drug string, gating the
-    /// BK-tree walk: dosage/case variants of one misspelling normalize to
+    /// fuzzy lookup: dosage/case variants of one misspelling normalize to
     /// the same string, so only the first pays the fuzzy search. Stores
     /// the `(id, distance)` the vocabulary returned.
     drug_norm_memo: FxHashMap<Box<str>, Option<(u32, usize)>>,

@@ -9,9 +9,9 @@
 //! * [`ascii`] — reader/writer for the quarterly ASCII exchange format.
 //! * [`quarter`] — a quarter's worth of reports plus the corpus statistics
 //!   Table 5.1 reports (report / distinct-drug / distinct-ADR counts).
-//! * [`vocab`] — drug & ADR vocabularies with a BK-tree spelling index;
-//!   seeded with every drug and ADR the thesis names so the case studies
-//!   reproduce verbatim.
+//! * [`vocab`] — drug & ADR vocabularies with a symmetric-delete spelling
+//!   index; seeded with every drug and ADR the thesis names so the case
+//!   studies reproduce verbatim.
 //! * [`clean`] — the §5.2 "data preparation and cleaning" step: case-version
 //!   de-duplication, drug-name normalization and misspelling correction,
 //!   ADR-term canonicalization.
@@ -44,4 +44,4 @@ pub use intern::{IStr, InternStats, SymbolTable};
 pub use model::{CaseReport, DrugEntry, DrugRole, Outcome, ReportType, Sex};
 pub use quarter::{QuarterData, QuarterId, QuarterStats};
 pub use synth::{PlantedInteraction, SynthConfig, Synthesizer};
-pub use vocab::{levenshtein, BkTree, Vocabulary};
+pub use vocab::{levenshtein, Vocabulary};

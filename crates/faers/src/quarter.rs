@@ -100,17 +100,12 @@ impl QuarterData {
     }
 
     /// Keeps only expedited reports — the thesis's §5.1 selection ("reports
-    /// submitted by manufacturers marked as expedited (EXP)").
-    pub fn expedited_only(&self) -> QuarterData {
-        QuarterData {
-            id: self.id,
-            reports: self
-                .reports
-                .iter()
-                .filter(|r| r.report_type == ReportType::Expedited)
-                .cloned()
-                .collect(),
-        }
+    /// submitted by manufacturers marked as expedited (EXP)"). Filters in
+    /// place, so the other reports are freed here rather than wherever the
+    /// unfiltered quarter would have gone out of scope.
+    pub fn expedited_only(mut self) -> QuarterData {
+        self.reports.retain(|r| r.report_type == ReportType::Expedited);
+        self
     }
 }
 
@@ -198,10 +193,11 @@ mod tests {
                 report(3, ReportType::Direct, &["C"], &["z"]),
             ],
         };
+        let id = q.id;
         let e = q.expedited_only();
         assert_eq!(e.reports.len(), 1);
         assert_eq!(e.reports[0].case_id, 1);
-        assert_eq!(e.id, q.id);
+        assert_eq!(e.id, id);
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! *distinct strings* per quarter, most of them spelling/formulation
 //! variants of a much smaller canonical vocabulary. The cleaning stage
 //! (§5.2 step 1: "remove duplication and correct misspellings") needs a
-//! dictionary plus approximate lookup; this module supplies both, with a
-//! BK-tree over Levenshtein distance for sub-linear fuzzy search.
+//! dictionary plus approximate lookup; this module supplies both. Fuzzy
+//! lookup goes through a symmetric-delete index (FastSS; Bocek, Hunt &
+//! Stiller 2007): each term is posted under the hash of every string it
+//! reaches by deleting up to two chars, so a query costs a few dozen hash
+//! probes and a banded Levenshtein check per candidate.
 //!
 //! The seed lists contain **every drug and ADR the thesis names** (Tables
 //! 3.1 & 5.2, the three case studies, and the Aspirin/Warfarin intro
@@ -13,195 +16,160 @@
 //! names extend each vocabulary to any requested size.
 
 use rustc_hash::FxHashMap;
+use std::sync::{Arc, OnceLock};
 
-/// Levenshtein edit distance (two-row DP).
+/// Levenshtein edit distance (two-row DP over chars).
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    let mut prev = Vec::new();
-    let mut cur = Vec::new();
-    levenshtein_buf(a, b, &mut prev, &mut cur)
-}
-
-/// [`levenshtein`] into caller-owned DP rows, so a tight loop (the BK-tree
-/// walk) computes distances without touching the allocator. The strings
-/// are walked as char iterators directly — the two-row recurrence only
-/// needs sequential access, never random indexing.
-fn levenshtein_buf(a: &str, b: &str, prev: &mut Vec<usize>, cur: &mut Vec<usize>) -> usize {
     let lb = b.chars().count();
-    if a.is_empty() {
-        return lb;
-    }
-    if lb == 0 {
-        return a.chars().count();
-    }
-    prev.clear();
-    prev.extend(0..=lb);
-    cur.clear();
-    cur.resize(lb + 1, 0);
+    let mut prev: Vec<usize> = (0..=lb).collect();
+    let mut cur = vec![0; lb + 1];
     for (i, ca) in a.chars().enumerate() {
         cur[0] = i + 1;
         for (j, cb) in b.chars().enumerate() {
             let cost = usize::from(ca != cb);
             cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
         }
-        std::mem::swap(prev, cur);
+        std::mem::swap(&mut prev, &mut cur);
     }
     prev[lb]
 }
 
-/// Levenshtein distance if ≤ `max`, else `None` (banded DP; the spelling
-/// corrector only cares about small distances, so the band keeps lookups
-/// linear in the string length).
+/// Levenshtein distance if ≤ `max`, else `None`. The DP is confined to
+/// the diagonal band `|i − j| ≤ max`, where every alignment of at most
+/// `max` edits lies, and stops at the first row whose band exceeds `max`,
+/// so a check costs O(max · len) rather than O(len²).
 pub fn levenshtein_within(a: &str, b: &str, max: usize) -> Option<usize> {
-    let la = a.chars().count();
-    let lb = b.chars().count();
-    if la.abs_diff(lb) > max {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    banded(&a, &b, max, &mut Vec::new())
+}
+
+/// [`levenshtein_within`] over chars, into a caller-owned DP row.
+/// `row[j]` holds the distance of `a[..i]` to `b[..j]`, capped at
+/// `max + 1`, which also stands for every cell outside the band.
+fn banded(a: &[char], b: &[char], max: usize, row: &mut Vec<usize>) -> Option<usize> {
+    if a.len().abs_diff(b.len()) > max {
         return None;
     }
-    let d = levenshtein(a, b);
-    (d <= max).then_some(d)
-}
-
-/// Whether a BK walk can skip `node` *and* its whole subtree without
-/// computing the edit distance.
-///
-/// Length difference lower-bounds edit distance: `d ≥ |len(q) − len(t)|`.
-/// If that bound already exceeds `radius + max_edge` (the largest child
-/// edge), then the node is no candidate (`d > radius`) and no child
-/// survives the triangle-inequality filter either: a child is visited only
-/// when `cd ≥ d − radius`, but `d − radius > max_edge ≥ cd` for every
-/// child. So the subtree is unreachable and the Levenshtein DP — the
-/// dominant cost per visited node — can be skipped wholesale.
-fn prune_subtree(query_len: usize, node: &BkNode, radius: usize) -> bool {
-    let bound = query_len.abs_diff(node.term.chars().count());
-    if bound <= radius {
-        return false;
-    }
-    let max_edge = node.children.iter().map(|&(cd, _)| cd).max().unwrap_or(0);
-    bound > radius + max_edge
-}
-
-/// A BK-tree over Levenshtein distance: metric-tree fuzzy lookup.
-#[derive(Debug, Clone, Default)]
-pub struct BkTree {
-    nodes: Vec<BkNode>,
-}
-
-#[derive(Debug, Clone)]
-struct BkNode {
-    term: String,
-    /// Payload (vocabulary id).
-    id: u32,
-    /// Children keyed by distance-to-this-node.
-    children: Vec<(usize, usize)>,
-}
-
-impl BkTree {
-    /// Creates an empty tree.
-    pub fn new() -> Self {
-        BkTree { nodes: Vec::new() }
-    }
-
-    /// Number of stored terms.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Inserts a term with an id. Duplicate terms are ignored (first id wins).
-    pub fn insert(&mut self, term: &str, id: u32) {
-        if self.nodes.is_empty() {
-            self.nodes.push(BkNode { term: term.to_string(), id, children: Vec::new() });
-            return;
+    // No distance exceeds the longer length, so clamping there changes no
+    // answer and keeps `max + 1` from overflowing.
+    let max = max.min(a.len().max(b.len()));
+    let over = max + 1;
+    row.clear();
+    row.extend((0..=b.len()).map(|j| j.min(over)));
+    for (i, &ca) in (1usize..).zip(a) {
+        let lo = i.saturating_sub(max).max(1);
+        let hi = (i + max).min(b.len());
+        let mut diag = row[lo - 1];
+        // Column `lo − 1` is outside the band unless it is column 0.
+        let mut left = if lo == 1 { i.min(over) } else { over };
+        row[lo - 1] = left;
+        let mut row_min = left;
+        for j in lo..=hi {
+            let cell = (diag + usize::from(ca != b[j - 1])).min(row[j] + 1).min(left + 1);
+            diag = row[j];
+            row[j] = cell.min(over);
+            left = row[j];
+            row_min = row_min.min(left);
         }
-        let mut cur = 0usize;
-        loop {
-            let d = levenshtein(term, &self.nodes[cur].term);
-            if d == 0 {
-                return; // already present
-            }
-            match self.nodes[cur].children.iter().find(|&&(cd, _)| cd == d) {
-                Some(&(_, child)) => cur = child,
-                None => {
-                    let idx = self.nodes.len();
-                    self.nodes.push(BkNode { term: term.to_string(), id, children: Vec::new() });
-                    self.nodes[cur].children.push((d, idx));
-                    return;
-                }
-            }
-        }
-    }
-
-    /// All terms within `max_dist` of `query`, as `(term, id, distance)`.
-    pub fn lookup(&self, query: &str, max_dist: usize) -> Vec<(&str, u32, usize)> {
-        let mut out = Vec::new();
-        if self.nodes.is_empty() {
-            return out;
-        }
-        let query_len = query.chars().count();
-        let mut stack = vec![0usize];
-        let (mut prev, mut cur) = (Vec::new(), Vec::new());
-        while let Some(idx) = stack.pop() {
-            let node = &self.nodes[idx];
-            if prune_subtree(query_len, node, max_dist) {
-                continue;
-            }
-            let d = levenshtein_buf(query, &node.term, &mut prev, &mut cur);
-            if d <= max_dist {
-                out.push((node.term.as_str(), node.id, d));
-            }
-            // Triangle inequality: children at distance within [d-max, d+max].
-            for &(cd, child) in &node.children {
-                if cd + max_dist >= d && cd <= d + max_dist {
-                    stack.push(child);
-                }
-            }
-        }
-        out
-    }
-
-    /// The closest term within `max_dist`, ties broken lexicographically for
-    /// determinism.
-    ///
-    /// Unlike [`BkTree::lookup`] this never materializes the candidate set:
-    /// it walks the tree tracking the best hit so far, shrinking the search
-    /// radius to the best distance as it improves. The radius stays
-    /// *inclusive* (children within `[d - best, d + best]` are visited) so
-    /// equal-distance candidates remain reachable for the lexicographic
-    /// tie-break — this agrees with `lookup(..).min()` on every input.
-    pub fn nearest(&self, query: &str, max_dist: usize) -> Option<(&str, u32, usize)> {
-        if self.nodes.is_empty() {
+        if row_min > max {
             return None;
         }
-        let query_len = query.chars().count();
-        let mut best: Option<(usize, usize)> = None; // (distance, node index)
-        let mut radius = max_dist;
-        let mut stack = vec![0usize];
-        let (mut prev, mut cur) = (Vec::new(), Vec::new());
-        while let Some(idx) = stack.pop() {
-            let node = &self.nodes[idx];
-            if prune_subtree(query_len, node, radius) {
-                continue;
-            }
-            let d = levenshtein_buf(query, &node.term, &mut prev, &mut cur);
-            let better = match best {
-                None => d <= radius,
-                Some((bd, bi)) => d < bd || (d == bd && node.term < self.nodes[bi].term),
-            };
-            if better {
-                best = Some((d, idx));
-                radius = d;
-            }
-            for &(cd, child) in &node.children {
-                if cd + radius >= d && cd <= d + radius {
-                    stack.push(child);
-                }
+    }
+    Some(row[b.len()]).filter(|&d| d <= max)
+}
+
+/// The largest radius the spelling index serves; [`Vocabulary::nearest`]
+/// clamps larger ones to it.
+const MAX_RADIUS: usize = 2;
+
+/// The longest term, in chars, the spelling index posts; longer terms
+/// resolve only exactly. A term of `n` chars posts O(n²) deletions, so the
+/// cap bounds the index at ≈5,000 postings per term whatever a vocabulary
+/// file or snapshot holds; 100 chars is MedDRA's limit for a term name.
+const MAX_INDEXED_CHARS: usize = 100;
+
+/// Odd multiplier of the polynomial deletion hash.
+const HASH_BASE: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Calls `f` with the hash of every string `s` reaches by deleting at most
+/// `radius` (≤ 2) chars, once per way of reaching it. With `P` the
+/// polynomial prefix hashes of `s` and `D[k] = P[k] − P[k+1]`, deleting
+/// char `j` gives `P[n] + D[j]·B^(n−1−j)`, and then deleting an earlier
+/// char `h` adds `D[h]·B^(n−2−h)`: O(1) per variant, and no string built.
+fn for_each_deletion(s: &[char], radius: usize, dp: &mut Vec<(u64, u64)>, mut f: impl FnMut(u64)) {
+    // dp[k] = (D[k], B^k)
+    dp.clear();
+    let (mut full, mut pow) = (0u64, 1u64);
+    for &c in s {
+        let next = full.wrapping_mul(HASH_BASE).wrapping_add(u64::from(c) + 1);
+        dp.push((full.wrapping_sub(next), pow));
+        (full, pow) = (next, pow.wrapping_mul(HASH_BASE));
+    }
+    f(full);
+    if radius == 0 {
+        return;
+    }
+    let n = s.len();
+    for j in 0..n {
+        let one = full.wrapping_add(dp[j].0.wrapping_mul(dp[n - 1 - j].1));
+        f(one);
+        if radius > 1 {
+            for h in 0..j {
+                f(one.wrapping_add(dp[h].0.wrapping_mul(dp[n - 2 - h].1)));
             }
         }
-        best.map(|(d, idx)| (self.nodes[idx].term.as_str(), self.nodes[idx].id, d))
+    }
+}
+
+/// The symmetric-delete spelling index. Strings within `r ≤ 2` edits
+/// reach a common string by deleting at most `r` chars from each, so every
+/// match shares a hash with one of the query's own deletions; a hash
+/// collision only adds a candidate, which the distance check rejects.
+#[derive(Debug)]
+struct DeleteIndex {
+    /// `(deletion hash, term id)`, sorted and deduplicated.
+    postings: Vec<(u64, u32)>,
+    /// `postings[starts[b]..starts[b + 1]]` holds the hashes whose top
+    /// bits (all but `shift`) are `b`.
+    starts: Vec<u32>,
+    shift: u32,
+    /// The longest posted term, in chars.
+    max_chars: usize,
+}
+
+impl DeleteIndex {
+    fn build(terms: &[String]) -> Self {
+        let (mut postings, mut chars, mut dp) = (Vec::new(), Vec::new(), Vec::new());
+        let mut max_chars = 0;
+        for (id, term) in (0u32..).zip(terms) {
+            chars.clear();
+            chars.extend(term.chars());
+            if chars.len() > MAX_INDEXED_CHARS {
+                continue;
+            }
+            max_chars = max_chars.max(chars.len());
+            for_each_deletion(&chars, MAX_RADIUS, &mut dp, |h| postings.push((h, id)));
+        }
+        postings.sort_unstable();
+        postings.dedup();
+        let bits = postings.len().max(2).next_power_of_two().trailing_zeros();
+        let shift = 64 - bits;
+        let mut starts = vec![0u32; (1 << bits) + 1];
+        for &(h, _) in &postings {
+            starts[(h >> shift) as usize + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        DeleteIndex { postings, starts, shift, max_chars }
+    }
+
+    /// The ids posted under hash `h`.
+    fn ids(&self, h: u64) -> impl Iterator<Item = u32> + '_ {
+        let b = (h >> self.shift) as usize;
+        let bucket = &self.postings[self.starts[b] as usize..self.starts[b + 1] as usize];
+        bucket.iter().filter(move |&&(k, _)| k == h).map(|&(_, id)| id)
     }
 }
 
@@ -477,15 +445,17 @@ pub const SEED_ADRS: &[&str] = &[
 ];
 
 /// A canonical vocabulary of terms (drugs or ADRs) with a dense id space and
-/// a BK-tree spelling index.
+/// a symmetric-delete spelling index.
 #[derive(Debug, Clone)]
 pub struct Vocabulary {
     entries: Vec<String>,
     index: FxHashMap<String, u32>,
-    bk: BkTree,
     /// `(case-folded term, id)` sorted by the folded term — the binary-search
     /// backbone of [`Vocabulary::iter_prefix`] autocomplete.
     folded_sorted: Vec<(String, u32)>,
+    /// Built on the first fuzzy lookup (exact hits never need it) and
+    /// shared by clones.
+    deletes: Arc<OnceLock<DeleteIndex>>,
 }
 
 impl Vocabulary {
@@ -494,20 +464,18 @@ impl Vocabulary {
     pub fn from_terms<I: IntoIterator<Item = String>>(terms: I) -> Self {
         let mut entries = Vec::new();
         let mut index = FxHashMap::default();
-        let mut bk = BkTree::new();
         for t in terms {
             if index.contains_key(&t) {
                 continue;
             }
             let id = entries.len() as u32;
             index.insert(t.clone(), id);
-            bk.insert(&t, id);
             entries.push(t);
         }
         let mut folded_sorted: Vec<(String, u32)> =
             entries.iter().enumerate().map(|(i, t)| (t.to_ascii_lowercase(), i as u32)).collect();
         folded_sorted.sort_unstable();
-        Vocabulary { entries, index, bk, folded_sorted }
+        Vocabulary { entries, index, folded_sorted, deletes: Arc::default() }
     }
 
     /// A drug vocabulary of exactly `n` canonical names: the seed drugs
@@ -562,7 +530,10 @@ impl Vocabulary {
         self.index.get(term).copied()
     }
 
-    /// Fuzzy lookup: the closest canonical term within `max_dist` edits.
+    /// Fuzzy lookup: the closest canonical term within `max_dist` edits,
+    /// ties broken by the lesser term. The spelling index serves radii up
+    /// to 2, so a larger `max_dist` is clamped to 2, and it leaves out terms
+    /// over 100 chars, which only an exact match finds.
     ///
     /// ```
     /// use maras_faers::Vocabulary;
@@ -573,11 +544,35 @@ impl Vocabulary {
     /// assert!(vocab.nearest("ZZZZZZZZZ", 2).is_none());
     /// ```
     pub fn nearest(&self, query: &str, max_dist: usize) -> Option<(u32, usize)> {
-        // Exact match short-circuits the tree walk.
         if let Some(id) = self.id_of(query) {
             return Some((id, 0));
         }
-        self.bk.nearest(query, max_dist).map(|(_, id, d)| (id, d))
+        let radius = max_dist.min(MAX_RADIUS);
+        if radius == 0 {
+            return None;
+        }
+        let index = self.deletes.get_or_init(|| DeleteIndex::build(&self.entries));
+        let query: Vec<char> = query.chars().collect();
+        // No posted term is within `radius` of a longer query, and a query's
+        // deletions grow with the square of its length.
+        if query.len() > index.max_chars + radius {
+            return None;
+        }
+        let mut candidates = Vec::new();
+        for_each_deletion(&query, radius, &mut Vec::new(), |h| candidates.extend(index.ids(h)));
+        candidates.sort_unstable();
+        candidates.dedup();
+        let (mut best, mut term, mut row) = (None::<(usize, u32)>, Vec::new(), Vec::new());
+        for id in candidates {
+            term.clear();
+            term.extend(self.term(id).chars());
+            let bound = best.map_or(radius, |(d, _)| d);
+            let Some(d) = banded(&query, &term, bound, &mut row) else { continue };
+            if best.is_none_or(|(bd, bid)| (d, self.term(id)) < (bd, self.term(bid))) {
+                best = Some((d, id));
+            }
+        }
+        best.map(|(d, id)| (id, d))
     }
 
     /// Iterates over `(id, term)` pairs.
@@ -708,56 +703,40 @@ mod tests {
         assert_eq!(levenshtein_within("AB", "ABCDEFG", 2), None); // length gap
     }
 
-    #[test]
-    fn bktree_lookup_finds_neighbors() {
-        let mut t = BkTree::new();
-        for (i, w) in ["ASPIRIN", "WARFARIN", "PROGRAF", "PREVACID", "PRILOSEC"].iter().enumerate()
-        {
-            t.insert(w, i as u32);
-        }
-        assert_eq!(t.len(), 5);
-        let hits = t.lookup("ASPRIN", 1);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, "ASPIRIN");
-        assert_eq!(t.nearest("WARFERIN", 2).unwrap().0, "WARFARIN");
-        assert!(t.nearest("XYZZY", 2).is_none());
+    /// The brute-force answer `nearest` must give: the least
+    /// `(distance, term)` over every term within `min(max_dist, 2)` edits.
+    fn scan(v: &Vocabulary, query: &str, max_dist: usize) -> Option<(u32, usize)> {
+        v.iter()
+            .map(|(id, t)| (levenshtein(query, t), t, id))
+            .filter(|&(d, _, _)| d <= max_dist.min(MAX_RADIUS))
+            .min()
+            .map(|(d, _, id)| (id, d))
     }
 
     #[test]
-    fn bktree_duplicate_insert_ignored() {
-        let mut t = BkTree::new();
-        t.insert("ASPIRIN", 0);
-        t.insert("ASPIRIN", 7);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.nearest("ASPIRIN", 0).unwrap().1, 0);
+    fn nearest_finds_neighbors() {
+        let v = Vocabulary::from_terms(
+            ["ASPIRIN", "WARFARIN", "PROGRAF", "PREVACID", "PRILOSEC"].map(String::from),
+        );
+        assert_eq!(v.nearest("ASPRIN", 1), Some((0, 1)));
+        assert_eq!(v.nearest("WARFERIN", 2), Some((1, 1)));
+        assert_eq!(v.nearest("PROGRAFFF", 2), Some((2, 2)));
+        assert_eq!(v.nearest("PROGRAFFF", 1), None);
+        assert_eq!(v.nearest("XYZZY", 2), None);
     }
 
     #[test]
-    fn bktree_matches_linear_scan() {
-        let words: Vec<String> = (0..200).map(procedural_drug_name).collect();
-        let mut t = BkTree::new();
-        for (i, w) in words.iter().enumerate() {
-            t.insert(w, i as u32);
-        }
-        for query in ["ABAMAB", "CARINIB", "XIMOPRIL", "KETUSTATIN", "NOPE"] {
-            let mut expect: Vec<&str> =
-                words.iter().filter(|w| levenshtein(query, w) <= 2).map(|w| w.as_str()).collect();
-            expect.sort_unstable();
-            let mut got: Vec<&str> = t.lookup(query, 2).into_iter().map(|(w, _, _)| w).collect();
-            got.sort_unstable();
-            assert_eq!(got, expect, "query {query}");
-        }
+    fn duplicate_terms_keep_the_first_id() {
+        let v = Vocabulary::from_terms(["ASPIRIN", "ASPIRIN", "TUMS"].map(String::from));
+        assert_eq!(v.len(), 2);
+        assert_eq!(v.nearest("ASPIRIN", 0), Some((0, 0)));
+        assert_eq!(v.nearest("ASPIRINE", 2), Some((0, 1)));
+        assert_eq!(v.nearest("TUMS", 2), Some((1, 0)));
     }
 
     #[test]
-    fn bktree_nearest_agrees_with_lookup_min() {
-        // The shrinking-radius walk must agree with the materialize-then-min
-        // legacy definition, including lexicographic tie-breaks.
-        let words: Vec<String> = (0..400).map(procedural_drug_name).collect();
-        let mut t = BkTree::new();
-        for (i, w) in words.iter().enumerate() {
-            t.insert(w, i as u32);
-        }
+    fn nearest_matches_a_linear_scan_and_clamps_the_radius() {
+        let v = Vocabulary::from_terms((0..400).map(procedural_drug_name));
         let queries = [
             "ABAMAB",
             "CARINIB",
@@ -772,15 +751,43 @@ mod tests {
             "VALANDOVIR",
             "ZALUVIMYCIN",
         ];
-        for max_dist in 0..=3 {
+        for max_dist in 0..=4 {
             for query in queries {
-                let via_lookup = t
-                    .lookup(query, max_dist)
-                    .into_iter()
-                    .min_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.cmp(b.0)));
-                assert_eq!(t.nearest(query, max_dist), via_lookup, "query {query} @ {max_dist}");
+                assert_eq!(
+                    v.nearest(query, max_dist),
+                    scan(&v, query, max_dist),
+                    "{query} @ {max_dist}"
+                );
             }
         }
+        // Three edits from ABAMAB, and nothing is closer: a radius of 3
+        // searches at 2 and finds nothing.
+        let closest = v.iter().map(|(_, t)| levenshtein("ABAMABXYZ", t)).min();
+        assert_eq!(closest, Some(3));
+        assert_eq!(v.nearest("ABAMABXYZ", 3), None);
+    }
+
+    #[test]
+    fn long_terms_resolve_only_exactly_and_long_queries_end_early() {
+        let long = "A".repeat(MAX_INDEXED_CHARS + 1);
+        let v = Vocabulary::from_terms([long.clone(), "ASPIRIN".to_string()]);
+        assert_eq!(v.nearest(&long, 2), Some((0, 0)));
+        assert_eq!(v.nearest(&long[1..], 2), None);
+        assert_eq!(v.nearest("ASPIRINN", 2), Some((1, 1)));
+        // A request line's worth of query would have ≈1.3e8 deletions.
+        assert_eq!(v.nearest(&"ASPIRIN".repeat(2340), 2), None);
+    }
+
+    #[test]
+    fn index_is_built_on_the_first_fuzzy_lookup_and_shared_by_clones() {
+        let v = Vocabulary::drugs(200);
+        let clone = v.clone();
+        assert_eq!(v.nearest("IBUPROFEN", 2).map(|(_, d)| d), Some(0));
+        assert_eq!(v.nearest("IBUPROFFEN", 0), None);
+        assert!(v.deletes.get().is_none(), "exact hits and radius 0 need no index");
+        let hit = v.nearest("IBUPROFFEN", 2);
+        assert!(hit.is_some() && clone.deletes.get().is_some());
+        assert_eq!(clone.nearest("IBUPROFFEN", 2), hit);
     }
 
     #[test]
@@ -878,22 +885,33 @@ mod tests {
             }
 
             #[test]
-            fn bktree_nearest_agrees_with_scan(
-                words in proptest::collection::btree_set("[A-Z]{1,6}", 1..30),
-                query in "[A-Z]{1,6}",
+            fn levenshtein_within_is_the_capped_distance(
+                ascii in ("[A-E]{0,10}", "[A-E]{0,10}"),
+                wide in ("[aé√]{0,8}", "[aé√]{0,8}"),
+                max in 0usize..4,
             ) {
-                let words: Vec<String> = words.into_iter().collect();
-                let mut t = BkTree::new();
-                for (i, w) in words.iter().enumerate() {
-                    t.insert(w, i as u32);
+                for (a, b) in [ascii, wide] {
+                    let want = Some(levenshtein(&a, &b)).filter(|&d| d <= max);
+                    prop_assert_eq!(levenshtein_within(&a, &b, max), want, "{:?} {:?} @ {}", a, b, max);
                 }
-                let best_scan = words
-                    .iter()
-                    .map(|w| (levenshtein(&query, w), w.clone()))
-                    .filter(|&(d, _)| d <= 2)
-                    .min();
-                let best_tree = t.nearest(&query, 2).map(|(w, _, d)| (d, w.to_string()));
-                prop_assert_eq!(best_tree, best_scan);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// A three-letter alphabet makes distance ties common, and ids
+            /// in draw order (duplicates dropped) are not in term order, so
+            /// the (distance, term) tie-break is exercised, along with
+            /// multi-byte chars, the empty query and terms under 3 chars.
+            #[test]
+            fn nearest_agrees_with_a_scan_over_a_tiny_alphabet(
+                words in proptest::collection::vec("[abé]{0,5}", 1..40),
+                query in "[abé]{0,6}",
+                max_dist in 0usize..4,
+            ) {
+                let v = Vocabulary::from_terms(words);
+                prop_assert_eq!(v.nearest(&query, max_dist), scan(&v, &query, max_dist), "{:?}", query);
             }
         }
     }

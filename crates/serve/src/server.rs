@@ -173,6 +173,10 @@ pub fn serve_with(
     let io_timeout = config.io_timeout;
     let mut workers = Vec::with_capacity(n_threads);
     for i in 0..n_threads {
+        // Counted alive before it is spawned, so the gauge reads
+        // `n_threads` as soon as this returns; `WorkerLiveness` lowers it
+        // however the worker exits.
+        state.metrics.workers_alive.add(1.0);
         let rx = Arc::clone(&rx);
         let state = Arc::clone(&state);
         let shed_remaining = Arc::clone(&shed_remaining);
@@ -278,7 +282,6 @@ fn worker_loop(
     shed_remaining: &AtomicBool,
     io_timeout: Option<Duration>,
 ) {
-    state.metrics.workers_alive.add(1.0);
     let _liveness = WorkerLiveness(state);
     loop {
         // Holding the receiver lock only for the recv keeps the other

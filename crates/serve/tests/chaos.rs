@@ -47,7 +47,12 @@ fn fresh_state() -> Arc<ServeState> {
 
 fn boot(config: ServeConfig) -> (Arc<ServeState>, maras_serve::ServerHandle, SocketAddr) {
     let state = fresh_state();
+    let workers = config.n_threads.max(1) as f64;
     let server = serve_with(Arc::clone(&state), "127.0.0.1:0", config).expect("bind");
+    // Every worker counts as alive from the moment `serve_with` returns,
+    // however late the scheduler runs it: the liveness oracle has no
+    // start-up window to race.
+    assert_eq!(state.metrics.workers_alive.get(), workers, "workers alive right after boot");
     let addr = server.addr();
     (state, server, addr)
 }
