@@ -13,14 +13,15 @@ FIRST_PARTY = -p maras -p maras-bench -p maras-core -p maras-evidence \
               -p maras-study -p maras-tidset -p maras-viz
 
 .PHONY: verify fmt fmt-check clippy doc-check test obs-test logs-test \
-        serve-test evidence-test format-test signals-test tidset-test \
-        clean-test chaos \
+        serve-test evidence-test format-test signals-test mcac-test \
+        tidset-test clean-test chaos \
         snapshot trace \
         bench-serve bench-mining bench-ingest bench-evidence bench-signals \
         bench-tidset
 
 verify: fmt-check clippy doc-check test obs-test logs-test serve-test \
-        evidence-test format-test signals-test tidset-test clean-test chaos
+        evidence-test format-test signals-test mcac-test tidset-test \
+        clean-test chaos
 
 fmt:
 	cargo fmt
@@ -104,6 +105,18 @@ format-test:
 signals-test:
 	cargo test -q -p maras-signals
 	cargo test -q --test signals_differential
+
+# The MCAC layer end to end: the mcac crate's unit + property suites (the
+# one-pass support counter against a per-probe oracle over a tiny alphabet
+# where targets share ADR sets and drug subsets), the MCAC differential
+# suite proving every ranked cluster's contextual counts, level order and
+# interaction contrast identical to per-probe database counts across
+# quarters, strict and faulty lenient ingest, and 1/2/4 threads, and the
+# ranking suite.
+mcac-test:
+	cargo test -q -p maras-mcac
+	cargo test -q --test mcac_differential
+	cargo test -q --test ranking_and_baselines
 
 # The set-algebra substrate end to end: the tidset crate's unit +
 # property suites (every kernel vs a naive BTreeSet model across

@@ -1,17 +1,20 @@
 //! Score-engine benchmark: times the batch `score_rules` pass against the
 //! two per-rule paths it replaced — the legacy `ContingencyTable::from_db`
 //! tid-list intersections and a naive full transaction scan — and splits
-//! the per-measure cost, including the interaction contrast's per-drug
-//! tid-list probes. Writes `BENCH_signals.json` with rules/s at 1/2/4/8
-//! threads.
+//! the per-measure cost. It also times the whole context-plus-scoring pass
+//! (`build_clusters` then `score_rules`) against the per-probe pass it
+//! replaced, which probed the tid-lists three times per contextual rule
+//! and twice per drug for the interaction contrast. Writes
+//! `BENCH_signals.json` with rules/s at 1/2/4/8 threads.
 //!
 //! EXPERIMENTS.md's "Single-pass signal scoring" section is regenerated
 //! from this binary's output. Scale via `MARAS_SCALE` as usual.
 
 use maras_bench::{generate_quarter, percentile, print_table};
 use maras_faers::{clean_quarter, CleanConfig};
-use maras_mining::{Item, TransactionDb};
-use maras_rules::{multi_drug_rules, DrugAdrRule, ItemPartition};
+use maras_mcac::{build_clusters, ContextLevel, Mcac};
+use maras_mining::{Item, ItemSet, TransactionDb};
+use maras_rules::{multi_drug_rules, DrugAdrRule, ItemPartition, RuleStats};
 use maras_signals::{
     chi_square_yates, ebgm_from_table, information_component, interaction_contrast, prr, ror, rrr,
     score_rules, ContingencyTable, GammaMixturePrior, SignalScores,
@@ -28,9 +31,13 @@ const MIN_SUPPORT: u64 = 6;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// A rule paired with its single-drug contextual rules: what `score_rules`
+/// takes.
+type Input<'a> = (&'a DrugAdrRule, &'a [DrugAdrRule]);
+
 /// One named measure for the per-measure cost split, run on a rule and its
 /// already-derived table.
-type Measure<'a> = (&'a str, Box<dyn Fn(&DrugAdrRule, &ContingencyTable) + 'a>);
+type Measure<'a> = (&'a str, Box<dyn Fn(&Input, &ContingencyTable) + 'a>);
 
 /// Sorted-slice subset containment (both sides ascending).
 fn contains_all(transaction: &[Item], needle: &[Item]) -> bool {
@@ -81,6 +88,82 @@ fn legacy_score(db: &TransactionDb, rule: &DrugAdrRule) -> SignalScores {
     ))
 }
 
+/// The context pass `build_clusters` replaced: every contextual rule's
+/// three supports probed from the tid-lists, one target at a time.
+fn per_probe_cluster(db: &TransactionDb, target: &DrugAdrRule) -> Mcac {
+    let n = target.drugs.len();
+    let mut levels: Vec<ContextLevel> =
+        (1..n).rev().map(|k| ContextLevel { cardinality: k, rules: Vec::new() }).collect();
+    let drugs = target.drugs.items();
+    let adrs = target.adrs.items();
+    let mut subset: Vec<Item> = Vec::with_capacity(n);
+    for mask in 1..(1u32 << n) - 1 {
+        subset.clear();
+        subset.extend((0..n).filter(|b| mask & (1 << b) != 0).map(|b| drugs[b]));
+        let stats = RuleStats {
+            support_ab: db.support_of_union(&subset, adrs) as u64,
+            support_a: db.support_of(&subset) as u64,
+            support_b: db.support_of(adrs) as u64,
+            n_transactions: db.len() as u64,
+        };
+        levels[n - 1 - subset.len()].rules.push(DrugAdrRule {
+            drugs: ItemSet::from_sorted_unchecked(subset.clone()),
+            adrs: target.adrs.clone(),
+            stats,
+        });
+    }
+    for level in &mut levels {
+        level.rules.sort_by(|a, b| {
+            b.confidence()
+                .partial_cmp(&a.confidence())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.drugs.cmp(&b.drugs))
+        });
+    }
+    Mcac { target: target.clone(), levels }
+}
+
+/// The scoring the engine did before it read the singleton level: the
+/// table from the stored marginals, and the interaction contrast from two
+/// tid-list probes per drug.
+fn per_probe_score(db: &TransactionDb, rule: &DrugAdrRule) -> SignalScores {
+    let table = ContingencyTable::from_stats(&rule.stats).expect("miner stats consistent");
+    let s = 0.5 / db.len().max(1) as f64;
+    let p_combo = rule.confidence();
+    let adrs = rule.adrs.items();
+    let p_best_single = rule
+        .drugs
+        .items()
+        .iter()
+        .map(|&d| {
+            let exposed = db.support_of(&[d]) as f64;
+            if exposed == 0.0 {
+                0.0
+            } else {
+                db.support_of_union(&[d], adrs) as f64 / exposed
+            }
+        })
+        .fold(0.0f64, f64::max);
+    SignalScores::from_table(table).with_interaction(((p_combo + s) / (p_best_single + s)).log2())
+}
+
+/// The whole per-probe context-plus-scoring pass.
+fn per_probe_pass(db: &TransactionDb, rules: &[DrugAdrRule]) -> Vec<(Mcac, SignalScores)> {
+    rules.iter().map(|r| (per_probe_cluster(db, r), per_probe_score(db, r))).collect()
+}
+
+/// The counted pass: every cluster from one `build_clusters` pass, then
+/// one `score_rules` batch reading each cluster's singleton level.
+fn counted_pass(db: &TransactionDb, rules: &[DrugAdrRule]) -> (Vec<Mcac>, Vec<SignalScores>) {
+    let clusters = build_clusters(rules.to_vec(), db);
+    let scores = score_rules(&inputs(&clusters), 1);
+    (clusters, scores)
+}
+
+fn inputs(clusters: &[Mcac]) -> Vec<Input<'_>> {
+    clusters.iter().map(|c| (&c.target, c.singleton_level().rules.as_slice())).collect()
+}
+
 /// p50 wall time of `f` over REPS reps (plus one discarded warm-up).
 fn time_p50(mut f: impl FnMut()) -> u64 {
     let mut lat_us: Vec<u64> = Vec::with_capacity(REPS);
@@ -126,8 +209,16 @@ fn main() {
         db.len()
     );
 
-    // Correctness first: all three comparators agree bit for bit.
-    let engine_ref = score_rules(&db, &rules, 1);
+    // Correctness first: all three comparators agree bit for bit, and the
+    // counted context-plus-scoring pass reproduces the per-probe one.
+    let (clusters, engine_ref) = counted_pass(&db, &rules);
+    let inputs = inputs(&clusters);
+    let per_probe = per_probe_pass(&db, &rules);
+    for (i, (cluster, scores)) in per_probe.iter().enumerate() {
+        assert_eq!(&clusters[i], cluster, "per-probe cluster mismatch on rule {i}");
+        assert_eq!(&engine_ref[i], scores, "per-probe score mismatch on rule {i}");
+    }
+    drop(per_probe);
     for (i, rule) in rules.iter().enumerate() {
         assert_eq!(engine_ref[i], legacy_score(&db, rule), "legacy mismatch on rule {i}");
         assert_eq!(engine_ref[i], full_scan_score(&rows, &db, rule), "scan mismatch on rule {i}");
@@ -164,7 +255,7 @@ fn main() {
     let mut engine_1t_p50 = 0;
     for &threads in &THREAD_COUNTS {
         let p50 = time_p50(|| {
-            std::hint::black_box(score_rules(&db, &rules, threads));
+            std::hint::black_box(score_rules(&inputs, threads));
         });
         if threads == 1 {
             engine_1t_p50 = p50;
@@ -195,10 +286,35 @@ fn main() {
         "engine (1 thread, {engine_1t_p50} us) must be >= 5x the full scan ({scan_p50} us), got {speedup:.2}x"
     );
 
+    // The context-plus-scoring pass: every cluster's contextual supports
+    // and every score block, per probe against counted once.
+    let probe_pass_p50 = time_p50(|| {
+        std::hint::black_box(per_probe_pass(&db, &rules));
+    });
+    let counted_pass_p50 = time_p50(|| {
+        std::hint::black_box(counted_pass(&db, &rules));
+    });
+    let n_context: usize = clusters.iter().map(Mcac::context_size).sum();
+    print_table(
+        &["context + scoring pass", "p50 ms", "vs per-probe"],
+        &[
+            vec![
+                "per-probe".into(),
+                format!("{:.2}", probe_pass_p50 as f64 / 1000.0),
+                "1.00x".into(),
+            ],
+            vec![
+                "counted".into(),
+                format!("{:.2}", counted_pass_p50 as f64 / 1000.0),
+                format!("{:.2}x", probe_pass_p50 as f64 / counted_pass_p50 as f64),
+            ],
+        ],
+    );
+
     // Per-measure cost split over the already-derived tables: where does
     // a scoring pass actually spend its time? The 2×2 arithmetic measures
     // are noise; EBGM solves two posterior quantiles, and the interaction
-    // contrast probes the tid-lists once per constituent drug.
+    // contrast reads one rate per drug off the singleton level.
     let tables: Vec<ContingencyTable> = rules
         .iter()
         .map(|r| ContingencyTable::from_stats(&r.stats).expect("miner stats consistent"))
@@ -243,12 +359,10 @@ fn main() {
         ),
         (
             "interaction",
-            Box::new(|rule, _| {
-                let adrs = rule.adrs.items();
-                for &d in rule.drugs.items() {
-                    std::hint::black_box(db.support_of(&[d]));
-                    std::hint::black_box(db.support_of_union(&[d], adrs));
-                }
+            Box::new(|&(rule, singles), _| {
+                let s = 0.5 / rule.stats.n_transactions.max(1) as f64;
+                let best = singles.iter().map(DrugAdrRule::confidence).fold(0.0f64, f64::max);
+                std::hint::black_box(((rule.confidence() + s) / (best + s)).log2());
             }),
         ),
     ];
@@ -256,8 +370,8 @@ fn main() {
     let mut split_json = Vec::new();
     for (name, f) in &measures {
         let p50 = time_p50(|| {
-            for (rule, t) in rules.iter().zip(&tables) {
-                f(rule, t);
+            for (input, t) in inputs.iter().zip(&tables) {
+                f(input, t);
             }
         });
         split_rows.push(vec![
@@ -281,6 +395,15 @@ fn main() {
         ("full_scan_p50_us", Value::from(scan_p50)),
         ("from_db_p50_us", Value::from(legacy_p50)),
         ("engine_per_thread", Value::arr(per_thread)),
+        (
+            "context_pass",
+            Value::obj([
+                ("contextual_rules", Value::from(n_context)),
+                ("per_probe_p50_us", Value::from(probe_pass_p50)),
+                ("counted_p50_us", Value::from(counted_pass_p50)),
+                ("speedup", Value::from(probe_pass_p50 as f64 / counted_pass_p50 as f64)),
+            ]),
+        ),
         ("per_measure", Value::arr(split_json)),
     ]);
     let out = "BENCH_signals.json";

@@ -29,21 +29,26 @@ pub fn supporting_reports<'a>(
         .collect()
 }
 
-/// FAERS case ids of the supporting reports.
-pub fn supporting_case_ids(result: &AnalysisResult, rule: &DrugAdrRule) -> Vec<u64> {
-    supporting_tids(result, rule)
-        .into_iter()
-        .map(|tid| result.encoded.case_ids[tid as usize])
-        .collect()
+/// FAERS case ids of the reports with the given tids (a rule's
+/// [`supporting_tids`]), in the same order.
+pub fn supporting_case_ids(result: &AnalysisResult, tids: &[u32]) -> Vec<u64> {
+    tids.iter().map(|&tid| result.encoded.case_ids[tid as usize]).collect()
 }
 
 /// The most severe outcome among a rule's supporting reports — the basis of
 /// the interface's "interactions that may lead to particularly severe
 /// adverse reactions" filter.
 pub fn rule_max_severity(result: &AnalysisResult, rule: &DrugAdrRule) -> Option<Outcome> {
-    supporting_reports(result, rule)
-        .iter()
-        .filter_map(|r| r.max_severity())
+    max_severity(result, &supporting_tids(result, rule))
+}
+
+/// The most severe outcome among the reports with the given tids, so a
+/// caller that already holds a rule's cover need not compute it again.
+pub fn max_severity(result: &AnalysisResult, tids: &[u32]) -> Option<Outcome> {
+    tids.iter()
+        .filter_map(|&tid| {
+            result.quarter.reports[result.encoded.source_indices[tid as usize]].max_severity()
+        })
         .max_by_key(|o| o.severity())
 }
 
@@ -69,7 +74,7 @@ mod tests {
         assert_eq!(reports.len() as u64, rule.support());
         // Every supporting report, after normalization, mentions every drug
         // of the rule — check via the cleaned view keyed by case id.
-        let ids = supporting_case_ids(&result, rule);
+        let ids = supporting_case_ids(&result, &supporting_tids(&result, rule));
         assert_eq!(ids.len(), reports.len());
         for (report, case_id) in reports.iter().zip(&ids) {
             assert_eq!(report.case_id, *case_id);

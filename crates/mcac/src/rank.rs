@@ -5,7 +5,7 @@
 //! pool, and exclusiveness (with confidence or lift) over the closed MCAC
 //! pool. All four live here, plus improvement as an ablation baseline.
 
-use crate::cluster::Mcac;
+use crate::cluster::{build_clusters, Mcac};
 use crate::exclusiveness::{improvement, ExclusivenessConfig};
 use maras_mining::TransactionDb;
 use maras_rules::{DrugAdrRule, Measure};
@@ -96,10 +96,13 @@ pub fn rank_clusters(
 /// support, then antecedent, then consequent — so every ranking method is a
 /// total order regardless of thread count).
 ///
-/// The full disproportionality block is computed for every rule in one
-/// signal-engine batch pass sharded across `n_threads` workers; the chosen
-/// `method` then just picks its key out of the block (or the context-aware
-/// legacy scores). Output is identical at every thread count.
+/// Every cluster is built first, in one [`build_clusters`] pass that counts
+/// each distinct contextual support once. The full disproportionality block
+/// is then computed for every rule in one signal-engine batch pass sharded
+/// across `n_threads` workers, reading each cluster's singleton level for the
+/// interaction contrast; the chosen `method` then just picks its key out of
+/// the block (or the context-aware legacy scores). Output is identical at
+/// every thread count.
 pub fn rank_clusters_with(
     rules: Vec<DrugAdrRule>,
     db: &TransactionDb,
@@ -107,14 +110,16 @@ pub fn rank_clusters_with(
     n_threads: usize,
 ) -> Vec<RankedMcac> {
     let _span = maras_obs::span("mcac");
-    let rules: Vec<DrugAdrRule> = rules.into_iter().filter(DrugAdrRule::is_multi_drug).collect();
-    let base = score_rules(db, &rules, n_threads);
+    let targets: Vec<DrugAdrRule> = rules.into_iter().filter(DrugAdrRule::is_multi_drug).collect();
+    let clusters = build_clusters(targets, db);
+    let inputs: Vec<(&DrugAdrRule, &[DrugAdrRule])> =
+        clusters.iter().map(|c| (&c.target, c.singleton_level().rules.as_slice())).collect();
+    let base = score_rules(&inputs, n_threads);
     let cfg = exclusiveness_config(method);
-    let mut out: Vec<RankedMcac> = rules
+    let mut out: Vec<RankedMcac> = clusters
         .into_iter()
         .zip(base)
-        .map(|(rule, base)| {
-            let cluster = Mcac::build(rule, db);
+        .map(|(cluster, base)| {
             let scores = base.with_exclusiveness(cfg.score(&cluster));
             let score = score_from(&cluster, &scores, method);
             RankedMcac { cluster, score, scores }

@@ -60,32 +60,15 @@ impl DrugAdrRule {
     }
 
     /// Builds a rule for an explicit (drugs, adrs) split, counting all three
-    /// supports. Used for contextual sub-rules, which need not be frequent.
+    /// supports against the database (the split need not be frequent).
     pub fn from_parts(drugs: ItemSet, adrs: ItemSet, db: &TransactionDb) -> Self {
-        let stats = Self::split_stats(drugs.items(), adrs.items(), db);
-        DrugAdrRule { drugs, adrs, stats }
-    }
-
-    /// Builds a rule from borrowed (drugs, adrs) slices, counting all three
-    /// supports without materializing the union. The MCAC context loop uses
-    /// this to enumerate `2^n − 2` contextual sub-rules per cluster straight
-    /// from borrowed antecedent subsets.
-    pub fn from_split_slices(drugs: &[Item], adrs: &[Item], db: &TransactionDb) -> Self {
-        let stats = Self::split_stats(drugs, adrs, db);
-        DrugAdrRule {
-            drugs: ItemSet::from_sorted_unchecked(drugs.to_vec()),
-            adrs: ItemSet::from_sorted_unchecked(adrs.to_vec()),
-            stats,
-        }
-    }
-
-    fn split_stats(drugs: &[Item], adrs: &[Item], db: &TransactionDb) -> RuleStats {
-        RuleStats {
-            support_ab: db.support_of_union(drugs, adrs) as u64,
-            support_a: db.support_of(drugs) as u64,
-            support_b: db.support_of(adrs) as u64,
+        let stats = RuleStats {
+            support_ab: db.support_of_union(drugs.items(), adrs.items()) as u64,
+            support_a: db.support(&drugs) as u64,
+            support_b: db.support(&adrs) as u64,
             n_transactions: db.len() as u64,
-        }
+        };
+        DrugAdrRule { drugs, adrs, stats }
     }
 
     /// The complete itemset `A ∪ B` of the rule (§3.4 "complete itemset").

@@ -10,7 +10,7 @@
 //! guaranteed identical to [`RuleQuery::apply`] — the parity the
 //! integration tests pin down.
 
-use maras_core::link::{rule_max_severity, supporting_case_ids};
+use maras_core::link::{max_severity, supporting_case_ids, supporting_tids};
 use maras_core::pipeline::AnalysisResult;
 use maras_core::{KnowledgeBase, RuleQuery};
 use maras_faers::Vocabulary;
@@ -166,15 +166,16 @@ impl Snapshot {
                         lift: c.lift(),
                     })
                     .collect();
+                let tids = supporting_tids(result, t);
                 ClusterEntry {
                     score: r.score,
                     support: t.support(),
                     confidence: t.confidence(),
                     lift: t.lift(),
-                    max_severity: rule_max_severity(result, t).map_or(0, |o| o.severity()),
+                    max_severity: max_severity(result, &tids).map_or(0, |o| o.severity()),
                     known: kb.is_some_and(|kb| kb.is_known(&refs)),
                     has_novel_adr: kb.is_none_or(|kb| kb.has_novel_adr(&refs, &adr_refs)),
-                    case_ids: supporting_case_ids(result, t),
+                    case_ids: supporting_case_ids(result, &tids),
                     context,
                     scores: r.scores,
                     drugs,

@@ -1,33 +1,41 @@
 //! The batch score engine: one parallel pass deriving every rule's full
-//! disproportionality block from its stored tid-list marginals.
+//! disproportionality block from counts the rule layer already holds.
 //!
 //! The legacy path re-derived each rule's 2×2 table with three
-//! [`TransactionDb::support`] scans per rule
+//! [`maras_mining::TransactionDb::support`] scans per rule
 //! ([`ContingencyTable::from_db`]), then called each measure separately —
 //! O(rules × |DB|) across a ranking pass. Every mined [`DrugAdrRule`]
-//! already carries its exact marginals in [`maras_rules::RuleStats`],
-//! established once by the miner's compressed tid-set intersections
-//! (hybrid array/bitmap kernels from `maras-tidset`), so the table is
-//! an O(1) inclusion–exclusion rearrangement ([`ContingencyTable::from_stats`])
-//! and the only remaining database probes are the per-constituent-drug
-//! lookups the interaction contrast needs. The differential suite in
-//! `tests/signals_differential.rs` proves the tables and every score
-//! bit-identical to the legacy per-rule path at 1/2/4 threads.
+//! already carries its exact marginals in [`RuleStats`], established once
+//! by the miner's compressed tid-set intersections (hybrid array/bitmap
+//! kernels from `maras-tidset`), so the table is an O(1)
+//! inclusion–exclusion rearrangement ([`ContingencyTable::from_stats`]).
+//! The interaction contrast's per-drug rates are the single-drug
+//! contextual rules `{d} ⇒ B` that the rule's MCAC has already counted, so
+//! the engine reads them from the caller instead of probing the database.
+//! The differential suite in `tests/signals_differential.rs` proves the
+//! tables and every score bit-identical to the legacy per-rule path at
+//! 1/2/4 threads.
 
 use crate::contingency::ContingencyTable;
 use crate::disproportionality::SignalScores;
 use crate::metrics::SignalsMetrics;
-use maras_mining::TransactionDb;
-use maras_rules::DrugAdrRule;
+use maras_rules::{DrugAdrRule, RuleStats};
 use std::time::Instant;
 
 /// Scores every rule in one pass, sharded across `n_threads` workers
 /// (clamped to ≥ 1). Output order matches input order and is identical at
 /// every thread count — worker `w` takes the rules whose index is
 /// `≡ w (mod n_threads)` and the shards merge back by index.
+///
+/// Each entry pairs a rule with its single-drug contextual rules
+/// `{d} ⇒ B`, one per drug of the rule (the MCAC's singleton level, in any
+/// order); single-drug rules pass an empty slice. The table-derived
+/// measures come from the rule's stored marginals, and multi-drug rules
+/// also get the interaction contrast from the contextual rules' counts.
+/// The exclusiveness slot stays 0 here — it needs the rule's whole
+/// cluster, which `maras-mcac` attaches during ranking.
 pub fn score_rules(
-    db: &TransactionDb,
-    rules: &[DrugAdrRule],
+    rules: &[(&DrugAdrRule, &[DrugAdrRule])],
     n_threads: usize,
 ) -> Vec<SignalScores> {
     let n_threads = n_threads.max(1);
@@ -35,9 +43,9 @@ pub fn score_rules(
     let started = Instant::now();
     let score_span = maras_obs::span("signals");
     let out = if n_threads == 1 || rules.len() < 2 {
-        rules.iter().map(|r| score_rule(db, r)).collect()
+        rules.iter().map(|&(rule, singles)| score_rule(rule, singles)).collect()
     } else {
-        score_sharded(db, rules, n_threads)
+        score_sharded(rules, n_threads)
     };
     drop(score_span);
     metrics.rules_scored.add(rules.len() as u64);
@@ -47,7 +55,7 @@ pub fn score_rules(
     out
 }
 
-fn score_sharded(db: &TransactionDb, rules: &[DrugAdrRule], n_threads: usize) -> Vec<SignalScores> {
+fn score_sharded(rules: &[(&DrugAdrRule, &[DrugAdrRule])], n_threads: usize) -> Vec<SignalScores> {
     let parent = maras_obs::current_path().unwrap_or_default();
     let parent = &parent;
     let shards: Vec<Vec<(usize, SignalScores)>> = std::thread::scope(|scope| {
@@ -59,7 +67,7 @@ fn score_sharded(db: &TransactionDb, rules: &[DrugAdrRule], n_threads: usize) ->
                         .iter()
                         .enumerate()
                         .filter(|(idx, _)| idx % n_threads == w)
-                        .map(|(idx, rule)| (idx, score_rule(db, rule)))
+                        .map(|(idx, &(rule, singles))| (idx, score_rule(rule, singles)))
                         .collect::<Vec<_>>()
                 })
             })
@@ -75,51 +83,26 @@ fn score_sharded(db: &TransactionDb, rules: &[DrugAdrRule], n_threads: usize) ->
     out.into_iter().map(|s| s.expect("every rule index scored exactly once")).collect()
 }
 
-/// Scores one rule: the table-derived measures from its stored marginals,
-/// plus the interaction contrast for multi-drug rules. The exclusiveness
-/// slot stays 0 here — it needs the rule's contextual cluster, which
-/// `maras-mcac` attaches during ranking.
-pub fn score_rule(db: &TransactionDb, rule: &DrugAdrRule) -> SignalScores {
+fn score_rule(rule: &DrugAdrRule, singles: &[DrugAdrRule]) -> SignalScores {
     let table =
         ContingencyTable::from_stats(&rule.stats).expect("miner-derived rule stats are consistent");
     let base = SignalScores::from_table(table);
     if !rule.is_multi_drug() {
         return base;
     }
-    base.with_interaction(interaction_from_stats(db, rule))
+    base.with_interaction(interaction(&rule.stats, singles))
 }
 
-/// Interaction contrast from the rule's stored joint/antecedent supports
-/// plus one tid-list probe per constituent drug.
-///
-/// This reproduces [`crate::interaction::interaction_contrast`] bit for bit:
-/// the stored `support_ab`/`support_a` are the same integers that function
-/// re-derives with two `db.support` scans, so the combo term divides
-/// identical `f64` values, and the per-drug terms run the same lookups in
-/// the same (sorted) drug order with the same `fold(0.0, f64::max)`.
-fn interaction_from_stats(db: &TransactionDb, rule: &DrugAdrRule) -> f64 {
-    let n = db.len().max(1) as f64;
+/// [`crate::interaction::interaction_contrast`] from counts: the rule's
+/// stored joint/antecedent supports and each `{d} ⇒ B` rule's. These are
+/// the integers that function re-derives with `db.support` scans, so every
+/// rate divides identical `f64` values, and `f64::max` over these non-NaN
+/// rates gives the same best single rate in any order.
+fn interaction(stats: &RuleStats, singles: &[DrugAdrRule]) -> f64 {
+    let n = stats.n_transactions.max(1) as f64;
     let s = 0.5 / n;
-    let p_combo = if rule.stats.support_a == 0 {
-        0.0
-    } else {
-        rule.stats.support_ab as f64 / rule.stats.support_a as f64
-    };
-    let adrs = rule.adrs.items();
-    let p_best_single = rule
-        .drugs
-        .items()
-        .iter()
-        .map(|&d| {
-            let single = [d];
-            let exposed = db.support_of(&single) as f64;
-            if exposed == 0.0 {
-                0.0
-            } else {
-                db.support_of_union(&single, adrs) as f64 / exposed
-            }
-        })
-        .fold(0.0f64, f64::max);
+    let p_combo = stats.confidence();
+    let p_best_single = singles.iter().map(DrugAdrRule::confidence).fold(0.0f64, f64::max);
     ((p_combo + s) / (p_best_single + s)).log2()
 }
 
@@ -127,7 +110,7 @@ fn interaction_from_stats(db: &TransactionDb, rule: &DrugAdrRule) -> f64 {
 mod tests {
     use super::*;
     use crate::interaction::interaction_contrast;
-    use maras_mining::Item;
+    use maras_mining::{Item, ItemSet, TransactionDb};
     use maras_rules::{multi_drug_rules, ItemPartition};
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
@@ -151,12 +134,35 @@ mod tests {
         ])
     }
 
+    /// Each rule's single-drug contextual rules, counted per probe.
+    fn singles(d: &TransactionDb, rules: &[DrugAdrRule]) -> Vec<Vec<DrugAdrRule>> {
+        rules
+            .iter()
+            .map(|r| {
+                r.drugs
+                    .iter()
+                    .map(|drug| {
+                        DrugAdrRule::from_parts(ItemSet::singleton(drug), r.adrs.clone(), d)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn inputs<'a>(
+        rules: &'a [DrugAdrRule],
+        singles: &'a [Vec<DrugAdrRule>],
+    ) -> Vec<(&'a DrugAdrRule, &'a [DrugAdrRule])> {
+        rules.iter().zip(singles).map(|(r, s)| (r, s.as_slice())).collect()
+    }
+
     #[test]
     fn engine_matches_legacy_per_rule_path() {
         let d = example_db();
         let rules = multi_drug_rules(&d, &P, 1);
         assert!(!rules.is_empty());
-        let scored = score_rules(&d, &rules, 1);
+        let singles = singles(&d, &rules);
+        let scored = score_rules(&inputs(&rules, &singles), 1);
         assert_eq!(scored.len(), rules.len());
         for (rule, got) in rules.iter().zip(&scored) {
             let table = ContingencyTable::from_db(&d, &rule.drugs, &rule.adrs);
@@ -170,29 +176,45 @@ mod tests {
     }
 
     #[test]
+    fn single_rule_order_does_not_change_the_contrast() {
+        let d = example_db();
+        let rules = multi_drug_rules(&d, &P, 1);
+        let singles = singles(&d, &rules);
+        let reversed: Vec<Vec<DrugAdrRule>> =
+            singles.iter().map(|s| s.iter().rev().cloned().collect()).collect();
+        let a = score_rules(&inputs(&rules, &singles), 1);
+        let b = score_rules(&inputs(&rules, &reversed), 1);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.interaction.to_bits(), y.interaction.to_bits());
+        }
+    }
+
+    #[test]
     fn thread_count_does_not_change_scores() {
         let d = example_db();
         let rules = multi_drug_rules(&d, &P, 1);
-        let baseline = score_rules(&d, &rules, 1);
+        let singles = singles(&d, &rules);
+        let inputs = inputs(&rules, &singles);
+        let baseline = score_rules(&inputs, 1);
         for threads in [2, 3, 4, 8] {
-            assert_eq!(score_rules(&d, &rules, threads), baseline, "threads={threads}");
+            assert_eq!(score_rules(&inputs, threads), baseline, "threads={threads}");
         }
         // More workers than rules must still cover every index.
-        let two = &rules[..2.min(rules.len())];
-        assert_eq!(score_rules(&d, two, 8), score_rules(&d, two, 1));
+        let two = &inputs[..2.min(inputs.len())];
+        assert_eq!(score_rules(two, 8), score_rules(two, 1));
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let d = example_db();
-        assert!(score_rules(&d, &[], 4).is_empty());
+        assert!(score_rules(&[], 4).is_empty());
     }
 
     #[test]
     fn single_drug_rules_get_zero_interaction() {
         let d = example_db();
-        let single = maras_rules::DrugAdrRule::from_split_slices(&[Item(0)], &[Item(10)], &d);
-        let scored = score_rules(&d, std::slice::from_ref(&single), 1);
+        let single =
+            DrugAdrRule::from_parts(ItemSet::singleton(Item(0)), ItemSet::singleton(Item(10)), &d);
+        let scored = score_rules(&[(&single, &[])], 1);
         assert_eq!(scored[0].interaction, 0.0);
         assert!(scored[0].prr.estimate > 0.0);
     }

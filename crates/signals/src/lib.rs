@@ -4,10 +4,11 @@
 //! against: relative reporting ratio, PRR, ROR, χ² (Tatonetti et al.,
 //! Harpaz et al. — refs \[17\], \[26–28\]), plus an interaction-contrast score
 //! for multi-drug signals. The [`engine`] module bundles every measure into
-//! one batch scoring pass over mined rules, fed straight from each rule's
-//! stored tid-list marginals; `maras-core` runs it on every ranked rule and
-//! the snapshot/server layers carry the resulting [`SignalScores`] block to
-//! clients.
+//! one batch scoring pass over mined rules, fed from counts already held:
+//! each rule's stored tid-list marginals and, for the interaction contrast,
+//! its single-drug contextual rules. `maras-mcac` runs it on every ranked
+//! cluster and the snapshot/server layers carry the resulting
+//! [`SignalScores`] block to clients.
 
 #![warn(missing_docs)]
 
@@ -25,7 +26,7 @@ pub use disproportionality::{
     chi_square_yates, evans_signal, prr, ror, rrr, ConfidenceInterval, SignalScores,
 };
 pub use ebgm::{ebgm, ebgm_from_table, EbgmScores, GammaMixturePrior};
-pub use engine::{score_rule, score_rules};
+pub use engine::score_rules;
 pub use ic::{information_component, InformationComponent};
 pub use interaction::{harpaz_rank, interaction_contrast, HarpazSignal};
 pub use metrics::SignalsMetrics;

@@ -82,8 +82,13 @@ fn engine_is_bit_identical_to_legacy_across_quarters_modes_and_threads() {
             assert!(!rules.is_empty(), "seed {seed} {mode}: no ranked rules");
             let legacy: Vec<SignalScores> = rules.iter().map(|r| legacy_score(db, r)).collect();
 
+            let inputs: Vec<(&DrugAdrRule, &[DrugAdrRule])> = result
+                .ranked
+                .iter()
+                .map(|r| (&r.cluster.target, r.cluster.singleton_level().rules.as_slice()))
+                .collect();
             for threads in [1usize, 2, 4] {
-                let scored = score_rules(db, &rules, threads);
+                let scored = score_rules(&inputs, threads);
                 assert_eq!(scored.len(), legacy.len());
                 for (i, (got, want)) in scored.iter().zip(&legacy).enumerate() {
                     let ctx = format!("seed {seed} {mode} threads {threads} rule {i}");

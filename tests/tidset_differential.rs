@@ -308,8 +308,13 @@ fn quarter_marginals_and_scores_match_scalar_paths_at_all_thread_counts() {
 
         // Scores: bit-identical to the legacy per-rule path at 1/2/4 threads.
         let legacy: Vec<SignalScores> = rules.iter().map(|r| legacy_score(db, r)).collect();
+        let inputs: Vec<(&DrugAdrRule, &[DrugAdrRule])> = result
+            .ranked
+            .iter()
+            .map(|r| (&r.cluster.target, r.cluster.singleton_level().rules.as_slice()))
+            .collect();
         for threads in [1usize, 2, 4] {
-            let scored = score_rules(db, &rules, threads);
+            let scored = score_rules(&inputs, threads);
             assert_eq!(scored.len(), legacy.len());
             for (i, (got, want)) in scored.iter().zip(&legacy).enumerate() {
                 assert_bits_eq(got, want, &format!("seed {seed} threads {threads} rule {i}"));
