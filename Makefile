@@ -59,9 +59,12 @@ logs-test:
 	cargo test -q -p maras-serve --test debug_endpoints
 
 # The server lifecycle test on its own: boots on an ephemeral port,
-# exercises every endpoint, and hot-swaps the snapshot mid-test.
+# exercises every endpoint, and hot-swaps the snapshot mid-test; then
+# the generation race: 200 swaps under a reader thread, after each of
+# which every key the reader rendered must answer with the new quarter.
 serve-test:
 	cargo test -q -p maras-serve --test server_integration
+	cargo test -q -p maras-serve --test swap_race
 
 # The evidence layer end to end: the archive's differential suite (disk
 # postings must reproduce the in-memory covers byte-for-byte), the
@@ -81,12 +84,17 @@ evidence-test:
 # (header, bounded cursor, durable atomic write), the mutation sweep over
 # both files (every truncation and length lie under a recomputed checksum
 # must load or get a typed error, within a heap bound), the MARASNAP
-# store tests, the corrupt-archive suite, and a CLI round trip that writes
-# a snapshot and an archive and verifies both.
+# store tests (round trip, and the typed refusals of a context mask past
+# its target's drugs and of target counts no report set could produce),
+# the JSON-identity suite (every /cluster/N of a built and a reloaded
+# snapshot equals the body rendered from the analysis itself), the
+# corrupt-archive suite, and a CLI round trip that writes a snapshot and
+# an archive and verifies both.
 format-test:
 	cargo test -q -p maras-format
 	cargo test -q --test format_mutation
 	cargo test -q -p maras-serve --lib store::
+	cargo test -q -p maras-serve --test json_identity
 	cargo test -q -p maras-evidence --test corrupt
 	cargo run -q --release --bin maras -- generate --out target/format-data --reports 2000
 	cargo run -q --release --bin maras -- snapshot --dir target/format-data \

@@ -542,16 +542,23 @@ impl QuarterWriter {
 /// Writes a quarter as the four ASCII files into `dir`, named
 /// `DEMO14Q1.txt` etc. after the quarter id.
 pub fn write_quarter_dir(dir: &Path, quarter: &QuarterData) -> io::Result<()> {
+    let r = &quarter.reports;
+    let (mut demo, mut drug, mut reac, mut outc) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    QuarterWriter::write_demo(&mut demo, r)?;
+    QuarterWriter::write_drug(&mut drug, r)?;
+    QuarterWriter::write_reac(&mut reac, r)?;
+    QuarterWriter::write_outc(&mut outc, r)?;
+    write_tables(dir, quarter.id, [&demo, &drug, &reac, &outc])
+}
+
+/// Writes quarter `id`'s rendered DEMO, DRUG, REAC and OUTC tables into
+/// `dir` under the canonical file names, each with one write call.
+pub(crate) fn write_tables(dir: &Path, id: QuarterId, tables: [&[u8]; 4]) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let label = quarter.id.file_label();
-    let mut demo = std::fs::File::create(dir.join(format!("DEMO{label}.txt")))?;
-    QuarterWriter::write_demo(&mut demo, &quarter.reports)?;
-    let mut drug = std::fs::File::create(dir.join(format!("DRUG{label}.txt")))?;
-    QuarterWriter::write_drug(&mut drug, &quarter.reports)?;
-    let mut reac = std::fs::File::create(dir.join(format!("REAC{label}.txt")))?;
-    QuarterWriter::write_reac(&mut reac, &quarter.reports)?;
-    let mut outc = std::fs::File::create(dir.join(format!("OUTC{label}.txt")))?;
-    QuarterWriter::write_outc(&mut outc, &quarter.reports)?;
+    let label = id.file_label();
+    for (name, text) in ["DEMO", "DRUG", "REAC", "OUTC"].into_iter().zip(tables) {
+        std::fs::write(dir.join(format!("{name}{label}.txt")), text)?;
+    }
     Ok(())
 }
 

@@ -166,14 +166,8 @@ impl CorruptedQuarter {
     /// Writes the corrupted tables into `dir` under the canonical FAERS
     /// file names (`DEMO14Q1.txt` etc.).
     pub fn write_dir(&self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let label = self.id.file_label();
-        for (name, text) in
-            [("DEMO", &self.demo), ("DRUG", &self.drug), ("REAC", &self.reac), ("OUTC", &self.outc)]
-        {
-            std::fs::write(dir.join(format!("{name}{label}.txt")), text)?;
-        }
-        Ok(())
+        let tables = [&self.demo, &self.drug, &self.reac, &self.outc].map(|t| t.as_bytes());
+        ascii::write_tables(dir, self.id, tables)
     }
 
     /// Every `(file, line, reason)` a lenient read must quarantine —

@@ -57,16 +57,6 @@ pub fn rule_space(
     min_support: u64,
     n_threads: usize,
 ) -> RuleSpace {
-    space(db, partition, min_support, n_threads, true)
-}
-
-fn space(
-    db: &TransactionDb,
-    partition: &ItemPartition,
-    min_support: u64,
-    n_threads: usize,
-    build_rules: bool,
-) -> RuleSpace {
     let _span = maras_obs::span("rules");
     let store = mine_patterns_parallel(db, min_support, n_threads);
     let mut counts =
@@ -98,28 +88,15 @@ fn space(
         closed.push(items, support);
         if partition.is_mixed_items(items) && partition.drug_count_items(items) >= 2 {
             counts.mcacs += 1;
-            if build_rules {
-                rules.push(
-                    DrugAdrRule::from_pattern(items, support, partition, db)
-                        .expect("mixed pattern must yield a rule"),
-                );
-            }
+            rules.push(
+                DrugAdrRule::from_pattern(items, support, partition, db)
+                    .expect("mixed pattern must yield a rule"),
+            );
         }
     }
     maras_obs::counter("maras_rules_mcac_total", "closed multi-drug MCAC target rules derived")
         .add(counts.mcacs);
     RuleSpace { counts, multi_drug_rules: rules, closed }
-}
-
-/// Counts the three rule spaces of Fig. 5.1 from one mining pass. Only the
-/// closed patterns are materialized (in the arena); no per-pattern sets or
-/// rules are built.
-pub fn count_all_rules(
-    db: &TransactionDb,
-    partition: &ItemPartition,
-    min_support: u64,
-) -> RuleSpaceCounts {
-    space(db, partition, min_support, 1, false).counts
 }
 
 /// All drug→ADR rules from the *unfiltered* frequent itemsets — the
@@ -188,7 +165,7 @@ mod tests {
         // accounting appear inside the 2^4−2 = 14 total splits; exactly 1
         // split is a full drug→ADR rule per mixed itemset.
         let d = db(&[&[0, 1, 10, 11]]);
-        let c = count_all_rules(&d, &P, 1);
+        let c = rule_space(&d, &P, 1, 1).counts;
         assert_eq!(c.frequent_itemsets, 15);
         // Splits: every itemset of size>=2 contributes 2^n-2.
         // sizes: 6 pairs*2 + 4 triples*6 + 1 quad*14 = 12+24+14 = 50.
@@ -249,7 +226,7 @@ mod tests {
             &[3, 13],
             &[0, 3, 10, 13],
         ]);
-        let c = count_all_rules(&d, &P, 1);
+        let c = rule_space(&d, &P, 1, 1).counts;
         assert!(c.mcacs <= c.filtered_rules, "{c:?}");
         assert!(c.filtered_rules <= c.total_rules, "{c:?}");
         assert!(c.closed_itemsets <= c.frequent_itemsets, "{c:?}");
@@ -286,7 +263,7 @@ mod tests {
                 let d = TransactionDb::new(
                     rows.into_iter().map(|t| t.into_iter().map(Item).collect()).collect(),
                 );
-                let c = count_all_rules(&d, &P, ms);
+                let c = rule_space(&d, &P, ms, 1).counts;
                 prop_assert!(c.mcacs <= c.filtered_rules);
                 prop_assert!(c.filtered_rules <= c.total_rules || c.filtered_rules <= c.frequent_itemsets);
                 prop_assert!(c.closed_itemsets <= c.frequent_itemsets);

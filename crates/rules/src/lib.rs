@@ -24,8 +24,7 @@ pub mod rule;
 pub mod supportedness;
 
 pub use generate::{
-    closed_drug_adr_rules, count_all_rules, drug_adr_rules, multi_drug_rules, rule_space,
-    RuleSpace, RuleSpaceCounts,
+    closed_drug_adr_rules, drug_adr_rules, multi_drug_rules, rule_space, RuleSpace, RuleSpaceCounts,
 };
 pub use measures::{confidence, lift, Measure, RuleStats};
 pub use partition::ItemPartition;

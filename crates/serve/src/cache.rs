@@ -6,9 +6,9 @@
 //! monotonic tick stamps each hit and the stalest entry is evicted when
 //! the shard overflows. Recency is an approximation (per-shard, O(shard)
 //! eviction scan), which is exactly enough for a response cache — the
-//! contract that matters is correctness: the server clears the cache on
-//! every snapshot swap, so a cached body never outlives the snapshot
-//! that rendered it.
+//! contract that matters is correctness: each serving generation owns its
+//! cache and a snapshot swap installs a fresh one, so a cached body never
+//! outlives the snapshot that rendered it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -77,13 +77,6 @@ impl QueryCache {
         shard.entries.insert(key, (tick, body));
     }
 
-    /// Drops every cached response (called on snapshot swap).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap().entries.clear();
-        }
-    }
-
     /// Number of cached responses across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap().entries.len()).sum()
@@ -100,14 +93,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_after_put_miss_after_clear() {
+    fn miss_before_put_hit_after() {
         let cache = QueryCache::new(64);
+        assert!(cache.is_empty());
         assert_eq!(cache.get("/search?drug=X"), None);
         cache.put("/search?drug=X".into(), "{}".into());
         assert_eq!(cache.get("/search?drug=X").as_deref(), Some("{}"));
-        cache.clear();
-        assert_eq!(cache.get("/search?drug=X"), None);
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

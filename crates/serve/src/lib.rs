@@ -13,7 +13,8 @@
 //! * [`store`] — MARASNAP, the versioned binary snapshot file, on the
 //!   shared [`maras_format`] container (magic, format version, FNV-1a
 //!   checksum, typed refusals, durable atomic writes); loading rebuilds
-//!   the posting indexes instead of reading them.
+//!   the posting indexes and the closed-form scores instead of reading
+//!   them.
 //! * [`server`] + [`router`] + [`http`] — an HTTP/1.1 JSON API on
 //!   `std::net` and a fixed thread pool: `/search`, `/autocomplete`,
 //!   `/cluster/<rank>`, `/cluster/<rank>/reports` and
@@ -40,8 +41,9 @@
 //!   notable requests with phase timings, and a runtime health dump
 //!   (all three gated by `ServeConfig::debug_endpoints`).
 //! * [`cache`] + [`metrics`] — a sharded LRU over rendered responses
-//!   (invalidated on swap) and [`ServeMetrics`]: per-endpoint counters
-//!   and latency histograms, per-phase timings and the robustness ledger
+//!   (one per serving generation, so a swap starts empty) and
+//!   [`ServeMetrics`]: per-endpoint counters and latency histograms,
+//!   per-phase timings and the robustness ledger
 //!   as [`maras_obs`] handles in a registry each [`ServeState`] owns,
 //!   exposed as Prometheus text on `/metrics` (followed by the
 //!   process-global registry) and as the legacy JSON dump on

@@ -1,12 +1,13 @@
 //! Request routing over a hot-swappable snapshot.
 //!
 //! [`ServeState`] owns everything a worker thread needs: the current
-//! [`Snapshot`] behind `RwLock<Arc<..>>` (readers clone the `Arc` and
-//! release the lock immediately, so a reload never blocks in-flight
-//! queries), the response cache, and the metrics registry. [`respond`]
-//! is a pure request → `(status, body)` function over that state, which
-//! is what lets the bench harness and the integration tests drive the
-//! exact production code path without a socket in the way.
+//! generation (the [`Snapshot`], its evidence archive and its response
+//! cache) behind one `RwLock<Arc<..>>`, which readers clone and release
+//! immediately, so a reload never blocks in-flight queries, and the
+//! metrics registry. [`respond`] is a pure request → `(status, body)`
+//! function over that state, which is what lets the bench harness and the
+//! integration tests drive the exact production code path without a
+//! socket in the way.
 
 use crate::cache::QueryCache;
 use crate::debug::{self, FlightRecorder, DEFAULT_RECENT_REQUESTS};
@@ -42,14 +43,26 @@ pub enum ReloadError {
     Evidence(FormatError),
 }
 
+/// What one request reads, swapped as a unit: a snapshot, the evidence
+/// archive paired with it (`None` keeps the evidence routes on 404), and
+/// the responses rendered from the two. A request caches into its own
+/// generation, so no body rendered from an outgoing snapshot is served
+/// after a swap, and no cluster is paired with another snapshot's archive.
+struct Generation {
+    snapshot: Arc<Snapshot>,
+    evidence: Option<Arc<EvidenceReader>>,
+    cache: QueryCache,
+}
+
 /// Everything the server shares across worker threads.
 pub struct ServeState {
-    snapshot: RwLock<Arc<Snapshot>>,
+    /// The generation every new request reads.
+    current: RwLock<Arc<Generation>>,
+    /// Capacity of each generation's response cache.
+    cache_capacity: usize,
     /// Where `POST /reload` re-reads the snapshot from; `None` for
     /// in-memory-only deployments (reload then returns 409).
     snapshot_path: Option<PathBuf>,
-    /// Rendered-response cache, cleared on every successful swap.
-    pub cache: QueryCache,
     /// This state's own metrics registry: what `/metrics` renders ahead
     /// of the process-global one.
     registry: Registry,
@@ -66,10 +79,6 @@ pub struct ServeState {
     reload_lock: Mutex<()>,
     /// Enables the test-only `GET /__panic` route (chaos harness).
     panic_route: AtomicBool,
-    /// The open evidence archive, if one was attached: raw case reports
-    /// paged from disk for `/cluster/N/reports` and `/report/CASEID`.
-    /// `None` keeps those routes on the 404 path.
-    evidence: RwLock<Option<Arc<EvidenceReader>>>,
     /// Where `POST /reload` reopens the archive from, alongside the
     /// snapshot.
     evidence_path: Option<PathBuf>,
@@ -92,16 +101,19 @@ impl ServeState {
     ) -> ServeState {
         let registry = Registry::new();
         ServeState {
-            snapshot: RwLock::new(Arc::new(snapshot)),
+            current: RwLock::new(Arc::new(Generation {
+                snapshot: Arc::new(snapshot),
+                evidence: None,
+                cache: QueryCache::new(cache_capacity),
+            })),
+            cache_capacity,
             snapshot_path,
-            cache: QueryCache::new(cache_capacity),
             metrics: ServeMetrics::register(&registry),
             registry,
             slow_threshold_us: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_US),
             draining: AtomicBool::new(false),
             reload_lock: Mutex::new(()),
             panic_route: AtomicBool::new(false),
-            evidence: RwLock::new(None),
             evidence_path: None,
             flight: FlightRecorder::new(DEFAULT_RECENT_REQUESTS),
             debug_endpoints: AtomicBool::new(true),
@@ -113,19 +125,30 @@ impl ServeState {
     /// `evidence_path` lets `POST /reload` reopen it together with the
     /// snapshot.
     pub fn with_evidence(
-        mut self,
+        self,
         reader: Arc<EvidenceReader>,
         evidence_path: Option<PathBuf>,
     ) -> ServeState {
-        self.evidence = RwLock::new(Some(reader));
-        self.evidence_path = evidence_path;
-        self
+        self.install(self.snapshot(), Some(reader));
+        ServeState { evidence_path, ..self }
     }
 
-    /// The current evidence reader, if one is attached; cheap (one `Arc`
-    /// clone under a read lock).
-    pub fn evidence(&self) -> Option<Arc<EvidenceReader>> {
-        self.evidence.read().unwrap_or_else(|e| e.into_inner()).clone()
+    /// The generation a request reads; cheap (one `Arc` clone under a read
+    /// lock).
+    fn current(&self) -> Arc<Generation> {
+        Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Installs a new generation with an empty cache in one write. The
+    /// evidence reader carries over when `evidence` is `None`.
+    fn install(&self, snapshot: Arc<Snapshot>, evidence: Option<Arc<EvidenceReader>>) {
+        let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
+        let evidence = evidence.or_else(|| current.evidence.clone());
+        *current = Arc::new(Generation {
+            snapshot,
+            evidence,
+            cache: QueryCache::new(self.cache_capacity),
+        });
     }
 
     /// Puts the state into drain mode: `/healthz` flips to 503
@@ -182,43 +205,44 @@ impl ServeState {
 
     /// The current snapshot; cheap (one `Arc` clone under a read lock).
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.snapshot.read().unwrap())
+        Arc::clone(&self.current().snapshot)
     }
 
-    /// Atomically installs a new snapshot and invalidates the cache.
+    /// Responses cached for the current generation.
+    pub fn cache_len(&self) -> usize {
+        self.current().cache.len()
+    }
+
+    /// Atomically installs a new snapshot, keeping the evidence archive,
+    /// with an empty response cache.
     pub fn swap(&self, next: Snapshot) {
-        *self.snapshot.write().unwrap() = Arc::new(next);
-        self.cache.clear();
+        self.install(Arc::new(next), None);
         self.metrics.reloads.inc();
     }
 
-    /// Re-reads the snapshot file and swaps it in. On any error the
-    /// current snapshot keeps serving untouched. Reloads are serialized
+    /// Re-reads the snapshot file (and the evidence archive, when one was
+    /// opened from a path) and swaps both in together. On any error the
+    /// current pair keeps serving untouched. Reloads are serialized
     /// behind a try-lock: a second in-flight reload fails fast with
     /// [`ReloadError::InProgress`] instead of racing the swap.
     pub fn reload_from_disk(&self) -> Result<(), ReloadError> {
         let _guard = match self.reload_lock.try_lock() {
             Ok(g) => g,
             // A worker that panicked mid-reload must not wedge reloads
-            // forever; the snapshot swap itself is atomic either way.
+            // forever; the swap itself is atomic either way.
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
             Err(TryLockError::WouldBlock) => return Err(ReloadError::InProgress),
         };
         let path = self.snapshot_path.as_ref().ok_or(ReloadError::NoPath)?;
         let next = store::load(path).map_err(ReloadError::Store)?;
-        // Reopen the evidence archive *before* swapping anything: if it
-        // fails to verify, the old snapshot/archive pair keeps serving
-        // untouched.
-        let next_evidence = match &self.evidence_path {
-            Some(evidence_path) => {
-                Some(Arc::new(EvidenceReader::open(evidence_path).map_err(ReloadError::Evidence)?))
+        let evidence = match &self.evidence_path {
+            Some(path) => {
+                Some(Arc::new(EvidenceReader::open(path).map_err(ReloadError::Evidence)?))
             }
             None => None,
         };
-        if let Some(reader) = next_evidence {
-            *self.evidence.write().unwrap_or_else(|e| e.into_inner()) = Some(reader);
-        }
-        self.swap(next);
+        self.install(Arc::new(next), evidence);
+        self.metrics.reloads.inc();
         Ok(())
     }
 }
@@ -305,11 +329,12 @@ fn cached(
     state: &ServeState,
     endpoint: Endpoint,
     req: &Request,
-    handler: fn(&ServeState, &Request) -> (u16, String),
+    handler: fn(&Generation, &Request) -> (u16, String),
 ) -> (Endpoint, u16, String) {
     let key = req.cache_key();
+    let generation = state.current();
     let cache_span = maras_obs::span("cache");
-    let hit = state.cache.get(&key);
+    let hit = generation.cache.get(&key);
     drop(cache_span);
     if let Some(body) = hit {
         state.metrics.cache_hits.inc();
@@ -317,9 +342,9 @@ fn cached(
     }
     state.metrics.cache_misses.inc();
     let _render = maras_obs::span("render");
-    let (status, body) = handler(state, req);
+    let (status, body) = handler(&generation, req);
     if status == 200 {
-        state.cache.put(key, body.clone());
+        generation.cache.put(key, body.clone());
     }
     (endpoint, status, body)
 }
@@ -347,7 +372,7 @@ fn metrics_json(state: &ServeState) -> String {
         Value::Object(m) => m,
         _ => unreachable!("metrics render as an object"),
     };
-    m.insert("cache_entries".into(), Value::from(state.cache.len()));
+    m.insert("cache_entries".into(), Value::from(state.cache_len()));
     Value::Object(m).to_string()
 }
 
@@ -355,7 +380,7 @@ fn metrics_json(state: &ServeState) -> String {
 /// followed by every series in the process-global registry (pipeline
 /// counters, interner gauges, ... — whatever this process recorded).
 fn metrics_prometheus(state: &ServeState) -> String {
-    state.metrics.refresh(state.cache.len());
+    state.metrics.refresh(state.cache_len());
     let mut text = state.registry.render_prometheus();
     text.push_str(&maras_obs::registry().render_prometheus());
     text
@@ -458,7 +483,7 @@ fn debug_runtime(state: &ServeState) -> String {
         (
             "cache",
             Value::obj([
-                ("entries", Value::from(state.cache.len())),
+                ("entries", Value::from(state.cache_len())),
                 ("hits", Value::from(m.cache_hits.get())),
                 ("misses", Value::from(m.cache_misses.get())),
             ]),
@@ -477,8 +502,8 @@ fn debug_runtime(state: &ServeState) -> String {
     .to_string()
 }
 
-fn search(state: &ServeState, req: &Request) -> (u16, String) {
-    let snap = state.snapshot();
+fn search(generation: &Generation, req: &Request) -> (u16, String) {
+    let snap = &generation.snapshot;
     let mut query = RuleQuery::new();
     for drug in req.params("drug") {
         query = query.with_drug(drug);
@@ -549,8 +574,8 @@ fn search(state: &ServeState, req: &Request) -> (u16, String) {
     (200, body.to_string())
 }
 
-fn autocomplete(state: &ServeState, req: &Request) -> (u16, String) {
-    let snap = state.snapshot();
+fn autocomplete(generation: &Generation, req: &Request) -> (u16, String) {
+    let snap = &generation.snapshot;
     let prefix = match req.param("prefix") {
         Some(p) if !p.is_empty() => p,
         _ => return (400, error_body("bad_request", "missing or empty 'prefix' parameter")),
@@ -573,8 +598,8 @@ fn autocomplete(state: &ServeState, req: &Request) -> (u16, String) {
     (200, body.to_string())
 }
 
-fn cluster(state: &ServeState, req: &Request) -> (u16, String) {
-    let snap = state.snapshot();
+fn cluster(generation: &Generation, req: &Request) -> (u16, String) {
+    let snap = &generation.snapshot;
     let rank: usize = match req.path["/cluster/".len()..].parse() {
         Ok(r) => r,
         Err(_) => return (400, error_body("bad_request", "cluster rank must be an integer")),
@@ -626,8 +651,8 @@ const MAX_REPORTS_PAGE: usize = 500;
 /// The cover is a postings intersection (no block is touched until the
 /// requested page is materialized), so the server never holds the quarter
 /// in memory.
-fn cluster_reports(state: &ServeState, req: &Request) -> (u16, String) {
-    let snap = state.snapshot();
+fn cluster_reports(generation: &Generation, req: &Request) -> (u16, String) {
+    let snap = &generation.snapshot;
     let inner = &req.path["/cluster/".len()..];
     let rank_str = inner.strip_suffix("/reports").unwrap_or(inner);
     let rank: usize = match rank_str.parse() {
@@ -651,7 +676,7 @@ fn cluster_reports(state: &ServeState, req: &Request) -> (u16, String) {
     let Some(cluster) = rank.checked_sub(1).and_then(|r| snap.clusters.get(r)) else {
         return (404, error_body("not_found", "no cluster at that rank"));
     };
-    let Some(evidence) = state.evidence() else {
+    let Some(evidence) = &generation.evidence else {
         return (404, error_body("no_evidence", "server was started without an evidence archive"));
     };
     let mut cover = evidence.cover(&cluster.drugs, &cluster.adrs);
@@ -678,12 +703,12 @@ fn cluster_reports(state: &ServeState, req: &Request) -> (u16, String) {
 }
 
 /// `GET /report/<case_id>` — one raw case report by FAERS case id.
-fn report(state: &ServeState, req: &Request) -> (u16, String) {
+fn report(generation: &Generation, req: &Request) -> (u16, String) {
     let case_id: u64 = match req.path["/report/".len()..].parse() {
         Ok(id) => id,
         Err(_) => return (400, error_body("bad_request", "case id must be an integer")),
     };
-    let Some(evidence) = state.evidence() else {
+    let Some(evidence) = &generation.evidence else {
         return (404, error_body("no_evidence", "server was started without an evidence archive"));
     };
     match evidence.report_by_case_id(case_id) {
@@ -813,7 +838,7 @@ mod tests {
             let json = serde_json::from_str(&body).unwrap();
             assert!(!json["error"]["message"].as_str().unwrap().is_empty());
         }
-        assert!(st.cache.is_empty());
+        assert_eq!(st.cache_len(), 0);
     }
 
     #[test]
@@ -1034,7 +1059,7 @@ mod tests {
         let st = state();
         let req = get("/search", &[]);
         respond(&st, &req);
-        assert!(!st.cache.is_empty());
+        assert!(st.cache_len() > 0);
         let snap = st.snapshot();
         st.swap(Snapshot::from_parts(
             "2017 Q1".into(),
@@ -1043,7 +1068,7 @@ mod tests {
             snap.adr_vocab().clone(),
             snap.clusters.clone(),
         ));
-        assert!(st.cache.is_empty());
+        assert_eq!(st.cache_len(), 0);
         let (_, _, body) = respond(&st, &get("/healthz", &[]));
         let json = serde_json::from_str(&body).unwrap();
         assert_eq!(json["quarter"], "2017 Q1");

@@ -14,6 +14,7 @@ use maras_core::link::{max_severity, supporting_case_ids, supporting_tids};
 use maras_core::pipeline::AnalysisResult;
 use maras_core::{KnowledgeBase, RuleQuery};
 use maras_faers::Vocabulary;
+use maras_rules::RuleStats;
 use maras_signals::SignalScores;
 use maras_tidset::TidSet;
 use rustc_hash::FxHashMap;
@@ -23,23 +24,25 @@ use serde_json::Value;
 /// at-least buckets cover every reachable threshold.
 const N_SEVERITIES: usize = 7;
 
-/// One contextual rule of a cluster, denormalized to names.
-#[derive(Debug, Clone, PartialEq)]
+/// One contextual rule of a cluster. By Def. 3.5.2 its antecedent is a
+/// proper subset of the target's drugs and its consequent is the target's
+/// ADR set, so it stores only which drugs it keeps and its own two counts;
+/// its names, consequent support and report count are the target's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContextEntry {
-    /// Canonical drug names of the contextual antecedent.
-    pub drugs: Vec<String>,
-    /// Canonical ADR terms (same consequent as the target).
-    pub adrs: Vec<String>,
-    /// Absolute support of the contextual rule.
+    /// The target drugs the antecedent keeps: bit `i` selects
+    /// [`ClusterEntry::drugs`]`[i]`.
+    pub drug_mask: u32,
+    /// Absolute support `|X ∪ B|` of the contextual rule.
     pub support: u64,
-    /// Confidence of the contextual rule.
-    pub confidence: f64,
-    /// Lift of the contextual rule.
-    pub lift: f64,
+    /// Support `|X|` of its antecedent.
+    pub support_a: u64,
 }
 
 /// One ranked cluster, denormalized into exactly the fields the query
 /// filters and the JSON API read — no itemset decoding at request time.
+/// The target's counts are its score block's 2×2 table; support,
+/// confidence and lift are derived from them ([`ClusterEntry::stats`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterEntry {
     /// Canonical drug names (vocabulary case; uppercase in practice).
@@ -48,12 +51,6 @@ pub struct ClusterEntry {
     pub adrs: Vec<String>,
     /// Exclusiveness score.
     pub score: f64,
-    /// Absolute support.
-    pub support: u64,
-    /// Confidence.
-    pub confidence: f64,
-    /// Lift.
-    pub lift: f64,
     /// Highest outcome severity among supporting reports (0 if none).
     pub max_severity: u8,
     /// Whether the knowledge base documents this exact drug combination.
@@ -67,6 +64,19 @@ pub struct ClusterEntry {
     pub context: Vec<ContextEntry>,
     /// Full disproportionality score block from the signal engine.
     pub scores: SignalScores,
+}
+
+impl ClusterEntry {
+    /// The target rule's counts, read back from its 2×2 table.
+    pub fn stats(&self) -> RuleStats {
+        let t = &self.scores.table;
+        RuleStats {
+            support_ab: t.a,
+            support_a: t.exposed(),
+            support_b: t.event(),
+            n_transactions: t.n(),
+        }
+    }
 }
 
 /// Presentation orders the snapshot maintains sorted rank indexes for
@@ -154,24 +164,19 @@ impl Snapshot {
                     .cluster
                     .context_rules()
                     .map(|c| ContextEntry {
-                        drugs: result
-                            .encoded
-                            .names(&c.drugs, drug_vocab, adr_vocab)
-                            .into_iter()
-                            .map(|n| n.to_ascii_uppercase())
-                            .collect(),
-                        adrs: result.encoded.names(&c.adrs, drug_vocab, adr_vocab),
+                        drug_mask: t
+                            .drugs
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, d)| c.drugs.contains(d))
+                            .fold(0, |mask, (i, _)| mask | 1 << i),
                         support: c.support(),
-                        confidence: c.confidence(),
-                        lift: c.lift(),
+                        support_a: c.stats.support_a,
                     })
                     .collect();
                 let tids = supporting_tids(result, t);
                 ClusterEntry {
                     score: r.score,
-                    support: t.support(),
-                    confidence: t.confidence(),
-                    lift: t.lift(),
                     max_severity: max_severity(result, &tids).map_or(0, |o| o.severity()),
                     known: kb.is_some_and(|kb| kb.is_known(&refs)),
                     has_novel_adr: kb.is_none_or(|kb| kb.has_novel_adr(&refs, &adr_refs)),
@@ -444,14 +449,15 @@ impl Snapshot {
     /// range instead of panicking.
     pub fn try_hit_json(&self, rank: usize) -> Option<Value> {
         let c = self.clusters.get(rank)?;
+        let stats = c.stats();
         Some(Value::obj([
             ("rank", Value::from(rank + 1)),
             ("drugs", Value::from(c.drugs.clone())),
             ("adrs", Value::from(c.adrs.clone())),
             ("score", Value::from(c.score)),
-            ("support", Value::from(c.support)),
-            ("confidence", Value::from(c.confidence)),
-            ("lift", Value::from(c.lift)),
+            ("support", Value::from(stats.support_ab)),
+            ("confidence", Value::from(stats.confidence())),
+            ("lift", Value::from(stats.lift())),
             ("max_severity", Value::from(c.max_severity)),
             ("known", Value::from(c.known)),
             ("has_novel_adr", Value::from(c.has_novel_adr)),
@@ -482,15 +488,26 @@ impl Snapshot {
         // where to page through them (served from the evidence archive).
         detail.insert("n_supporting_reports".into(), Value::from(c.case_ids.len()));
         detail.insert("reports_url".into(), Value::from(format!("/cluster/{}/reports", rank + 1)));
+        // A contextual rule keeps the target's consequent support and N,
+        // and the target drugs its mask selects.
+        let target = c.stats();
         detail.insert(
             "context".into(),
             Value::arr(c.context.iter().map(|ctx| {
+                let stats =
+                    RuleStats { support_ab: ctx.support, support_a: ctx.support_a, ..target };
+                let drugs = c
+                    .drugs
+                    .iter()
+                    .take(u32::BITS as usize)
+                    .enumerate()
+                    .filter(|&(i, _)| (ctx.drug_mask >> i) & 1 == 1);
                 Value::obj([
-                    ("drugs", Value::from(ctx.drugs.clone())),
-                    ("adrs", Value::from(ctx.adrs.clone())),
-                    ("support", Value::from(ctx.support)),
-                    ("confidence", Value::from(ctx.confidence)),
-                    ("lift", Value::from(ctx.lift)),
+                    ("drugs", Value::arr(drugs.map(|(_, d)| Value::from(d.as_str())))),
+                    ("adrs", Value::from(c.adrs.clone())),
+                    ("support", Value::from(stats.support_ab)),
+                    ("confidence", Value::from(stats.confidence())),
+                    ("lift", Value::from(stats.lift())),
                 ])
             })),
         );

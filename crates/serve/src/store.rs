@@ -13,55 +13,57 @@
 //! clusters     u64 count, then per cluster in rank order:
 //!   drugs, adrs                        u64 count + strs, each
 //!   score                              f64
-//!   support                            u64
-//!   confidence, lift                   f64 each
 //!   max_severity, known, has_novel_adr u8 each
 //!   case ids                           u64 count + u64 each
-//!   context                            u64 count, then per rule: drugs,
-//!                                      adrs, support u64, confidence f64,
-//!                                      lift f64
-//!   score block                        see put_scores
+//!   context                            u64 count, then per rule: drug
+//!                                      mask u32, support u64, support_a u64
+//!   target counts                      support_ab, support_a, support_b,
+//!                                      n: u64 each
+//!   ebgm, eb05, eb95, posterior_w1     f64 each
+//!   interaction, exclusiveness         f64 each
 //! ```
 //!
-//! The file stores nothing it can derive: [`load`] rebuilds every posting
+//! The file stores nothing it can derive. [`load`] rebuilds every posting
 //! index from the clusters through [`Snapshot::from_parts`], the path
-//! [`Snapshot::build`] takes, so a loaded snapshot indexes exactly like the
-//! one that was saved and no index can disagree with the clusters.
-//! Loading verifies magic, version, length and checksum before touching
-//! the payload, so a truncated or bit-flipped file is refused with a typed
-//! [`FormatError`] instead of yielding a half-parsed snapshot. Saving goes
-//! through [`maras_format::write_atomic`], so a crash mid-write never
-//! clobbers the previous good snapshot, and a reload that races a save
-//! sees either the old file or the new one.
+//! [`Snapshot::build`] takes, so no index can disagree with the clusters.
+//! A contextual rule is a mask over its target's drugs plus its own two
+//! counts; its names, consequent support and report count are the
+//! target's. The target's 2×2 table is rebuilt from its four counts and
+//! the closed-form scores from the table, through the constructor the
+//! signal engine scores with ([`SignalScores::from_table_and_ebgm`]), so
+//! they come back bit-identical; EBGM, a quantile solve per cluster, is
+//! stored. Loading verifies magic, version, length and checksum before
+//! touching the payload, and refuses a truncated or bit-flipped file, or
+//! counts no report set could produce, with a typed [`FormatError`]
+//! instead of yielding a half-parsed snapshot. Saving goes through
+//! [`maras_format::write_atomic`], so a crash mid-write never clobbers the
+//! previous good snapshot, and a reload that races a save sees either the
+//! old file or the new one.
 
 use crate::snapshot::{ClusterEntry, ContextEntry, Snapshot};
 use maras_faers::Vocabulary;
-use maras_format::{put_f64, put_str, put_u64, Cursor, FormatError, Header, HEADER_LEN};
-use maras_signals::{
-    ConfidenceInterval, ContingencyTable, EbgmScores, InformationComponent, SignalScores,
-};
+use maras_format::{put_f64, put_str, put_u32, put_u64, Cursor, FormatError, Header, HEADER_LEN};
+use maras_rules::RuleStats;
+use maras_signals::{ContingencyError, ContingencyTable, EbgmScores, SignalScores};
 use std::fs;
 use std::path::Path;
 
 /// File magic: identifies a MARAS snapshot regardless of extension.
 pub const MAGIC: &[u8; 8] = b"MARASNAP";
-/// Current on-disk format version. Version 4 stores no posting indexes
-/// (they are rebuilt from the clusters at load) and writes strings behind
-/// `u32` lengths. Version 3 serialized the posting indexes as hybrid
-/// array/bitmap containers and version 2 appended the per-cluster score
-/// block. Older versions are refused with [`FormatError::BadVersion`]
-/// (the snapshot is cheap to rebuild from the quarter, and guessing at
-/// another layout would corrupt query results silently).
-pub const FORMAT_VERSION: u32 = 4;
+/// Current on-disk format version. Older versions are refused with
+/// [`FormatError::BadVersion`] (the snapshot is cheap to rebuild from the
+/// quarter, and guessing at another layout would corrupt query results
+/// silently).
+pub const FORMAT_VERSION: u32 = 5;
 
-/// Encoded size of [`put_scores`]' block: four `u64` table cells,
-/// seventeen `f64` measures and the Evans flag.
-const SCORE_BLOCK_BYTES: usize = 4 * 8 + 17 * 8 + 1;
+/// Encoded size of a cluster's counts and stored scores: four `u64`
+/// target counts and six `f64` scores.
+const SCORE_BLOCK_BYTES: usize = 4 * 8 + 6 * 8;
 /// The fewest bytes a cluster encodes to: empty name lists, case ids and
 /// context.
-const MIN_CLUSTER_BYTES: usize = 2 * 8 + 4 * 8 + 3 + 2 * 8 + SCORE_BLOCK_BYTES;
-/// The fewest bytes a context rule encodes to: empty name lists.
-const MIN_CONTEXT_BYTES: usize = 2 * 8 + 3 * 8;
+const MIN_CLUSTER_BYTES: usize = 2 * 8 + 8 + 3 + 2 * 8 + SCORE_BLOCK_BYTES;
+/// Encoded size of a contextual rule: its drug mask and two counts.
+const CONTEXT_BYTES: usize = 4 + 2 * 8;
 /// The fewest bytes a string encodes to: its length.
 const MIN_STR_BYTES: usize = 4;
 
@@ -95,9 +97,6 @@ fn encode_snapshot(s: &Snapshot) -> Vec<u8> {
         put_strs(&mut out, &c.drugs);
         put_strs(&mut out, &c.adrs);
         put_f64(&mut out, c.score);
-        put_u64(&mut out, c.support);
-        put_f64(&mut out, c.confidence);
-        put_f64(&mut out, c.lift);
         out.push(c.max_severity);
         out.push(c.known as u8);
         out.push(c.has_novel_adr as u8);
@@ -107,42 +106,27 @@ fn encode_snapshot(s: &Snapshot) -> Vec<u8> {
         }
         put_u64(&mut out, c.context.len() as u64);
         for ctx in &c.context {
-            put_strs(&mut out, &ctx.drugs);
-            put_strs(&mut out, &ctx.adrs);
+            put_u32(&mut out, ctx.drug_mask);
             put_u64(&mut out, ctx.support);
-            put_f64(&mut out, ctx.confidence);
-            put_f64(&mut out, ctx.lift);
+            put_u64(&mut out, ctx.support_a);
         }
-        put_scores(&mut out, &c.scores);
+        let stats = c.stats();
+        for count in [stats.support_ab, stats.support_a, stats.support_b, stats.n_transactions] {
+            put_u64(&mut out, count);
+        }
+        let s = &c.scores;
+        for score in [
+            s.ebgm.ebgm,
+            s.ebgm.eb05,
+            s.ebgm.eb95,
+            s.ebgm.posterior_w1,
+            s.interaction,
+            s.exclusiveness,
+        ] {
+            put_f64(&mut out, score);
+        }
     }
     out
-}
-
-/// Score block: the 2×2 table, every disproportionality measure, and the
-/// cluster-level scores, in a fixed field order.
-fn put_scores(out: &mut Vec<u8>, s: &SignalScores) {
-    put_u64(out, s.table.a);
-    put_u64(out, s.table.b);
-    put_u64(out, s.table.c);
-    put_u64(out, s.table.d);
-    put_f64(out, s.rrr);
-    put_f64(out, s.prr.estimate);
-    put_f64(out, s.prr.lower);
-    put_f64(out, s.prr.upper);
-    put_f64(out, s.ror.estimate);
-    put_f64(out, s.ror.lower);
-    put_f64(out, s.ror.upper);
-    put_f64(out, s.chi2);
-    out.push(s.evans as u8);
-    put_f64(out, s.ic.ic);
-    put_f64(out, s.ic.ic025);
-    put_f64(out, s.ic.ic975);
-    put_f64(out, s.ebgm.ebgm);
-    put_f64(out, s.ebgm.eb05);
-    put_f64(out, s.ebgm.eb95);
-    put_f64(out, s.ebgm.posterior_w1);
-    put_f64(out, s.interaction);
-    put_f64(out, s.exclusiveness);
 }
 
 fn put_strs(out: &mut Vec<u8>, ss: &[String]) {
@@ -178,32 +162,44 @@ fn cluster(c: &mut Cursor<'_>) -> Result<ClusterEntry, FormatError> {
     let drugs = strs(c)?;
     let adrs = strs(c)?;
     let score = c.f64()?;
-    let support = c.u64()?;
-    let confidence = c.f64()?;
-    let lift = c.f64()?;
     let max_severity = c.u8()?;
     let known = c.u8()? != 0;
     let has_novel_adr = c.u8()? != 0;
     let n_cases = c.u64()? as usize;
     let case_ids = c.items(n_cases, 8, Cursor::u64)?;
     let n_ctx = c.u64()? as usize;
-    let context = c.items(n_ctx, MIN_CONTEXT_BYTES, |c| {
-        Ok(ContextEntry {
-            drugs: strs(c)?,
-            adrs: strs(c)?,
-            support: c.u64()?,
-            confidence: c.f64()?,
-            lift: c.f64()?,
+    // A target with 32 drugs or more can keep any mask.
+    let n_drugs = u32::try_from(drugs.len()).unwrap_or(u32::MAX);
+    let context = c.items(n_ctx, CONTEXT_BYTES, |c| {
+        let drug_mask = c.u32()?;
+        if drug_mask.checked_shr(n_drugs).unwrap_or(0) != 0 {
+            return Err(FormatError::Corrupt("context drug mask selects a drug its target lacks"));
+        }
+        Ok(ContextEntry { drug_mask, support: c.u64()?, support_a: c.u64()? })
+    })?;
+    let stats = RuleStats {
+        support_ab: c.u64()?,
+        support_a: c.u64()?,
+        support_b: c.u64()?,
+        n_transactions: c.u64()?,
+    };
+    let table = ContingencyTable::from_stats(&stats).map_err(|e| {
+        FormatError::Corrupt(match e {
+            ContingencyError::JointExceedsMarginal { .. } => {
+                "target joint support exceeds a marginal"
+            }
+            ContingencyError::UnionExceedsTotal { .. } => "target supports exceed the report count",
         })
     })?;
-    let scores = scores(c)?;
+    let ebgm =
+        EbgmScores { ebgm: c.f64()?, eb05: c.f64()?, eb95: c.f64()?, posterior_w1: c.f64()? };
+    let scores = SignalScores::from_table_and_ebgm(table, ebgm)
+        .with_interaction(c.f64()?)
+        .with_exclusiveness(c.f64()?);
     Ok(ClusterEntry {
         drugs,
         adrs,
         score,
-        support,
-        confidence,
-        lift,
         max_severity,
         known,
         has_novel_adr,
@@ -216,26 +212,6 @@ fn cluster(c: &mut Cursor<'_>) -> Result<ClusterEntry, FormatError> {
 fn strs(c: &mut Cursor<'_>) -> Result<Vec<String>, FormatError> {
     let n = c.u64()? as usize;
     c.items(n, MIN_STR_BYTES, |c| Ok(c.str()?.to_owned()))
-}
-
-/// Mirrors `put_scores` field for field.
-fn scores(c: &mut Cursor<'_>) -> Result<SignalScores, FormatError> {
-    let table = ContingencyTable { a: c.u64()?, b: c.u64()?, c: c.u64()?, d: c.u64()? };
-    let rrr = c.f64()?;
-    let prr = ci(c)?;
-    let ror = ci(c)?;
-    let chi2 = c.f64()?;
-    let evans = c.u8()? != 0;
-    let ic = InformationComponent { ic: c.f64()?, ic025: c.f64()?, ic975: c.f64()? };
-    let ebgm =
-        EbgmScores { ebgm: c.f64()?, eb05: c.f64()?, eb95: c.f64()?, posterior_w1: c.f64()? };
-    let interaction = c.f64()?;
-    let exclusiveness = c.f64()?;
-    Ok(SignalScores { table, rrr, prr, ror, chi2, evans, ic, ebgm, interaction, exclusiveness })
-}
-
-fn ci(c: &mut Cursor<'_>) -> Result<ConfidenceInterval, FormatError> {
-    Ok(ConfidenceInterval { estimate: c.f64()?, lower: c.f64()?, upper: c.f64()? })
 }
 
 #[cfg(test)]
@@ -277,7 +253,8 @@ mod tests {
         assert_eq!(loaded.n_drugs_index, snap.n_drugs_index);
         let q = RuleQuery::new().with_min_severity(3);
         assert_eq!(loaded.query(&q), snap.query(&q));
-        // Score blocks survive bit-exactly, and the rebuilt per-measure
+        // Score blocks come back bit-exactly (the closed forms recomputed
+        // from the table, EBGM as stored), and the rebuilt per-measure
         // indexes answer score filters and sorts identically.
         for (a, b) in loaded.clusters.iter().zip(&snap.clusters) {
             assert_eq!(a.scores, b.scores);
@@ -295,17 +272,17 @@ mod tests {
     }
 
     #[test]
-    fn refuses_pre_v4_files() {
+    fn refuses_pre_v5_files() {
         let snap = snapshot();
         let dir = std::env::temp_dir().join("maras-store-oldver");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("q.snap");
-        for old in [1u32, 2, 3] {
+        for old in [1u32, 2, 3, 4] {
             save(&snap, &path).unwrap();
             let mut bytes = fs::read(&path).unwrap();
-            // A genuine v1–v3 file differs in payload too (u64 string
-            // lengths; v3 also stores posting-index sections), but version
-            // alone must already refuse it — the payload is never parsed.
+            // A genuine v1–v4 file differs in payload too (v4 stores context
+            // names and every score), but version alone must already refuse
+            // it — the payload is never parsed.
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             fs::write(&path, &bytes).unwrap();
             match load(&path) {
@@ -314,6 +291,85 @@ mod tests {
             }
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Loads `payload` behind a freshly computed header, so the decoder
+    /// meets the damage under a valid checksum.
+    fn load_payload(payload: &[u8], tag: &str) -> Result<Snapshot, FormatError> {
+        let dir = std::env::temp_dir().join(format!("maras-store-{tag}-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("q.snap");
+        let header = maras_format::header(MAGIC, FORMAT_VERSION, payload);
+        fs::write(&path, [&header[..], payload].concat()).unwrap();
+        let loaded = load(&path);
+        let _ = fs::remove_dir_all(&dir);
+        loaded
+    }
+
+    /// A snapshot whose last cluster has context rules, encoded.
+    fn one_cluster(edit: impl FnOnce(&mut ClusterEntry)) -> Vec<u8> {
+        let snap = snapshot();
+        let mut cluster = snap.clusters[0].clone();
+        assert!(!cluster.context.is_empty());
+        edit(&mut cluster);
+        encode_snapshot(&Snapshot::from_parts(
+            snap.quarter.clone(),
+            snap.n_reports,
+            snap.drug_vocab().clone(),
+            snap.adr_vocab().clone(),
+            vec![cluster],
+        ))
+    }
+
+    #[test]
+    fn refuses_a_context_mask_beyond_its_targets_drugs() {
+        for bit in [None, Some(31)] {
+            let payload = one_cluster(|c| {
+                let bit = bit.unwrap_or(c.drugs.len());
+                c.context[0].drug_mask |= 1 << bit;
+            });
+            match load_payload(&payload, "mask") {
+                Err(FormatError::Corrupt(msg)) => {
+                    assert_eq!(msg, "context drug mask selects a drug its target lacks")
+                }
+                other => panic!("mask bit {bit:?} accepted: {other:?}"),
+            }
+        }
+        // Every bit below the drug count is a drug of the target.
+        let payload = one_cluster(|c| c.context[0].drug_mask = (1 << c.drugs.len()) - 1);
+        assert!(load_payload(&payload, "full-mask").is_ok());
+    }
+
+    #[test]
+    fn refuses_target_counts_no_report_set_could_produce() {
+        // The target counts sit right before the six stored scores.
+        let counts_at = |payload: &[u8]| payload.len() - 6 * 8 - 4 * 8;
+        let cases: [([u64; 4], &str); 4] = [
+            ([11, 10, 50, 100], "target joint support exceeds a marginal"),
+            ([11, 50, 10, 100], "target joint support exceeds a marginal"),
+            ([0, 60, 60, 100], "target supports exceed the report count"),
+            ([0, u64::MAX, u64::MAX, u64::MAX], "target supports exceed the report count"),
+        ];
+        for (counts, want) in cases {
+            let mut payload = one_cluster(|_| {});
+            let at = counts_at(&payload);
+            for (i, count) in counts.iter().enumerate() {
+                payload[at + 8 * i..at + 8 * i + 8].copy_from_slice(&count.to_le_bytes());
+            }
+            match load_payload(&payload, "counts") {
+                Err(FormatError::Corrupt(msg)) => assert_eq!(msg, want, "{counts:?}"),
+                other => panic!("counts {counts:?} accepted: {other:?}"),
+            }
+        }
+        // Consistent counts load, and the table is rebuilt from them.
+        let mut payload = one_cluster(|_| {});
+        let at = counts_at(&payload);
+        for (i, count) in [10u64, 40, 25, 1000].iter().enumerate() {
+            payload[at + 8 * i..at + 8 * i + 8].copy_from_slice(&count.to_le_bytes());
+        }
+        let loaded = load_payload(&payload, "counts-ok").unwrap();
+        let table = loaded.clusters[0].scores.table;
+        assert_eq!((table.a, table.b, table.c, table.d), (10, 30, 15, 945));
     }
 
     #[test]

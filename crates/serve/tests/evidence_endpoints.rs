@@ -131,7 +131,7 @@ fn error_paths_are_typed_and_never_cached() {
         let json: Value = serde_json::from_str(&body).unwrap();
         assert_eq!(json["error"]["code"], want_code, "{req:?}");
     }
-    assert!(st.cache.is_empty(), "error responses must not enter the cache");
+    assert_eq!(st.cache_len(), 0, "error responses must not enter the cache");
 
     // Wrong method on the evidence routes is 405, not 404.
     let req = Request { method: "POST".into(), path: "/report/1".into(), query: vec![] };

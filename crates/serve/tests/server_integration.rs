@@ -103,7 +103,7 @@ fn full_server_lifecycle() {
     for (hit, &rank) in hits.iter().zip(&scan) {
         let entry = &fx.snapshot.clusters[rank];
         assert_eq!(hit["score"].as_f64().unwrap(), entry.score);
-        assert_eq!(hit["support"].as_u64().unwrap(), entry.support);
+        assert_eq!(hit["support"].as_u64().unwrap(), entry.stats().support_ab);
     }
 
     // Misspelled, lowercased drug goes through the same vocabulary

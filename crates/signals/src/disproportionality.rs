@@ -135,6 +135,13 @@ impl SignalScores {
     /// exclusiveness need context beyond the 2×2 table and default to 0;
     /// use the `with_*` builders to attach them.
     pub fn from_table(table: ContingencyTable) -> Self {
+        Self::from_table_and_ebgm(table, ebgm_from_table(&table, &GammaMixturePrior::default()))
+    }
+
+    /// Computes every closed-form measure of `table` and takes the EBGM
+    /// block as given, so a stored block need not be re-solved: the
+    /// snapshot loader keeps EBGM and rebuilds the rest from the table.
+    pub fn from_table_and_ebgm(table: ContingencyTable, ebgm: EbgmScores) -> Self {
         SignalScores {
             table,
             rrr: rrr(&table),
@@ -143,7 +150,7 @@ impl SignalScores {
             chi2: chi_square_yates(&table),
             evans: evans_signal(&table),
             ic: information_component(&table),
-            ebgm: ebgm_from_table(&table, &GammaMixturePrior::default()),
+            ebgm,
             interaction: 0.0,
             exclusiveness: 0.0,
         }

@@ -78,11 +78,11 @@ fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// largest ratio is an archive reaction (a 16-byte interned symbol per
 /// 1-byte varint); a drug entry is 24 B per 2, a `CaseReport` 128 B per
 /// its 11 block bytes, a snapshot string 24 B per 4-byte length, a
-/// cluster 312 B per 236. The 1 MiB covers what grows with the number of
-/// distinct names rather than with bytes (the snapshot's rebuilt posting
-/// indexes and vocabulary lookups, the archive's symbol table: a few
-/// dozen names in these fixtures), hash-table minimums and allocator
-/// rounding.
+/// cluster 288 B per 123, a context rule 24 B per 20. The 1 MiB covers
+/// what grows with the number of distinct names rather than with bytes
+/// (the snapshot's rebuilt posting indexes and vocabulary lookups, the
+/// archive's symbol table: a few dozen names in these fixtures),
+/// hash-table minimums and allocator rounding.
 fn heap_bound(len: usize) -> usize {
     16 * len + (1 << 20)
 }
