@@ -85,7 +85,8 @@ evidence-test:
 # both files (every truncation and length lie under a recomputed checksum
 # must load or get a typed error, within a heap bound), the MARASNAP
 # store tests (round trip, and the typed refusals of a context mask past
-# its target's drugs and of target counts no report set could produce),
+# its target's drugs, and of target counts, a case-id count or context
+# counts no report set could produce),
 # the JSON-identity suite (every /cluster/N of a built and a reloaded
 # snapshot equals the body rendered from the analysis itself), the
 # corrupt-archive suite, and a CLI round trip that writes a snapshot and
@@ -114,14 +115,17 @@ signals-test:
 	cargo test -q -p maras-signals
 	cargo test -q --test signals_differential
 
-# The MCAC layer end to end: the mcac crate's unit + property suites (the
-# one-pass support counter against a per-probe oracle over a tiny alphabet
-# where targets share ADR sets and drug subsets), the MCAC differential
-# suite proving every ranked cluster's contextual counts, level order and
-# interaction contrast identical to per-probe database counts across
-# quarters, strict and faulty lenient ingest, and 1/2/4 threads, and the
-# ranking suite.
+# The MCAC layer end to end: the rules crate's suites (the rule space and
+# the targets whose counts it reads from the mining pass's support index),
+# the mcac crate's unit + property suites (every cluster built from
+# `rule_space`'s counts against a per-probe oracle over a tiny alphabet
+# where targets share ADR sets and drug subsets, at min_support 1-3 and 1
+# or 2 mining threads), the MCAC differential suite proving every ranked
+# cluster's contextual counts, level order and interaction contrast
+# identical to per-probe database counts across quarters, strict and
+# faulty lenient ingest, and 1/2/4 threads, and the ranking suite.
 mcac-test:
+	cargo test -q -p maras-rules
 	cargo test -q -p maras-mcac
 	cargo test -q --test mcac_differential
 	cargo test -q --test ranking_and_baselines

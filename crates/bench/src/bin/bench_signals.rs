@@ -2,9 +2,10 @@
 //! two per-rule paths it replaced — the legacy `ContingencyTable::from_db`
 //! tid-list intersections and a naive full transaction scan — and splits
 //! the per-measure cost. It also times the whole context-plus-scoring pass
-//! (`build_clusters` then `score_rules`) against the per-probe pass it
-//! replaced, which probed the tid-lists three times per contextual rule
-//! and twice per drug for the interaction contrast. Writes
+//! (`build_clusters` over `rule_space`'s targets, which carry the context
+//! counts the mining pass took, then `score_rules`) against the per-probe
+//! pass, which probes the tid-lists three times per contextual rule and
+//! twice per drug for the interaction contrast. Writes
 //! `BENCH_signals.json` with rules/s at 1/2/4/8 threads.
 //!
 //! EXPERIMENTS.md's "Single-pass signal scoring" section is regenerated
@@ -14,7 +15,7 @@ use maras_bench::{generate_quarter, percentile, print_table};
 use maras_faers::{clean_quarter, CleanConfig};
 use maras_mcac::{build_clusters, ContextLevel, Mcac};
 use maras_mining::{Item, ItemSet, TransactionDb};
-use maras_rules::{multi_drug_rules, DrugAdrRule, ItemPartition, RuleStats};
+use maras_rules::{rule_space, DrugAdrRule, ItemPartition, RuleStats, TargetRules};
 use maras_signals::{
     chi_square_yates, ebgm_from_table, information_component, interaction_contrast, prr, ror, rrr,
     score_rules, ContingencyTable, GammaMixturePrior, SignalScores,
@@ -88,8 +89,8 @@ fn legacy_score(db: &TransactionDb, rule: &DrugAdrRule) -> SignalScores {
     ))
 }
 
-/// The context pass `build_clusters` replaced: every contextual rule's
-/// three supports probed from the tid-lists, one target at a time.
+/// The per-probe context pass: every contextual rule's three supports
+/// probed from the tid-lists, one target at a time.
 fn per_probe_cluster(db: &TransactionDb, target: &DrugAdrRule) -> Mcac {
     let n = target.drugs.len();
     let mut levels: Vec<ContextLevel> =
@@ -152,10 +153,11 @@ fn per_probe_pass(db: &TransactionDb, rules: &[DrugAdrRule]) -> Vec<(Mcac, Signa
     rules.iter().map(|r| (per_probe_cluster(db, r), per_probe_score(db, r))).collect()
 }
 
-/// The counted pass: every cluster from one `build_clusters` pass, then
-/// one `score_rules` batch reading each cluster's singleton level.
-fn counted_pass(db: &TransactionDb, rules: &[DrugAdrRule]) -> (Vec<Mcac>, Vec<SignalScores>) {
-    let clusters = build_clusters(rules.to_vec(), db);
+/// The counted pass: every cluster from one `build_clusters` pass over the
+/// miner's targets and their context counts, then one `score_rules` batch
+/// reading each cluster's singleton level.
+fn counted_pass(db: &TransactionDb, targets: &TargetRules) -> (Vec<Mcac>, Vec<SignalScores>) {
+    let clusters = build_clusters(targets.clone(), db);
     let scores = score_rules(&inputs(&clusters), 1);
     (clusters, scores)
 }
@@ -200,7 +202,8 @@ fn main() {
         .collect();
     let db = TransactionDb::new(rows.clone());
     let partition = ItemPartition { adr_start };
-    let rules = multi_drug_rules(&db, &partition, MIN_SUPPORT);
+    let targets = rule_space(&db, &partition, MIN_SUPPORT, 1).multi_drug_rules;
+    let rules = targets.rules();
     let n_rules = rules.len();
     assert!(n_rules > 0, "benchmark quarter mined no multi-drug rules");
     println!(
@@ -211,9 +214,9 @@ fn main() {
 
     // Correctness first: all three comparators agree bit for bit, and the
     // counted context-plus-scoring pass reproduces the per-probe one.
-    let (clusters, engine_ref) = counted_pass(&db, &rules);
+    let (clusters, engine_ref) = counted_pass(&db, &targets);
     let inputs = inputs(&clusters);
-    let per_probe = per_probe_pass(&db, &rules);
+    let per_probe = per_probe_pass(&db, rules);
     for (i, (cluster, scores)) in per_probe.iter().enumerate() {
         assert_eq!(&clusters[i], cluster, "per-probe cluster mismatch on rule {i}");
         assert_eq!(&engine_ref[i], scores, "per-probe score mismatch on rule {i}");
@@ -225,12 +228,12 @@ fn main() {
     }
 
     let scan_p50 = time_p50(|| {
-        for rule in &rules {
+        for rule in rules {
             std::hint::black_box(full_scan_score(&rows, &db, rule));
         }
     });
     let legacy_p50 = time_p50(|| {
-        for rule in &rules {
+        for rule in rules {
             std::hint::black_box(legacy_score(&db, rule));
         }
     });
@@ -289,10 +292,10 @@ fn main() {
     // The context-plus-scoring pass: every cluster's contextual supports
     // and every score block, per probe against counted once.
     let probe_pass_p50 = time_p50(|| {
-        std::hint::black_box(per_probe_pass(&db, &rules));
+        std::hint::black_box(per_probe_pass(&db, rules));
     });
     let counted_pass_p50 = time_p50(|| {
-        std::hint::black_box(counted_pass(&db, &rules));
+        std::hint::black_box(counted_pass(&db, &targets));
     });
     let n_context: usize = clusters.iter().map(Mcac::context_size).sum();
     print_table(

@@ -11,7 +11,7 @@
 use maras_bench::{generate_quarter, print_table, rule_names, run_pipeline};
 use maras_core::PipelineConfig;
 use maras_mcac::{rank_clusters, rank_rules_by, RankingMethod};
-use maras_rules::{drug_adr_rules, Measure};
+use maras_rules::{drug_adr_rules, rule_space, Measure};
 
 const TOP_K: usize = 5;
 
@@ -33,14 +33,12 @@ fn main() {
     let by_conf = rank_rules_by(pool.clone(), Measure::Confidence);
     let by_lift = rank_rules_by(pool.clone(), Measure::Lift);
 
-    // Columns 3 & 4: exclusiveness over the closed pool.
-    let closed: Vec<_> = result.ranked.iter().map(|r| r.cluster.target.clone()).collect();
-    let excl_conf = rank_clusters(
-        closed.clone(),
-        &result.encoded.db,
-        RankingMethod::exclusiveness_confidence(),
-    );
-    let excl_lift = rank_clusters(closed, &result.encoded.db, RankingMethod::exclusiveness_lift());
+    // Columns 3 & 4: exclusiveness over the closed pool, each target with
+    // the context counts the mining pass took.
+    let db = &result.encoded.db;
+    let targets = rule_space(db, &result.encoded.partition, config.min_support, 1).multi_drug_rules;
+    let excl_conf = rank_clusters(targets.clone(), db, RankingMethod::exclusiveness_confidence());
+    let excl_lift = rank_clusters(targets, db, RankingMethod::exclusiveness_lift());
 
     let mut rows = Vec::new();
     for i in 0..TOP_K {

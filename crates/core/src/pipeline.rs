@@ -83,8 +83,8 @@ impl Pipeline {
 
         // 4. §5.2 steps 2–3: one shared mining pass produces the Fig. 5.1
         //    rule-space accounting, the closed-pattern store, and the
-        //    multi-drug target rules (the legacy path re-mined the quarter
-        //    once per artifact).
+        //    multi-drug target rules with every count their clusters need,
+        //    read from the frequent store rather than the tid-lists.
         let t = Instant::now();
         let space = rule_space(
             &encoded.db,

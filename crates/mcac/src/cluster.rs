@@ -1,9 +1,7 @@
 //! MCAC construction (thesis §3.5, Defs 3.5.1–3.5.2, Table 3.1).
 
-use maras_mining::{Item, ItemSet, TidSet, TransactionDb};
-use maras_rules::{DrugAdrRule, RuleStats};
-use rustc_hash::FxHashMap;
-use std::borrow::Cow;
+use maras_mining::{ItemSet, TransactionDb};
+use maras_rules::{DrugAdrRule, TargetRules};
 
 /// One level of a cluster's context: all contextual rules whose antecedent
 /// has the same cardinality `k`, ordered by descending confidence (the order
@@ -30,9 +28,8 @@ pub struct Mcac {
 }
 
 impl Mcac {
-    /// Builds the cluster for `target`: the one-target call of
-    /// [`build_clusters`], so a lone cluster is counted exactly as a
-    /// ranking pass counts it.
+    /// Builds the cluster for a hand-built `target`: the one-target call of
+    /// [`build_clusters`], which probes its context's counts from `db`.
     ///
     /// ```
     /// use maras_mining::{Item, ItemSet, TransactionDb};
@@ -110,26 +107,19 @@ impl Mcac {
     }
 }
 
-/// Builds the cluster of every target in one pass, in input order.
+/// Builds the cluster of every target, in input order.
 ///
-/// Contextual rules are routinely below the mining threshold, so their
-/// supports cannot come from the mined ruleset: they are counted against
-/// the database, each distinct quantity once per pass.
-///
-/// * A single drug's support is its tid-list length.
-/// * A multi-drug subset's support is counted the first time a target
-///   contains it.
-/// * Targets are grouped by ADR set, and each set's cover is built once.
-///   Its length is the consequent support of every contextual rule in the
-///   group.
-/// * Each target drug's cover is intersected with that ADR cover once per
-///   group. A contextual rule's joint support is then the size of the
-///   intersection of its drugs' intersected covers: a length for one drug,
-///   one allocation-free `intersect_count` for two.
+/// Targets from [`maras_rules::rule_space`] carry their context counts,
+/// which the miner already counted: every contextual rule's antecedent `X`
+/// and `X ∪ B` are subsets of the target's frequent itemset, so they are
+/// frequent too. Laying out the levels then touches no tid-list. A
+/// hand-built target's contextual rules may fall below any mining
+/// threshold, so theirs are probed from `db`, three tid-list intersections
+/// per rule.
 ///
 /// ```
 /// use maras_mining::{Item, ItemSet, TransactionDb};
-/// use maras_rules::DrugAdrRule;
+/// use maras_rules::{rule_space, DrugAdrRule, ItemPartition};
 /// use maras_mcac::{build_clusters, Mcac};
 /// let db = TransactionDb::new(vec![
 ///     vec![Item(0), Item(1), Item(2), Item(10)],
@@ -143,148 +133,46 @@ impl Mcac {
 /// let clusters = build_clusters(vec![rule(&[0, 1, 2]), rule(&[1, 2])], &db);
 /// assert_eq!(clusters[0], Mcac::build(rule(&[0, 1, 2]), &db));
 /// assert_eq!(clusters[1].context_size(), 2);
+/// // The miner's targets come with their counts and build the same cluster.
+/// let targets = rule_space(&db, &ItemPartition::new(10), 1, 1).multi_drug_rules;
+/// assert!(build_clusters(targets, &db).contains(&clusters[0]));
 /// ```
 ///
 /// # Panics
-/// Panics if a target has fewer than 2 drugs, as [`Mcac::build`] does.
-pub fn build_clusters(targets: Vec<DrugAdrRule>, db: &TransactionDb) -> Vec<Mcac> {
-    for target in &targets {
-        let n = target.drugs.len();
-        assert!(n >= 2, "MCAC target must be a multi-drug rule");
-        assert!(n <= 24, "refusing to enumerate 2^{n} contextual subsets");
+/// Panics if a target has fewer than 2 drugs, as [`Mcac::build`] does, or
+/// more than 24.
+pub fn build_clusters(targets: impl Into<TargetRules>, db: &TransactionDb) -> Vec<Mcac> {
+    let targets = targets.into();
+    for target in targets.rules() {
+        assert!(target.drugs.len() >= 2, "MCAC target must be a multi-drug rule");
     }
-    let mut order: Vec<usize> = (0..targets.len()).collect();
-    order.sort_unstable_by(|&a, &b| targets[a].adrs.cmp(&targets[b].adrs));
-    let mut counter = ContextCounter::new(db);
-    let mut levels: Vec<Vec<ContextLevel>> = vec![Vec::new(); targets.len()];
-    for group in order.chunk_by(|&a, &b| targets[a].adrs == targets[b].adrs) {
-        counter.start_adr_set(&targets[group[0]].adrs);
-        for &i in group {
-            levels[i] = counter.levels(&targets[i]);
-        }
-    }
-    targets.into_iter().zip(levels).map(|(target, levels)| Mcac { target, levels }).collect()
-}
-
-/// The pass-scoped support counts behind [`build_clusters`]. Drug-subset
-/// supports live for the whole pass; the ADR cover and the joint counts
-/// live for one ADR-set group.
-struct ContextCounter<'db> {
-    db: &'db TransactionDb,
-    /// Support of every multi-drug subset counted so far.
-    subset_support: FxHashMap<Vec<Item>, u64>,
-    /// Cover of the current group's ADR set.
-    adr_cover: Cow<'db, TidSet>,
-    /// Each drug's cover intersected with `adr_cover`.
-    drug_joint: FxHashMap<Item, TidSet>,
-    /// Joint support of each multi-drug subset with the current ADR set.
-    subset_joint: FxHashMap<Vec<Item>, u64>,
-}
-
-impl<'db> ContextCounter<'db> {
-    fn new(db: &'db TransactionDb) -> Self {
-        ContextCounter {
-            db,
-            subset_support: FxHashMap::default(),
-            adr_cover: Cow::Owned(TidSet::new()),
-            drug_joint: FxHashMap::default(),
-            subset_joint: FxHashMap::default(),
-        }
-    }
-
-    /// Starts the group of targets whose consequent is `adrs`.
-    fn start_adr_set(&mut self, adrs: &ItemSet) {
-        self.adr_cover = match adrs.items() {
-            [] => Cow::Owned((0..self.db.len() as u32).collect()),
-            [adr] => {
-                self.db.item_cover(*adr).map_or_else(|| Cow::Owned(TidSet::new()), Cow::Borrowed)
+    targets
+        .into_contexts(db)
+        .map(|(target, context)| {
+            let n = target.drugs.len();
+            let mut levels: Vec<ContextLevel> =
+                (1..n).rev().map(|k| ContextLevel { cardinality: k, rules: Vec::new() }).collect();
+            for rule in context {
+                // levels[0] has cardinality n-1, levels[n-1-k] has cardinality k.
+                levels[n - 1 - rule.drugs.len()].rules.push(rule);
             }
-            _ => Cow::Owned(self.db.cover_set(adrs).expect("a non-empty itemset has a cover")),
-        };
-        self.drug_joint.clear();
-        self.subset_joint.clear();
-    }
-
-    /// The context levels of `target`, whose ADR set is the current group's.
-    fn levels(&mut self, target: &DrugAdrRule) -> Vec<ContextLevel> {
-        let drugs = target.drugs.items();
-        let n = drugs.len();
-        for &drug in drugs {
-            if !self.drug_joint.contains_key(&drug) {
-                let joint = self
-                    .db
-                    .item_cover(drug)
-                    .map_or_else(TidSet::new, |c| c.intersect(&self.adr_cover));
-                self.drug_joint.insert(drug, joint);
+            for level in &mut levels {
+                level.rules.sort_by(|a, b| {
+                    b.confidence()
+                        .partial_cmp(&a.confidence())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| a.drugs.cmp(&b.drugs))
+                });
             }
-        }
-        let mut levels: Vec<ContextLevel> =
-            (1..n).rev().map(|k| ContextLevel { cardinality: k, rules: Vec::new() }).collect();
-        // Enumerate proper non-empty antecedent subsets straight off the
-        // borrowed drug slice, in one reused scratch buffer.
-        let full = (1u32 << n) - 1;
-        let mut subset: Vec<Item> = Vec::with_capacity(n);
-        for mask in 1..full {
-            subset.clear();
-            subset.extend((0..n).filter(|b| mask & (1 << b) != 0).map(|b| drugs[b]));
-            let stats = self.stats(&subset);
-            // levels[0] has cardinality n-1, levels[n-1-k] has cardinality k.
-            levels[n - 1 - subset.len()].rules.push(DrugAdrRule {
-                drugs: ItemSet::from_sorted_unchecked(subset.clone()),
-                adrs: target.adrs.clone(),
-                stats,
-            });
-        }
-        for level in &mut levels {
-            level.rules.sort_by(|a, b| {
-                b.confidence()
-                    .partial_cmp(&a.confidence())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.drugs.cmp(&b.drugs))
-            });
-        }
-        levels
-    }
-
-    /// The counts of `subset ⇒ current ADR set`; every drug of `subset`
-    /// already has its `drug_joint` entry.
-    fn stats(&mut self, subset: &[Item]) -> RuleStats {
-        let (support_a, support_ab) = match subset {
-            [drug] => (self.db.item_support(*drug) as u64, self.drug_joint[drug].len()),
-            _ => {
-                let support_a = match self.subset_support.get(subset) {
-                    Some(&s) => s,
-                    None => {
-                        let s = self.db.support_of(subset) as u64;
-                        self.subset_support.insert(subset.to_vec(), s);
-                        s
-                    }
-                };
-                let support_ab = match self.subset_joint.get(subset) {
-                    Some(&s) => s,
-                    None => {
-                        let covers: Vec<&TidSet> =
-                            subset.iter().map(|d| &self.drug_joint[d]).collect();
-                        let s = TidSet::intersect_count_k(&covers);
-                        self.subset_joint.insert(subset.to_vec(), s);
-                        s
-                    }
-                };
-                (support_a, support_ab)
-            }
-        };
-        RuleStats {
-            support_ab,
-            support_a,
-            support_b: self.adr_cover.len(),
-            n_transactions: self.db.len() as u64,
-        }
-    }
+            Mcac { target, levels }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maras_mining::Item;
     use maras_rules::ItemPartition;
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
@@ -403,9 +291,10 @@ mod tests {
             }
         }
 
-        /// The per-probe construction the pass counter replaced: three
-        /// database probes per contextual rule, one target at a time.
+        /// The per-probe oracle: the target and each contextual rule counted
+        /// straight from the database, one target at a time.
         fn per_probe_cluster(target: &DrugAdrRule, d: &TransactionDb) -> Mcac {
+            let target = DrugAdrRule::from_parts(target.drugs.clone(), target.adrs.clone(), d);
             let n = target.drugs.len();
             let mut levels: Vec<ContextLevel> =
                 (1..n).rev().map(|k| ContextLevel { cardinality: k, rules: Vec::new() }).collect();
@@ -425,37 +314,29 @@ mod tests {
                         .then_with(|| a.drugs.cmp(&b.drugs))
                 });
             }
-            Mcac { target: target.clone(), levels }
+            Mcac { target, levels }
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
-            /// Drugs 0..7 and ADRs 10..15 over a db holding only drugs 0..6
-            /// and ADRs 10..14, so targets share ADR sets and drug subsets
-            /// and some of their items never occur.
+            /// Drugs 0..5 and ADRs 10..13, so targets share ADR sets and
+            /// drug subsets, and contexts hold rules below the threshold
+            /// that only the closed store leaves out.
             #[test]
-            fn batch_equals_per_target_oracle(
+            fn store_counts_equal_per_probe_oracle(
                 rows in proptest::collection::vec(
-                    proptest::collection::vec(prop_oneof![0u32..6, 10u32..14], 1..7), 1..25),
-                targets in proptest::collection::vec(
-                    (
-                        proptest::collection::btree_set(0u32..7, 2..5),
-                        proptest::collection::btree_set(10u32..15, 1..4),
-                    ),
-                    1..16,
-                ),
+                    proptest::collection::vec(prop_oneof![0u32..5, 10u32..13], 1..7), 1..25),
+                min_support in 1u64..4,
+                threads in 1usize..3,
             ) {
                 let d = TransactionDb::new(
                     rows.into_iter().map(|t| t.into_iter().map(Item).collect()).collect(),
                 );
-                let targets: Vec<DrugAdrRule> = targets
-                    .into_iter()
-                    .filter(|(drugs, _)| drugs.len() >= 2)
-                    .map(|(drugs, adrs)| {
-                        DrugAdrRule::from_parts(ItemSet::from_ids(drugs), ItemSet::from_ids(adrs), &d)
-                    })
-                    .collect();
-                let want: Vec<Mcac> = targets.iter().map(|t| per_probe_cluster(t, &d)).collect();
+                let targets = maras_rules::rule_space(
+                    &d, &ItemPartition::new(10), min_support, threads,
+                ).multi_drug_rules;
+                let want: Vec<Mcac> =
+                    targets.rules().iter().map(|t| per_probe_cluster(t, &d)).collect();
                 prop_assert_eq!(build_clusters(targets, &d), want);
             }
         }

@@ -8,7 +8,7 @@
 use crate::cluster::{build_clusters, Mcac};
 use crate::exclusiveness::{improvement, ExclusivenessConfig};
 use maras_mining::TransactionDb;
-use maras_rules::{DrugAdrRule, Measure};
+use maras_rules::{DrugAdrRule, Measure, TargetRules};
 use maras_signals::{score_rules, ContingencyTable, SignalScores};
 
 /// A scored cluster, the unit of MARAS's ranked output.
@@ -84,7 +84,7 @@ impl std::fmt::Display for RankingMethod {
 ///
 /// Single-threaded convenience wrapper over [`rank_clusters_with`].
 pub fn rank_clusters(
-    rules: Vec<DrugAdrRule>,
+    rules: impl Into<TargetRules>,
     db: &TransactionDb,
     method: RankingMethod,
 ) -> Vec<RankedMcac> {
@@ -96,21 +96,23 @@ pub fn rank_clusters(
 /// support, then antecedent, then consequent — so every ranking method is a
 /// total order regardless of thread count).
 ///
-/// Every cluster is built first, in one [`build_clusters`] pass that counts
-/// each distinct contextual support once. The full disproportionality block
+/// Single-drug rules are dropped. Every cluster is built first, by
+/// [`build_clusters`]: the miner's targets carry their context counts, and
+/// hand-built ones are probed from `db`. The full disproportionality block
 /// is then computed for every rule in one signal-engine batch pass sharded
 /// across `n_threads` workers, reading each cluster's singleton level for the
 /// interaction contrast; the chosen `method` then just picks its key out of
 /// the block (or the context-aware legacy scores). Output is identical at
 /// every thread count.
 pub fn rank_clusters_with(
-    rules: Vec<DrugAdrRule>,
+    rules: impl Into<TargetRules>,
     db: &TransactionDb,
     method: RankingMethod,
     n_threads: usize,
 ) -> Vec<RankedMcac> {
     let _span = maras_obs::span("mcac");
-    let targets: Vec<DrugAdrRule> = rules.into_iter().filter(DrugAdrRule::is_multi_drug).collect();
+    let mut targets = rules.into();
+    targets.retain_multi_drug();
     let clusters = build_clusters(targets, db);
     let inputs: Vec<(&DrugAdrRule, &[DrugAdrRule])> =
         clusters.iter().map(|c| (&c.target, c.singleton_level().rules.as_slice())).collect();

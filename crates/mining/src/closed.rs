@@ -19,42 +19,80 @@
 
 use crate::items::Item;
 use crate::parallel::mine_patterns_parallel;
-use crate::store::{PatternRef, PatternStore};
+use crate::store::PatternStore;
 use crate::transactions::TransactionDb;
 use rustc_hash::FxHashMap;
 
-/// Identifies the closed patterns of a mined frequent-pattern store.
+/// Every pattern of a mined frequent-pattern store, keyed by its items.
 ///
-/// One hash pass over borrowed arena slices: every pattern of length ≥ 2
-/// marks each of its length-1-smaller parents non-closed when the parent has
-/// equal support. Lengths are walked top-down via [`PatternStore::refs_by_len`];
-/// the returned refs are in store record order.
-pub fn closed_refs(store: &PatternStore) -> Vec<PatternRef> {
-    let mut by_items: FxHashMap<&[Item], (u64, u32)> = FxHashMap::default();
-    by_items.reserve(store.len());
-    for r in store.refs() {
-        by_items.insert(store.items(r), (store.support(r), r.index() as u32));
+/// The miner's store holds every frequent itemset, and every subset of a
+/// frequent itemset is frequent, so over that store the index answers the
+/// support of any subset of a stored pattern without touching the
+/// database. It is also the one hash table the closed filter needs, so a
+/// pass that wants both builds it once.
+#[derive(Debug)]
+pub struct SupportIndex<'s> {
+    store: &'s PatternStore,
+    /// Support and record index of each pattern.
+    by_items: FxHashMap<&'s [Item], (u64, u32)>,
+}
+
+impl<'s> SupportIndex<'s> {
+    /// Indexes every pattern of `store`, borrowing its arena slices.
+    pub fn new(store: &'s PatternStore) -> Self {
+        let mut by_items: FxHashMap<&[Item], (u64, u32)> = FxHashMap::default();
+        by_items.reserve(store.len());
+        for r in store.refs() {
+            by_items.insert(store.items(r), (store.support(r), r.index() as u32));
+        }
+        SupportIndex { store, by_items }
     }
-    let mut is_closed = vec![true; store.len()];
-    let by_len = store.refs_by_len();
-    let mut parent: Vec<Item> = Vec::new();
-    for len in (2..by_len.len()).rev() {
-        for &r in &by_len[len] {
-            let items = store.items(r);
-            let support = store.support(r);
-            for drop in 0..items.len() {
-                parent.clear();
-                parent.extend_from_slice(&items[..drop]);
-                parent.extend_from_slice(&items[drop + 1..]);
-                if let Some(&(psup, pidx)) = by_items.get(parent.as_slice()) {
-                    if psup == support {
-                        is_closed[pidx as usize] = false;
+
+    /// The support of the sorted itemset `items`, or `None` if the store
+    /// does not hold it (it is infrequent, or not a set of the store).
+    #[inline]
+    pub fn support(&self, items: &[Item]) -> Option<u64> {
+        self.by_items.get(items).map(|&(support, _)| support)
+    }
+
+    /// The closed patterns, copied into a fresh store ordered by descending
+    /// support then ascending itemset (the canonical presentation order).
+    ///
+    /// One pass over borrowed arena slices: every pattern of length ≥ 2
+    /// marks each of its length-1-smaller parents non-closed when the
+    /// parent has equal support. Lengths are walked top-down via
+    /// [`PatternStore::refs_by_len`].
+    pub fn closed_store(&self) -> PatternStore {
+        let store = self.store;
+        let mut is_closed = vec![true; store.len()];
+        let by_len = store.refs_by_len();
+        let mut parent: Vec<Item> = Vec::new();
+        for len in (2..by_len.len()).rev() {
+            for &r in &by_len[len] {
+                let items = store.items(r);
+                let support = store.support(r);
+                for drop in 0..items.len() {
+                    parent.clear();
+                    parent.extend_from_slice(&items[..drop]);
+                    parent.extend_from_slice(&items[drop + 1..]);
+                    if let Some(&(psup, pidx)) = self.by_items.get(parent.as_slice()) {
+                        if psup == support {
+                            is_closed[pidx as usize] = false;
+                        }
                     }
                 }
             }
         }
+        let mut refs: Vec<_> = store.refs().filter(|r| is_closed[r.index()]).collect();
+        refs.sort_unstable_by(|&a, &b| {
+            store.support(b).cmp(&store.support(a)).then_with(|| store.items(a).cmp(store.items(b)))
+        });
+        let mut closed = PatternStore::with_capacity(refs.len(), 0);
+        for r in refs {
+            closed.push(store.items(r), store.support(r));
+        }
+        closed
     }
-    store.refs().filter(|r| is_closed[r.index()]).collect()
 }
 
 /// Mines the closed frequent patterns of `db` into a fresh [`PatternStore`],
@@ -67,14 +105,7 @@ pub fn closed_patterns(
     n_threads: usize,
 ) -> (PatternStore, u64) {
     let store = mine_patterns_parallel(db, min_support, n_threads);
-    let mut refs = closed_refs(&store);
-    refs.sort_unstable_by(|&a, &b| {
-        store.support(b).cmp(&store.support(a)).then_with(|| store.items(a).cmp(store.items(b)))
-    });
-    let mut closed = PatternStore::with_capacity(refs.len(), 0);
-    for r in refs {
-        closed.push(store.items(r), store.support(r));
-    }
+    let closed = SupportIndex::new(&store).closed_store();
     (closed, store.len() as u64)
 }
 
@@ -170,6 +201,16 @@ mod tests {
     }
 
     #[test]
+    fn index_misses_what_was_not_mined() {
+        let d = db(&[&[1, 2], &[1, 2], &[3]]);
+        let store = mine_patterns(&d, 2);
+        let index = SupportIndex::new(&store);
+        assert_eq!(index.support(&[Item(1), Item(2)]), Some(2));
+        assert_eq!(index.support(&[Item(3)]), None); // infrequent
+        assert_eq!(index.support(&[Item(9)]), None); // never reported
+    }
+
+    #[test]
     fn every_closed_set_is_closed_in_db() {
         let d = db(&[&[1, 2, 3], &[1, 2], &[2, 3], &[1, 3], &[1, 2, 3]]);
         for f in closed_itemsets(&d, 1) {
@@ -194,6 +235,25 @@ mod tests {
                     rows.into_iter().map(|t| t.into_iter().map(Item).collect()).collect(),
                 );
                 prop_assert_eq!(closed_itemsets(&d, ms), closed_itemsets_naive(&d, ms));
+            }
+
+            #[test]
+            fn index_answers_every_subset_of_a_frequent_pattern(
+                rows in arb_rows(),
+                ms in 1u64..4,
+            ) {
+                let d = TransactionDb::new(
+                    rows.into_iter().map(|t| t.into_iter().map(Item).collect()).collect(),
+                );
+                let store = mine_patterns(&d, ms);
+                let index = SupportIndex::new(&store);
+                for (items, support) in store.iter() {
+                    prop_assert_eq!(index.support(items), Some(support));
+                    let set = ItemSet::from_sorted_unchecked(items.to_vec());
+                    for sub in set.proper_nonempty_subsets() {
+                        prop_assert_eq!(index.support(sub.items()), Some(d.support(&sub) as u64));
+                    }
+                }
             }
 
             #[test]

@@ -9,9 +9,8 @@
 //! * [`TransactionDb`] — an abstracted ADR-report database: one transaction
 //!   per report, holding the union of its drug and ADR items, plus vertical
 //!   tid-lists so the support of *any* itemset (frequent or not) can be
-//!   counted exactly. Contextual rules in the MCAC model routinely fall below
-//!   the mining support threshold, so exact ad-hoc counting is a hard
-//!   requirement.
+//!   counted exactly. Hand-built rules, and the covers a rule's reports are
+//!   drawn from, need that exact ad-hoc counting.
 //! * [`FpTree`] / [`mine_patterns`] — FP-Growth over an index-based tree
 //!   arena (no `Rc`/`RefCell`; the Rust-performance guide's arena idiom),
 //!   sharded across threads by [`mine_patterns_parallel`].
@@ -24,7 +23,11 @@
 //! * [`closed`] — closed-itemset mining ([`closed_patterns`]: one hash pass
 //!   over the frequent patterns, no subsumption scans), the paper's §3.4
 //!   device for eliminating spurious drug-ADR associations; its tests check
-//!   it against a naive closure-operator oracle.
+//!   it against a naive closure-operator oracle. The pass's hash table, a
+//!   [`SupportIndex`], answers the support of every subset of a frequent
+//!   pattern, since each such subset is frequent and mined too. A
+//!   contextual rule of a closed target is such a subset, so its counts
+//!   come from the index even when the rule itself is not closed.
 //! * [`apriori()`] — a classic Apriori miner used as the "traditional
 //!   association rule mining" baseline of Fig. 5.1 and for differential
 //!   testing against FP-Growth.
@@ -41,7 +44,7 @@ pub mod store;
 pub mod transactions;
 
 pub use apriori::apriori;
-pub use closed::{closed_patterns, closed_refs};
+pub use closed::{closed_patterns, SupportIndex};
 pub use fpgrowth::{fpgrowth_into, mine_patterns, FrequentItemset};
 pub use fptree::FpTree;
 pub use items::{Item, ItemSet};

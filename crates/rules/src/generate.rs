@@ -10,8 +10,9 @@
 
 use crate::partition::ItemPartition;
 use crate::rule::DrugAdrRule;
+use crate::targets::TargetRules;
 use maras_mining::{
-    closed_refs, fpgrowth_into, mine_patterns_parallel, FnSink, PatternStore, TransactionDb,
+    fpgrowth_into, mine_patterns_parallel, FnSink, PatternStore, SupportIndex, TransactionDb,
 };
 
 /// Sizes of the successively-reduced rule spaces (the three series of
@@ -32,15 +33,16 @@ pub struct RuleSpaceCounts {
 }
 
 /// One quarter's complete rule space, derived from a *single* mining pass:
-/// the Fig. 5.1 counters, the MCAC target rules, and the closed patterns
-/// themselves (arena-backed, in descending-support presentation order).
+/// the Fig. 5.1 counters, the MCAC target rules with their context counts,
+/// and the closed patterns themselves (arena-backed, in descending-support
+/// presentation order).
 #[derive(Debug, Clone, Default)]
 pub struct RuleSpace {
     /// The three successively-reduced rule-space sizes.
     pub counts: RuleSpaceCounts,
     /// Closed, mixed, multi-drug rules — the MCAC targets, in the closed
-    /// store's order.
-    pub multi_drug_rules: Vec<DrugAdrRule>,
+    /// store's order — each with the counts of its context.
+    pub multi_drug_rules: TargetRules,
     /// Every closed frequent pattern, ordered by descending support then
     /// ascending itemset.
     pub closed: PatternStore,
@@ -48,9 +50,13 @@ pub struct RuleSpace {
 
 /// Mines the quarter once (with `n_threads` workers) and derives everything
 /// downstream of mining from the resulting arena: Fig. 5.1 counters, closed
-/// patterns, and the multi-drug MCAC target rules. Replaces the legacy
-/// arrangement where counting, closed mining, and rule generation each ran
-/// their own FP-Growth pass.
+/// patterns, and the multi-drug MCAC target rules.
+///
+/// Every support a target and its context need is the support of a subset
+/// of the target's frequent itemset, so it is frequent and mined too: the
+/// closed filter's [`SupportIndex`] over the full store answers all of
+/// them, and no tid-list is intersected. The full store and the index are
+/// dropped on return.
 pub fn rule_space(
     db: &TransactionDb,
     partition: &ItemPartition,
@@ -72,31 +78,17 @@ pub fn rule_space(
     }
 
     let closed_span = maras_obs::span("closed");
-    let mut refs = closed_refs(&store);
-    refs.sort_unstable_by(|&a, &b| {
-        store.support(b).cmp(&store.support(a)).then_with(|| store.items(a).cmp(store.items(b)))
-    });
+    let index = SupportIndex::new(&store);
+    let closed = index.closed_store();
     drop(closed_span);
-    counts.closed_itemsets = refs.len() as u64;
+    counts.closed_itemsets = closed.len() as u64;
 
     let _derive = maras_obs::span("derive");
-    let mut closed = PatternStore::with_capacity(refs.len(), 0);
-    let mut rules = Vec::new();
-    for r in refs {
-        let items = store.items(r);
-        let support = store.support(r);
-        closed.push(items, support);
-        if partition.is_mixed_items(items) && partition.drug_count_items(items) >= 2 {
-            counts.mcacs += 1;
-            rules.push(
-                DrugAdrRule::from_pattern(items, support, partition, db)
-                    .expect("mixed pattern must yield a rule"),
-            );
-        }
-    }
+    let targets = TargetRules::from_index(&closed, partition, &index, db.len() as u64);
+    counts.mcacs = targets.len() as u64;
     maras_obs::counter("maras_rules_mcac_total", "closed multi-drug MCAC target rules derived")
         .add(counts.mcacs);
-    RuleSpace { counts, multi_drug_rules: rules, closed }
+    RuleSpace { counts, multi_drug_rules: targets, closed }
 }
 
 /// All drug→ADR rules from the *unfiltered* frequent itemsets — the
@@ -140,7 +132,7 @@ pub fn multi_drug_rules(
     partition: &ItemPartition,
     min_support: u64,
 ) -> Vec<DrugAdrRule> {
-    rule_space(db, partition, min_support, 1).multi_drug_rules
+    rule_space(db, partition, min_support, 1).multi_drug_rules.into_rules()
 }
 
 #[cfg(test)]
@@ -235,7 +227,9 @@ mod tests {
     #[test]
     fn rules_have_consistent_stats() {
         let d = db(&[&[0, 1, 10], &[0, 1, 10], &[0, 11], &[1, 10]]);
-        for r in drug_adr_rules(&d, &P, 1) {
+        let targets = rule_space(&d, &P, 1, 1).multi_drug_rules;
+        assert!(!targets.is_empty());
+        for r in drug_adr_rules(&d, &P, 1).iter().chain(targets.rules()) {
             assert_eq!(r.stats.support_a, d.support(&r.drugs) as u64);
             assert_eq!(r.stats.support_b, d.support(&r.adrs) as u64);
             assert_eq!(r.stats.support_ab, d.support(&r.complete_itemset()) as u64);

@@ -11,6 +11,8 @@
 //!   frequent itemsets: the full `A ⇒ B` split space ("total rules" of
 //!   Fig. 5.1), the drug→ADR filtered space, and the closed drug-ADR
 //!   associations MARAS keeps.
+//! * [`targets`] — the MCAC target rules with the counts of their
+//!   contexts, read from the mining pass's support index.
 //! * [`supportedness`] — the thesis's three association types (explicitly
 //!   supported, implicitly supported, partial/unsupported; Defs 3.3.1–3.3.2)
 //!   classified directly from reports, used to validate Lemma 3.4.2.
@@ -22,6 +24,7 @@ pub mod measures;
 pub mod partition;
 pub mod rule;
 pub mod supportedness;
+pub mod targets;
 
 pub use generate::{
     closed_drug_adr_rules, drug_adr_rules, multi_drug_rules, rule_space, RuleSpace, RuleSpaceCounts,
@@ -30,3 +33,4 @@ pub use measures::{confidence, lift, Measure, RuleStats};
 pub use partition::ItemPartition;
 pub use rule::DrugAdrRule;
 pub use supportedness::{classify, Supportedness};
+pub use targets::TargetRules;

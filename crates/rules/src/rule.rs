@@ -31,9 +31,11 @@ impl DrugAdrRule {
         Self::from_pattern(itemset.items(), support, partition, db)
     }
 
-    /// Builds a rule from a mixed pattern borrowed as a sorted item slice —
-    /// the arena-store path. Owned [`ItemSet`]s are materialized here, at the
-    /// final rule boundary, and nowhere upstream.
+    /// Builds a rule from a mixed pattern borrowed as a sorted item slice,
+    /// counting the antecedent and consequent supports against the
+    /// database — the path of rule pools streamed straight from the miner.
+    /// Owned [`ItemSet`]s are materialized here, at the final rule
+    /// boundary, and nowhere upstream.
     ///
     /// Returns `None` if the slice lacks either a drug or an ADR item.
     pub fn from_pattern(

@@ -33,9 +33,13 @@
 //! signal engine scores with ([`SignalScores::from_table_and_ebgm`]), so
 //! they come back bit-identical; EBGM, a quantile solve per cluster, is
 //! stored. Loading verifies magic, version, length and checksum before
-//! touching the payload, and refuses a truncated or bit-flipped file, or
-//! counts no report set could produce, with a typed [`FormatError`]
-//! instead of yielding a half-parsed snapshot. Saving goes through
+//! touching the payload, and refuses a truncated or bit-flipped file with a
+//! typed [`FormatError`] instead of yielding a half-parsed snapshot. It
+//! also refuses counts no report set could produce: a target table that
+//! does not add up, a case-id count other than the target's support, and a
+//! contextual rule whose counts break `support ≤ support_a ≤ N`, exceed the
+//! target's consequent support, or fall below the target's own (its drugs
+//! are a proper subset of the target's). Saving goes through
 //! [`maras_format::write_atomic`], so a crash mid-write never clobbers the
 //! previous good snapshot, and a reload that races a save sees either the
 //! old file or the new one.
@@ -191,6 +195,12 @@ fn cluster(c: &mut Cursor<'_>) -> Result<ClusterEntry, FormatError> {
             ContingencyError::UnionExceedsTotal { .. } => "target supports exceed the report count",
         })
     })?;
+    if case_ids.len() as u64 != stats.support_ab {
+        return Err(FormatError::Corrupt("case-id count differs from the target support"));
+    }
+    for ctx in &context {
+        check_context(ctx, &stats)?;
+    }
     let ebgm =
         EbgmScores { ebgm: c.f64()?, eb05: c.f64()?, eb95: c.f64()?, posterior_w1: c.f64()? };
     let scores = SignalScores::from_table_and_ebgm(table, ebgm)
@@ -207,6 +217,29 @@ fn cluster(c: &mut Cursor<'_>) -> Result<ClusterEntry, FormatError> {
         context,
         scores,
     })
+}
+
+/// Refuses counts no report set could give a contextual rule `X ⇒ B` of
+/// the target `A ⇒ B`, whose counts already passed their own checks. `X`
+/// is a proper subset of `A`, so every report holding `A` holds `X`.
+fn check_context(ctx: &ContextEntry, target: &RuleStats) -> Result<(), FormatError> {
+    let refuse = |why| Err(FormatError::Corrupt(why));
+    if ctx.support > ctx.support_a {
+        return refuse("context joint support exceeds its antecedent support");
+    }
+    if ctx.support_a > target.n_transactions {
+        return refuse("context antecedent support exceeds the report count");
+    }
+    if ctx.support > target.support_b {
+        return refuse("context joint support exceeds the consequent support");
+    }
+    if ctx.support < target.support_ab {
+        return refuse("context joint support is below the target's");
+    }
+    if ctx.support_a < target.support_a {
+        return refuse("context antecedent support is below the target's");
+    }
+    Ok(())
 }
 
 fn strs(c: &mut Cursor<'_>) -> Result<Vec<String>, FormatError> {
@@ -361,8 +394,9 @@ mod tests {
                 other => panic!("counts {counts:?} accepted: {other:?}"),
             }
         }
-        // Consistent counts load, and the table is rebuilt from them.
-        let mut payload = one_cluster(|_| {});
+        // Consistent counts load, and the table is rebuilt from them. The
+        // case ids and context are made to agree with the written counts.
+        let mut payload = one_cluster(agree_with_counts);
         let at = counts_at(&payload);
         for (i, count) in [10u64, 40, 25, 1000].iter().enumerate() {
             payload[at + 8 * i..at + 8 * i + 8].copy_from_slice(&count.to_le_bytes());
@@ -370,6 +404,81 @@ mod tests {
         let loaded = load_payload(&payload, "counts-ok").unwrap();
         let table = loaded.clusters[0].scores.table;
         assert_eq!((table.a, table.b, table.c, table.d), (10, 30, 15, 945));
+    }
+
+    /// Gives a cluster the case ids and context rules that agree with the
+    /// target counts `support_ab` 10, `support_a` 40, `support_b` 25 over
+    /// 1,000 reports: 10 case ids, and `support` 20 over `support_a` 60.
+    fn agree_with_counts(c: &mut ClusterEntry) {
+        c.case_ids = (1..=10).collect();
+        for ctx in &mut c.context {
+            (ctx.support, ctx.support_a) = (20, 60);
+        }
+    }
+
+    /// Sets a cluster's target counts to the ones [`agree_with_counts`]
+    /// agrees with, and agrees with them.
+    fn consistent_counts(c: &mut ClusterEntry) {
+        let stats =
+            RuleStats { support_ab: 10, support_a: 40, support_b: 25, n_transactions: 1000 };
+        c.scores.table = ContingencyTable::from_stats(&stats).unwrap();
+        agree_with_counts(c);
+    }
+
+    #[test]
+    fn refuses_context_counts_no_report_set_could_produce() {
+        let cases: [((u64, u64), &str); 6] = [
+            ((1016, 16), "context joint support exceeds its antecedent support"),
+            ((21, 20), "context joint support exceeds its antecedent support"),
+            ((20, 1001), "context antecedent support exceeds the report count"),
+            ((26, 60), "context joint support exceeds the consequent support"),
+            ((9, 60), "context joint support is below the target's"),
+            ((20, 39), "context antecedent support is below the target's"),
+        ];
+        for ((support, support_a), want) in cases {
+            let payload = one_cluster(|c| {
+                consistent_counts(c);
+                let last = c.context.len() - 1;
+                (c.context[last].support, c.context[last].support_a) = (support, support_a);
+            });
+            match load_payload(&payload, "context-counts") {
+                Err(FormatError::Corrupt(msg)) => assert_eq!(msg, want, "{support}/{support_a}"),
+                other => panic!("context counts {support}/{support_a} accepted: {other:?}"),
+            }
+        }
+        // Each bound is inclusive.
+        for (support, support_a) in [(10, 40), (25, 1000)] {
+            let payload = one_cluster(|c| {
+                consistent_counts(c);
+                (c.context[0].support, c.context[0].support_a) = (support, support_a);
+            });
+            let loaded = load_payload(&payload, "context-counts-ok").unwrap();
+            let ctx = &loaded.clusters[0].context[0];
+            assert_eq!((ctx.support, ctx.support_a), (support, support_a));
+        }
+    }
+
+    #[test]
+    fn refuses_a_case_id_count_other_than_the_target_support() {
+        for edit in [
+            (|ids: &mut Vec<u64>| ids.push(u64::MAX)) as fn(&mut Vec<u64>),
+            |ids| {
+                ids.pop();
+            },
+            Vec::clear,
+        ] {
+            let payload = one_cluster(|c| edit(&mut c.case_ids));
+            match load_payload(&payload, "case-ids") {
+                Err(FormatError::Corrupt(msg)) => {
+                    assert_eq!(msg, "case-id count differs from the target support")
+                }
+                other => panic!("case-id count accepted: {other:?}"),
+            }
+        }
+        let snap = snapshot();
+        let payload = one_cluster(|_| {});
+        let loaded = load_payload(&payload, "case-ids-ok").unwrap();
+        assert_eq!(loaded.clusters[0].case_ids, snap.clusters[0].case_ids);
     }
 
     #[test]
