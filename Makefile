@@ -15,9 +15,7 @@ FIRST_PARTY = -p maras -p maras-bench -p maras-core -p maras-evidence \
 .PHONY: verify fmt fmt-check clippy doc-check test obs-test logs-test \
         serve-test evidence-test format-test signals-test mcac-test \
         tidset-test clean-test chaos \
-        snapshot trace \
-        bench-serve bench-mining bench-ingest bench-evidence bench-signals \
-        bench-tidset
+        snapshot trace bench
 
 verify: fmt-check clippy doc-check test obs-test logs-test serve-test \
         evidence-test format-test signals-test mcac-test tidset-test \
@@ -132,10 +130,12 @@ mcac-test:
 
 # The set-algebra substrate end to end: the tidset crate's unit +
 # property suites (every kernel vs a naive BTreeSet model across
-# array/bitmap/mixed boundaries) and the rewire differential suite
-# proving support counting, score marginals, /search narrowing, and
-# evidence covers byte-identical to the scalar baselines at 1/2/4
-# threads.
+# array/bitmap/mixed boundaries) and its allocation test
+# (`crates/tidset/tests/alloc.rs`: the counts allocate nothing, and a
+# single-chunk intersect reserves its output up front), then the rewire
+# differential suite proving support counting, score marginals, /search
+# narrowing, and evidence covers byte-identical to the scalar baselines
+# at 1/2/4 threads.
 tidset-test:
 	cargo test -q -p maras-tidset
 	cargo test -q --test tidset_differential
@@ -177,35 +177,13 @@ trace:
 	cargo run -q --release --bin maras -- year --dir target/trace-data \
 		--trace target/trace-data/trace.json --timings
 
-# Replay the fixed query workload against a synthetic snapshot and
-# record latency percentiles + throughput in BENCH_serve.json.
-bench-serve:
-	MARAS_SCALE=small cargo run -q --release -p maras-bench --bin bench_serve
-
-# Time the arena-backed parallel miner at 1/2/4/8 threads and record
-# wall-time percentiles + speedup in BENCH_mining.json.
-bench-mining:
-	MARAS_SCALE=small cargo run -q --release -p maras-bench --bin bench_mining
-
-# Time the zero-copy parallel reader at 1/2/4/8 threads and memoized vs
-# uncached cleaning, recording results in BENCH_ingest.json.
-bench-ingest:
-	MARAS_SCALE=small cargo run -q --release -p maras-bench --bin bench_ingest
-
-# Archive build throughput, on-disk vs resident size, postings
-# intersections, and cold vs cached block fetches -> BENCH_evidence.json.
-bench-evidence:
-	MARAS_SCALE=small cargo run -q --release -p maras-bench --bin bench_evidence
-
-# Batch score engine vs the per-rule full-scan and from_db paths, with
-# the per-measure cost split -> BENCH_signals.json. Runs at the default
-# (paper) scale: the ≥5x acceptance floor is defined there.
-bench-signals:
-	cargo run -q --release -p maras-bench --bin bench_signals
-
-# Hybrid array/bitmap kernels vs the scalar galloping baseline across
-# dense and sparse regimes, with allocation-count assertions ->
-# BENCH_tidset.json. The ≥2x dense floor and ≤10% sparse ceiling are
-# asserted by the binary itself.
-bench-tidset:
-	cargo run -q --release -p maras-bench --bin bench_tidset
+# The kernels perfbench cannot isolate from a whole pass and the
+# observability overhead guards -> BENCH_kernels.json: tid-set regimes
+# against the scalar count (≥2x dense floor, sparse within 10%), the cost
+# of each score and the 1-thread engine against a full transaction scan
+# (≥5x floor), log recording (5% or 20 us) and span tracing (5% or
+# 500 us), and each thread knob at 1 against 2 threads (reported, not
+# asserted). Runs at the default (paper) scale, where the floors are
+# defined; the binary asserts each of them.
+bench:
+	cargo run -q --release -p maras-bench --bin bench_kernels

@@ -1,19 +1,22 @@
 //! Shared experiment harness: synthetic-corpus construction, naming
-//! helpers, plain-text table printing and sample percentiles used by the
-//! `exp_*` and `bench_*` binaries.
+//! helpers and plain-text table printing for the `exp_*` binaries, and
+//! the timing and JSON helpers every timing of the `bench_kernels`
+//! binary goes through.
 //!
-//! Every binary regenerates one table or figure of the thesis (see
-//! DESIGN.md's experiment index and EXPERIMENTS.md for recorded outputs).
-//! Scale is controlled by the `MARAS_SCALE` environment variable:
-//! `paper` (default for binaries; ≈20k reports/quarter, DESIGN.md
-//! substitution 1) or `test` (≈800, used in CI smoke tests).
+//! Every `exp_*` binary regenerates one table or figure of the thesis
+//! (see DESIGN.md's experiment index and EXPERIMENTS.md for recorded
+//! outputs). Scale is controlled by the `MARAS_SCALE` environment
+//! variable: `paper` (default for binaries; ≈20k reports/quarter,
+//! DESIGN.md substitution 1) or `test` (≈800, used in CI smoke tests).
 
 #![warn(missing_docs)]
 
 use maras_core::{AnalysisResult, Pipeline, PipelineConfig};
 use maras_faers::{QuarterData, QuarterId, SynthConfig, Synthesizer, Vocabulary};
 use maras_rules::DrugAdrRule;
+use serde_json::Value;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// The seed every experiment shares (the paper's data year).
 pub const SEED: u64 = 2014;
@@ -22,7 +25,6 @@ pub const SEED: u64 = 2014;
 pub fn scale_config() -> SynthConfig {
     match std::env::var("MARAS_SCALE").as_deref() {
         Ok("test") => SynthConfig::test_scale(SEED),
-        Ok("small") => SynthConfig { n_reports: 5_000, ..SynthConfig::paper_scale(SEED) },
         _ => SynthConfig::paper_scale(SEED),
     }
 }
@@ -94,10 +96,20 @@ pub fn figures_dir() -> PathBuf {
     dir
 }
 
-/// The `p`-quantile (`p` in `[0, 1]`) of an ascending-sorted, non-empty
-/// sample, taking the element at the rounded rank `p · (len − 1)`.
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+/// The median of a non-empty sample; the upper one of an even-sized
+/// sample.
+fn median(mut samples: Vec<u64>) -> u64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Runs `f`, pushes its wall time in ns onto `samples`, and returns what
+/// `f` returned, so a caller can check an output outside the timed span.
+pub fn time_ns<T>(samples: &mut Vec<u64>, f: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = f();
+    samples.push(started.elapsed().as_nanos() as u64);
+    out
 }
 
 /// Times two modes of one workload rep by rep, alternating which mode
@@ -116,11 +128,27 @@ pub fn alternating_medians(rounds: usize, mut run: impl FnMut(bool, &mut Vec<u64
             }
         }
     }
-    let [on, off] = samples.map(|mut s| {
-        s.sort_unstable();
-        percentile(&s, 0.5)
-    });
+    let [on, off] = samples.map(median);
     (on, off)
+}
+
+/// The single-mode sibling of [`alternating_medians`]: the median wall
+/// time in ns of `run` over `rounds` timed reps, after one discarded
+/// warm-up rep.
+pub fn median_ns(rounds: usize, mut run: impl FnMut()) -> u64 {
+    let mut samples = Vec::with_capacity(rounds + 1);
+    for _ in 0..=rounds {
+        time_ns(&mut samples, &mut run);
+    }
+    samples.remove(0);
+    median(samples)
+}
+
+/// Writes `json` pretty-printed to `path` and says so on stdout.
+pub fn write_json(path: &str, json: &Value) {
+    let text = serde_json::to_string_pretty(json).expect("render json");
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 /// Prints a fixed-width table: a header row plus data rows.
@@ -163,13 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn percentile_picks_the_rounded_rank() {
-        let sample = [10, 20, 30, 40, 50];
-        assert_eq!(percentile(&sample, 0.0), 10);
-        assert_eq!(percentile(&sample, 0.5), 30);
-        assert_eq!(percentile(&sample, 0.95), 50);
-        assert_eq!(percentile(&sample, 1.0), 50);
-        assert_eq!(percentile(&[7], 0.99), 7);
+    fn median_picks_the_rounded_middle_rank() {
+        assert_eq!(median(vec![50, 10, 40, 20, 30]), 30);
+        assert_eq!(median(vec![40, 10, 30, 20]), 30);
+        assert_eq!(median(vec![7]), 7);
     }
 
     #[test]
@@ -189,6 +214,13 @@ mod tests {
         });
         assert_eq!(order, [true, false, false, true, true, false, false, true]);
         assert_eq!((on, off), (10, 20));
+    }
+
+    #[test]
+    fn median_ns_runs_one_warm_up_then_the_rounds() {
+        let mut calls = 0;
+        median_ns(4, || calls += 1);
+        assert_eq!(calls, 5);
     }
 
     #[test]

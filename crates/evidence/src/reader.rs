@@ -234,19 +234,6 @@ impl EvidenceReader {
         self.n_records
     }
 
-    /// Decoded blocks currently cached.
-    pub fn cached_blocks(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Drops every cached block (hot-reload hygiene; next reads go to disk).
-    pub fn clear_cache(&self) {
-        for shard in &self.cache.shards {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-        self.metrics.cache_entries.set(self.cache.len() as f64);
-    }
-
     fn postings_for<'a>(sorted: &'a [(String, TidSet)], key: &str) -> Option<&'a TidSet> {
         sorted.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok().map(|i| &sorted[i].1)
     }

@@ -9,8 +9,9 @@
 //! [`SymbolTable`] deduplicates those at the parse → [`crate::CaseReport`]
 //! boundary: the first occurrence of a string allocates one [`IStr`] (a
 //! shared `Arc<str>`), every later occurrence bumps a refcount. The table
-//! also keeps hit/byte counters so the CLI and `bench_ingest` can report
-//! how much allocation the interner absorbed.
+//! also keeps hit/byte counters so the CLI (`ingest_metrics`) and the
+//! `maras_intern_*` metrics can report how much allocation the interner
+//! absorbed.
 
 use rustc_hash::FxHashSet;
 use std::borrow::Borrow;

@@ -12,10 +12,10 @@
 //! is now allocation-free — each worker streams sorted slices into a private
 //! [`PatternStore`] arena, and the join is a rebase merge
 //! ([`PatternStore::absorb`]) plus one record sort. See
-//! EXPERIMENTS.md ("Parallel mining after the arena refactor") and
-//! `bench_mining` for the re-measured 1/2/4/8-thread scaling, and the
-//! differential suite in `tests/differential.rs` for the byte-identical
-//! output proof at every thread count.
+//! EXPERIMENTS.md ("Parallel mining after the arena refactor") for the
+//! re-measured scaling, the threads section of `make bench` for 1 against
+//! 2 threads, and the differential suite in `tests/differential.rs` for
+//! the byte-identical output proof at every thread count.
 
 use crate::fpgrowth::{build_global_tree, conditional_tree, mine_into};
 use crate::items::Item;

@@ -99,7 +99,7 @@ impl PatternStore {
     }
 
     /// Bytes held by the arena and the record table — the store's resident
-    /// footprint (used as the peak-RSS proxy in `bench_mining`).
+    /// footprint (the `maras_mining_arena_bytes` gauge).
     pub fn arena_bytes(&self) -> usize {
         self.buf.len() * std::mem::size_of::<Item>() + self.recs.len() * std::mem::size_of::<Rec>()
     }

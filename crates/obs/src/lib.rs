@@ -10,8 +10,8 @@
 //!   hierarchical timing tree. The hot path touches only a thread-local
 //!   buffer plus one relaxed atomic load; completed spans are flushed to
 //!   a bounded global collector when a thread's stack empties, so the
-//!   tracer is cheap enough to stay on in production (see `bench_mining`'s
-//!   overhead guard).
+//!   tracer is cheap enough to stay on in production (see the span-tracing
+//!   guard in `make bench`'s `bench_kernels`).
 //! * [`log`] — the structured-log flight recorder: leveled key-value
 //!   events in a bounded in-memory ring (served by `GET /debug/logs` and
 //!   dumped by the panic hook) with optional JSON-lines emission to

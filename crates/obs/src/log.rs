@@ -18,8 +18,8 @@
 //! `/debug/logs` probe needs. So the recorder renders through a
 //! thread-local scratch buffer but publishes each event to the ring
 //! immediately; the ring push is a short mutex hold on a preallocated
-//! deque, kept affordable by the low event rate (see `bench_serve`'s
-//! logging-overhead guard). Eviction keeps the *newest* events, the
+//! deque, kept affordable by the low event rate (see the log-recording
+//! guard in `make bench`'s `bench_kernels`). Eviction keeps the *newest* events, the
 //! opposite bias from the span collector, because a flight recorder
 //! that forgets the crash and remembers the boot is useless.
 //!

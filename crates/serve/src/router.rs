@@ -680,6 +680,16 @@ fn cluster_reports(generation: &Generation, req: &Request) -> (u16, String) {
         return (404, error_body("no_evidence", "server was started without an evidence archive"));
     };
     let mut cover = evidence.cover(&cluster.drugs, &cluster.adrs);
+    // An archive from another analysis than the snapshot's yields some
+    // other cover; refuse it rather than page the wrong reports.
+    if cover.len() != cluster.case_ids.len() {
+        let message = format!(
+            "archive cover holds {} reports, the cluster {}",
+            cover.len(),
+            cluster.case_ids.len()
+        );
+        return (500, error_body("evidence_mismatch", &message));
+    }
     if let Some(min) = min_severity.filter(|&m| m > 0) {
         let severe = evidence.severity_at_least(min);
         cover.retain(|t| severe.binary_search(t).is_ok());

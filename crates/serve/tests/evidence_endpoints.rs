@@ -1,7 +1,8 @@
 //! The evidence drill-down over HTTP semantics (router-level, no socket):
 //! `/cluster/N/reports` pages raw case reports out of the on-disk archive,
 //! `/report/CASEID` serves point lookups, `/cluster/N` advertises both,
-//! and hot reload swaps snapshot + archive together or not at all.
+//! hot reload swaps snapshot + archive together or not at all, and a
+//! cover that disagrees with its cluster is refused, not paged.
 
 use maras_core::{Pipeline, PipelineConfig};
 use maras_evidence::{build_archive, BuildConfig, EvidenceReader};
@@ -33,6 +34,16 @@ fn fixture(tag: &str) -> (ServeState, PathBuf, PathBuf) {
     let state = ServeState::new(snap, Some(snap_path.clone()), 64)
         .with_evidence(reader, Some(evid_path.clone()));
     (state, snap_path, evid_path)
+}
+
+/// Another seed's analysis of the same quarter, as a snapshot only.
+fn other_snapshot(seed: u64) -> Snapshot {
+    let mut synth = Synthesizer::new(SynthConfig::test_scale(seed));
+    let quarter = synth.generate_quarter(QuarterId::new(2016, 2));
+    let dv = synth.drug_vocab().clone();
+    let av = synth.adr_vocab().clone();
+    let result = Pipeline::new(PipelineConfig::default()).run(quarter, &dv, &av);
+    Snapshot::build("2016Q2", &result, &dv, &av, None)
 }
 
 fn get(path: &str, query: &[(&str, &str)]) -> Request {
@@ -191,5 +202,47 @@ fn reload_swaps_archive_and_refuses_a_corrupt_one_atomically() {
     std::fs::write(&evid_path, &good).unwrap();
     let (_, status, _) = respond(&st, &reload);
     assert_eq!(status, 200);
+    cleanup(&[&snap_path, &evid_path]);
+}
+
+#[test]
+fn a_cover_that_disagrees_with_its_cluster_is_refused() {
+    let (st, snap_path, evid_path) = fixture("mismatch");
+    // Each of the first ten drill-downs: its status, its body, and the
+    // cluster's report count.
+    let drill_downs = |st: &ServeState| -> Vec<(u16, Value, u64)> {
+        (1..=st.snapshot().len().min(10))
+            .map(|rank| {
+                let detail = respond(st, &get(&format!("/cluster/{rank}"), &[])).2;
+                let detail: Value = serde_json::from_str(&detail).unwrap();
+                let n = detail["n_supporting_reports"].as_u64().unwrap();
+                let (_, status, body) = respond(st, &get(&format!("/cluster/{rank}/reports"), &[]));
+                (status, serde_json::from_str(&body).unwrap(), n)
+            })
+            .collect()
+    };
+
+    // The matched pair pages every cover.
+    for (status, page, n) in drill_downs(&st) {
+        assert_eq!(status, 200);
+        assert_eq!(page["total"].as_u64(), Some(n));
+    }
+
+    // A swap keeps the archive: another seed's snapshot now meets the
+    // seed-91 covers. A cover of another size is refused; one of the same
+    // size cannot be told apart by its length and still pages.
+    st.swap(other_snapshot(92));
+    let mut refused = 0;
+    for (status, body, n) in drill_downs(&st) {
+        match status {
+            200 => assert_eq!(body["total"].as_u64(), Some(n)),
+            500 => {
+                assert_eq!(body["error"]["code"], "evidence_mismatch");
+                refused += 1;
+            }
+            other => panic!("unexpected status {other}: {body}"),
+        }
+    }
+    assert!(refused > 0, "no drill-down of the swapped snapshot was refused");
     cleanup(&[&snap_path, &evid_path]);
 }

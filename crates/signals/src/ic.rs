@@ -3,14 +3,17 @@
 //! the method behind the WHO newsletter study that validated the thesis's
 //! Case I (Ibuprofen + Metamizole, §5.4).
 //!
-//! `IC = log₂ P(drug, adr) / (P(drug)·P(adr))` with Bayesian shrinkage: the
-//! standard credibility-interval approximation uses expected counts
+//! `IC = log₂ P(drug, adr) / (P(drug)·P(adr))` with Bayesian shrinkage:
+//! `IC = log₂ (a + ½) / (E + ½)`, where `E` is the expected joint count
+//! under independence. The 95% credibility bounds use the closed form of
+//! Norén, Hopstadius & Bate (2013), with `s = a + ½`:
 //!
-//! `IC₀₂₅ ≈ log₂ (a + 0.5) / (E + 0.5) − 3.3·(a+0.5)^(−1/2) − 2·(a+0.5)^(−3/2)`
+//! `IC₀₂₅ ≈ IC − 3.3·s^(−1/2) − 2·s^(−3/2)`
 //!
-//! (Norén et al.'s widely-used closed form), where `E` is the expected
-//! joint count under independence. A positive lower bound (`ic025 > 0`) is
-//! the conventional signal criterion.
+//! `IC₉₇₅ ≈ IC + 2.4·s^(−1/2) − 0.5·s^(−3/2)`
+//!
+//! A positive lower bound (`ic025 > 0`) is the conventional signal
+//! criterion.
 
 use crate::contingency::ContingencyTable;
 
@@ -41,7 +44,7 @@ pub fn information_component(t: &ContingencyTable) -> InformationComponent {
     // Norén's closed-form credibility approximation.
     let s = a + 0.5;
     let half_width_lo = 3.3 * s.powf(-0.5) + 2.0 * s.powf(-1.5);
-    let half_width_hi = 2.4 * s.powf(-0.5) + 0.5 * s.powf(-1.5);
+    let half_width_hi = 2.4 * s.powf(-0.5) - 0.5 * s.powf(-1.5);
     InformationComponent { ic, ic025: ic - half_width_lo, ic975: ic + half_width_hi }
 }
 
@@ -84,6 +87,22 @@ mod tests {
         let t = ContingencyTable { a: 1, b: 0, c: 0, d: 999 };
         let ic = information_component(&t);
         assert!(!ic.is_signal(), "ic025={}", ic.ic025);
+    }
+
+    #[test]
+    fn upper_bound_follows_the_published_closed_form() {
+        // (a, E) with E = exposed · event / N, against IC975 from
+        // IC + 2.4·s^(−1/2) − 0.5·s^(−3/2), s = a + ½.
+        for (t, want) in [
+            (ContingencyTable { a: 0, b: 1, c: 1, d: 8 }, 1.717), // (0, 0.1)
+            (ContingencyTable { a: 1, b: 0, c: 0, d: 1 }, 2.272), // (1, 0.5)
+            (ContingencyTable { a: 3, b: 0, c: 0, d: 6 }, 2.429), // (3, 1)
+            (ContingencyTable { a: 10, b: 0, c: 0, d: 40 }, 2.796), // (10, 2)
+            (ContingencyTable { a: 100, b: 20, c: 50, d: 430 }, 1.959), // (100, 30)
+        ] {
+            let ic975 = information_component(&t).ic975;
+            assert!((ic975 - want).abs() < 1e-3, "a {}, E {}: IC975 {ic975}", t.a, t.expected_a());
+        }
     }
 
     #[test]

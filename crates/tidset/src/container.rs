@@ -373,8 +373,8 @@ fn bitmap_to_array(words: &[u64; BITMAP_WORDS], card: u32) -> Container {
 /// (beating a branchy linear merge, whose 50/50 `x < y` branch
 /// mispredicts on random interleave), and badly skewed lists skip long
 /// runs of the big side. Always reserves `min(|a|, |b|)` for the output
-/// so the hot loop never reallocates (the allocation-count assertion in
-/// `bench_tidset` pins this down).
+/// so the hot loop never reallocates (`tests/alloc.rs` counts the
+/// allocations).
 fn intersect_arrays(a: &[u16], b: &[u16]) -> Vec<u16> {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let mut out = Vec::with_capacity(small.len());
