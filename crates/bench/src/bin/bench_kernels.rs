@@ -12,7 +12,8 @@
 //!   (floor 5×, with every score block equal).
 //! * **guards** — always-on log recording on the cached `respond` script
 //!   (budget 5% of the median or 20 µs), and span tracing on the
-//!   1-thread miner (5% or 500 µs).
+//!   1-thread miner (5% or 500 µs), with the spans a traced run records
+//!   and the time `take_spans` takes to drain them.
 //! * **threads** — each thread knob at 1 against 2 threads in alternating
 //!   rounds, its output equal to 1 thread's. The ratio is reported, not
 //!   asserted: a 2-vCPU host shared with other tenants cannot settle it.
@@ -512,26 +513,41 @@ fn log_recording_guard(state: &ServeState, script: &[Request]) -> Value {
 /// alternating the two run by run. The traced median must stay within 5%
 /// of the untraced one plus a 500 µs floor. One thread is the count
 /// perfbench pins; at more threads the guard timed the scheduler, not the
-/// spans.
+/// spans. Also records what a traced run pays for inside the timed
+/// region: the spans it records, and the `take_spans` call that drains
+/// them.
 fn span_tracing_guard(db: &TransactionDb) -> Value {
     let n_patterns = mine_patterns_parallel(db, MIN_SUPPORT, 1).len();
     assert!(n_patterns > 0, "benchmark quarter mined no patterns");
+    let mut spans_per_run = None;
+    let mut take_ns = Vec::new();
     let (on, off) = alternating_medians(SPAN_ROUNDS, |tracing, samples| {
         let cfg = if tracing { ObsConfig::enabled() } else { ObsConfig::disabled() };
         maras_obs::init(&cfg);
         maras_obs::take_spans(); // start each run from an empty collector
+        let mut take = Vec::new();
         let (store, spans) = time_ns(samples, || {
-            (mine_patterns_parallel(db, MIN_SUPPORT, 1), maras_obs::take_spans())
+            let store = mine_patterns_parallel(db, MIN_SUPPORT, 1);
+            (store, time_ns(&mut take, maras_obs::take_spans))
         });
         assert_eq!(store.len(), n_patterns);
         assert_eq!(spans.is_empty(), !tracing, "tracing mode not honored");
+        if tracing {
+            assert_eq!(*spans_per_run.get_or_insert(spans.len()), spans.len());
+            take_ns.extend(take);
+        }
     });
     maras_obs::init(&ObsConfig::enabled());
+    let spans_per_run = spans_per_run.expect("a traced run");
+    take_ns.remove(0); // the warm-up round's, as `alternating_medians` drops it
+    take_ns.sort_unstable();
+    let take_spans_ns = take_ns[take_ns.len() / 2];
     let overhead_pct = (on as f64 - off as f64) / off as f64 * 100.0;
     let budget = (off as f64 * 0.05).max(500_000.0);
     println!(
         "span tracing, {SPAN_ROUNDS} alternated 1-thread mining runs ({n_patterns} patterns): \
-         on median {:.0} us, off median {:.0} us ({overhead_pct:+.1}%; budget 5% or 500 us)",
+         on median {:.0} us, off median {:.0} us ({overhead_pct:+.1}%; budget 5% or 500 us); \
+         {spans_per_run} spans per traced run, take_spans median {take_spans_ns} ns",
         on as f64 / 1000.0,
         off as f64 / 1000.0,
     );
@@ -544,6 +560,8 @@ fn span_tracing_guard(db: &TransactionDb) -> Value {
         ("p50_tracing_on_us", Value::from(on as f64 / 1000.0)),
         ("p50_tracing_off_us", Value::from(off as f64 / 1000.0)),
         ("overhead_pct", Value::from(overhead_pct)),
+        ("spans_per_traced_run", Value::from(spans_per_run)),
+        ("p50_take_spans_ns", Value::from(take_spans_ns)),
     ])
 }
 

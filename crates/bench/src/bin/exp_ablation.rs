@@ -18,7 +18,7 @@
 
 use maras_bench::{generate_quarter, print_table, run_pipeline};
 use maras_core::PipelineConfig;
-use maras_mcac::{score_cluster, DecayFn, ExclusivenessConfig, Mcac, RankingMethod};
+use maras_mcac::{improvement, DecayFn, ExclusivenessConfig, Mcac};
 use maras_rules::{classify, drug_adr_rules, DrugAdrRule, Measure, Supportedness};
 use maras_signals::{ebgm_from_table, harpaz_rank, ContingencyTable, GammaMixturePrior};
 
@@ -67,10 +67,7 @@ fn main() {
                 ExclusivenessConfig { decay: DecayFn::Flat, ..Default::default() }.score(c)
             }),
         ),
-        (
-            "Improvement (Bayardo)",
-            Box::new(|c: &Mcac| score_cluster(c, RankingMethod::Improvement(Measure::Confidence))),
-        ),
+        ("Improvement (Bayardo)", Box::new(|c: &Mcac| improvement(c, Measure::Confidence))),
         ("Plain confidence", Box::new(|c: &Mcac| c.target.confidence())),
         ("Plain lift", Box::new(|c: &Mcac| c.target.lift())),
     ];

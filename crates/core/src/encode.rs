@@ -1,26 +1,23 @@
 //! Encoding cleaned reports into the mining item space.
 //!
 //! Drugs occupy item ids `0..n_drugs`, ADRs `n_drugs..n_drugs+n_adrs` —
-//! the layout `maras_rules::ItemPartition` splits on. The encoder also keeps
-//! the tid → source-report mapping the drill-down (§4.1 "Mapping the
-//! drug-drug interactions to actual reports") depends on.
+//! the layout `maras_rules::ItemPartition` splits on. Transaction `tid` is
+//! cleaned report `tid`, whose `case_id` and `source_index` carry the
+//! drill-down (§4.1 "Mapping the drug-drug interactions to actual
+//! reports").
 
 use maras_faers::{CleanedReport, Vocabulary};
 use maras_mining::{Item, ItemSet, TransactionDb};
 use maras_rules::ItemPartition;
 
-/// A transaction database plus the metadata needed to decode items back to
-/// names and tids back to raw reports.
+/// A transaction database plus the partition needed to decode items back
+/// to names.
 #[derive(Debug)]
 pub struct Encoded {
-    /// One transaction per cleaned report: drug items ∪ ADR items.
+    /// One transaction per cleaned report, in order: drug items ∪ ADR items.
     pub db: TransactionDb,
     /// The drug/ADR boundary.
     pub partition: ItemPartition,
-    /// `case_ids[tid]` — FAERS case id of transaction `tid`.
-    pub case_ids: Vec<u64>,
-    /// `source_indices[tid]` — index into the raw quarter's report vector.
-    pub source_indices: Vec<usize>,
 }
 
 /// Encodes cleaned reports against the vocabularies that produced them.
@@ -32,8 +29,6 @@ pub fn encode_reports(
     let adr_start = drug_vocab.len() as u32;
     let partition = ItemPartition::new(adr_start);
     let mut transactions = Vec::with_capacity(reports.len());
-    let mut case_ids = Vec::with_capacity(reports.len());
-    let mut source_indices = Vec::with_capacity(reports.len());
     for r in reports {
         debug_assert!(r.drug_ids.iter().all(|&d| d < adr_start));
         debug_assert!(r.adr_ids.iter().all(|&a| (a as usize) < adr_vocab.len()));
@@ -47,10 +42,8 @@ pub fn encode_reports(
         // the `adr_start` offset keeps the chained sequence strictly
         // ascending — no re-sort needed.
         transactions.push(ItemSet::from_sorted_unchecked(items));
-        case_ids.push(r.case_id);
-        source_indices.push(r.source_index);
     }
-    Encoded { db: TransactionDb::from_itemsets(transactions), partition, case_ids, source_indices }
+    Encoded { db: TransactionDb::from_itemsets(transactions), partition }
 }
 
 impl Encoded {
@@ -118,8 +111,7 @@ mod tests {
         assert!(t0.contains(Item(5)));
         assert!(t0.contains(Item(150)));
         assert!(t0.contains(Item(153)));
-        assert_eq!(e.case_ids, vec![1, 2]);
-        assert_eq!(e.source_indices, vec![0, 1]);
+        assert!(!e.db.transaction(1).contains(Item(0)));
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl KnowledgeBase {
         self.labels.get(&drug.to_ascii_uppercase()).is_some_and(|adrs| adrs.contains(adr))
     }
 
-    /// The labeled ADRs of a drug, if any are documented.
-    pub fn labeled_adrs(&self, drug: &str) -> Option<&BTreeSet<String>> {
-        self.labels.get(&drug.to_ascii_uppercase())
-    }
-
     /// Whether an (drug set, ADR set) association carries at least one ADR
     /// that is *not* on any constituent drug's label — the "unknown ADR"
     /// interestingness preference.
@@ -112,13 +107,6 @@ impl KnowledgeBase {
         self.entries.iter().find(|e| e.drugs == key)
     }
 
-    /// Whether the drug combination *contains* a documented interaction
-    /// (useful for flagging supersets: a known pair inside a triple).
-    pub fn contains_known_subset(&self, drugs: &[&str]) -> bool {
-        let key: BTreeSet<String> = drugs.iter().map(|d| d.to_ascii_uppercase()).collect();
-        self.entries.iter().any(|e| e.drugs.is_subset(&key))
-    }
-
     /// Iterates over the documented interactions.
     pub fn iter(&self) -> impl Iterator<Item = &KnownInteraction> {
         self.entries.iter()
@@ -146,11 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn subset_matching_flags_supersets() {
+    fn exact_match_ignores_supersets() {
         let kb = KnowledgeBase::literature_validated();
-        assert!(kb.contains_known_subset(&["ASPIRIN", "WARFARIN", "NEXIUM"]));
-        assert!(!kb.contains_known_subset(&["ASPIRIN", "NEXIUM"]));
-        // Exact match must not fire for supersets.
+        assert!(kb.is_known(&["ASPIRIN", "WARFARIN"]));
         assert!(!kb.is_known(&["ASPIRIN", "WARFARIN", "NEXIUM"]));
     }
 
@@ -174,8 +160,7 @@ mod tests {
         let kb = KnowledgeBase::literature_validated();
         assert!(kb.is_labeled("prevacid", "Osteoporosis"));
         assert!(!kb.is_labeled("PREVACID", "Asthma"));
-        assert!(kb.labeled_adrs("ZOMETA").unwrap().contains("Osteonecrosis of jaw"));
-        assert!(kb.labeled_adrs("METAMIZOLE").is_none());
+        assert!(kb.is_labeled("zometa", "Osteonecrosis of jaw"));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod pipeline;
 pub mod query;
 pub mod trend;
 
-pub use config::{PipelineConfig, RankBy};
+pub use config::PipelineConfig;
 pub use encode::{encode_reports, Encoded};
 pub use ingest::{run_quarter_dir, run_quarters_dir, MultiQuarterRun, QuarterOutcome, QuarterRun};
 pub use knowledge::KnowledgeBase;

@@ -25,14 +25,14 @@ pub fn supporting_reports<'a>(
 ) -> Vec<&'a CaseReport> {
     supporting_tids(result, rule)
         .into_iter()
-        .map(|tid| &result.quarter.reports[result.encoded.source_indices[tid as usize]])
+        .map(|tid| &result.quarter.reports[result.cleaned[tid as usize].source_index])
         .collect()
 }
 
 /// FAERS case ids of the reports with the given tids (a rule's
 /// [`supporting_tids`]), in the same order.
 pub fn supporting_case_ids(result: &AnalysisResult, tids: &[u32]) -> Vec<u64> {
-    tids.iter().map(|&tid| result.encoded.case_ids[tid as usize]).collect()
+    tids.iter().map(|&tid| result.cleaned[tid as usize].case_id).collect()
 }
 
 /// The most severe outcome among a rule's supporting reports — the basis of
@@ -46,9 +46,7 @@ pub fn rule_max_severity(result: &AnalysisResult, rule: &DrugAdrRule) -> Option<
 /// caller that already holds a rule's cover need not compute it again.
 pub fn max_severity(result: &AnalysisResult, tids: &[u32]) -> Option<Outcome> {
     tids.iter()
-        .filter_map(|&tid| {
-            result.quarter.reports[result.encoded.source_indices[tid as usize]].max_severity()
-        })
+        .filter_map(|&tid| result.cleaned[tid as usize].max_severity)
         .max_by_key(|o| o.severity())
 }
 

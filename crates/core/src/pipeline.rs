@@ -127,7 +127,7 @@ pub struct AnalysisResult {
     pub cleaned: Vec<CleanedReport>,
     /// What cleaning did.
     pub cleaning: CleaningStats,
-    /// Transaction database + partition + tid provenance.
+    /// Transaction database + partition (tid `t` is `cleaned[t]`).
     pub encoded: Encoded,
     /// Fig. 5.1-style rule-space sizes.
     pub counts: RuleSpaceCounts,
@@ -382,8 +382,9 @@ mod tests {
         let quarter = synth.generate_quarter(maras_faers::QuarterId::new(2015, 2));
         let dv = synth.drug_vocab().clone();
         let av = synth.adr_vocab().clone();
-        let result = Pipeline::new(PipelineConfig::default().with_rank_by(crate::RankBy::Prr))
-            .run(quarter, &dv, &av);
+        let result =
+            Pipeline::new(PipelineConfig::default().with_rank_by(maras_signals::RankKey::Prr))
+                .run(quarter, &dv, &av);
         assert!(!result.ranked.is_empty());
         for r in &result.ranked {
             assert_eq!(r.score, r.scores.prr.estimate);

@@ -2,7 +2,7 @@
 //!
 //! Record `tid` of the archive is exactly transaction `tid` of the mined
 //! database: the kept (deduplicated) version of the case, pulled from the
-//! raw quarter through the pipeline's `source_indices` provenance. That
+//! raw quarter through cleaned report `tid`'s `source_index`. That
 //! alignment is what lets a postings intersection reproduce
 //! `core::link::supporting_reports` byte-for-byte.
 
@@ -68,7 +68,7 @@ pub fn build_archive(
 
     // The stored records, in tid order.
     let records: Vec<&maras_faers::CaseReport> =
-        result.encoded.source_indices.iter().map(|&idx| &result.quarter.reports[idx]).collect();
+        result.cleaned.iter().map(|c| &result.quarter.reports[c.source_index]).collect();
 
     // Shared string dictionary: first occurrence wins the id.
     let mut sym_ids: FxHashMap<String, u32> = FxHashMap::default();
@@ -117,7 +117,7 @@ pub fn build_archive(
 
     // Case index: sorted (case_id, tid) pairs for /report/CASEID lookups.
     let mut case_index: Vec<(u64, u32)> =
-        result.encoded.case_ids.iter().enumerate().map(|(tid, &id)| (id, tid as u32)).collect();
+        result.cleaned.iter().enumerate().map(|(tid, c)| (c.case_id, tid as u32)).collect();
     case_index.sort_unstable();
 
     // Meta section.

@@ -13,7 +13,9 @@
 //! 3. canonicalizes reaction terms: case-folded exact match, then fuzzy
 //!    matching against the ADR vocabulary;
 //! 4. abstracts each surviving case into its (drug-id set, ADR-id set) pair,
-//!    keeping a pointer back to the source report for drill-down (§4.1).
+//!    keeping a pointer back to the source report for drill-down (§4.1). A
+//!    case left with no drug or no reaction is dropped: it cannot support
+//!    a drug ⇒ ADR rule.
 
 use crate::model::{CaseReport, Outcome};
 use crate::quarter::QuarterData;
@@ -27,12 +29,6 @@ pub struct CleanConfig {
     /// fuzzy matching). The spelling index serves distances up to 2, so a
     /// larger value corrects as 2 does.
     pub max_edit_distance: usize,
-    /// Strip dosage / formulation tokens from drug strings before matching.
-    pub strip_dosage: bool,
-    /// Minimum drugs a cleaned report must retain to be kept.
-    pub min_drugs: usize,
-    /// Minimum reactions a cleaned report must retain to be kept.
-    pub min_reactions: usize,
     /// Memoize canonicalization per raw string. Raw FAERS strings are
     /// wildly repetitive, so most mentions replay a cached verdict instead
     /// of re-running normalization + the fuzzy lookup. Output and the
@@ -43,13 +39,7 @@ pub struct CleanConfig {
 
 impl Default for CleanConfig {
     fn default() -> Self {
-        CleanConfig {
-            max_edit_distance: 2,
-            strip_dosage: true,
-            min_drugs: 1,
-            min_reactions: 1,
-            memoize: true,
-        }
+        CleanConfig { max_edit_distance: 2, memoize: true }
     }
 }
 
@@ -80,7 +70,7 @@ pub struct CleaningStats {
     pub deduplicated_versions: usize,
     /// Cleaned reports out.
     pub output_reports: usize,
-    /// Reports dropped for having too few drugs/reactions after matching.
+    /// Reports dropped for keeping no drug or no reaction after matching.
     pub dropped_sparse: usize,
     /// Drug mentions processed.
     pub drug_mentions: usize,
@@ -211,17 +201,17 @@ fn is_dosage_token(tok: &str) -> bool {
 }
 
 /// Normalizes a verbatim drug string: uppercase, collapse whitespace, and
-/// (optionally) strip dosage / formulation tokens.
-pub fn normalize_drug_string(raw: &str, strip_dosage: bool) -> String {
+/// strip dosage / formulation tokens.
+pub fn normalize_drug_string(raw: &str) -> String {
     let mut out = String::new();
-    normalize_drug_string_into(raw, strip_dosage, &mut out);
+    normalize_drug_string_into(raw, &mut out);
     out
 }
 
 /// [`normalize_drug_string`] into a reused buffer: one pass, appending
 /// each uppercased token and truncating it back off when it turns out to
 /// be a dosage / formulation token.
-fn normalize_drug_string_into(raw: &str, strip_dosage: bool, out: &mut String) {
+fn normalize_drug_string_into(raw: &str, out: &mut String) {
     out.clear();
     for tok in raw.split_whitespace() {
         let sep_start = out.len();
@@ -232,11 +222,9 @@ fn normalize_drug_string_into(raw: &str, strip_dosage: bool, out: &mut String) {
         for c in tok.chars() {
             out.push(c.to_ascii_uppercase());
         }
-        if strip_dosage {
-            let up = &out[tok_start..];
-            if is_dosage_token(up) || FORMULATION_TOKENS.contains(&up) {
-                out.truncate(sep_start);
-            }
+        let up = &out[tok_start..];
+        if is_dosage_token(up) || FORMULATION_TOKENS.contains(&up) {
+            out.truncate(sep_start);
         }
     }
     if out.is_empty() {
@@ -375,7 +363,7 @@ impl<'a> Cleaner<'a> {
         for idx in kept {
             let report = &quarter.reports[idx];
             let (drug_ids, adr_ids) = self.clean_one(report, &mut stats);
-            if drug_ids.len() < self.config.min_drugs || adr_ids.len() < self.config.min_reactions {
+            if drug_ids.is_empty() || adr_ids.is_empty() {
                 stats.dropped_sparse += 1;
                 continue;
             }
@@ -447,7 +435,7 @@ impl<'a> Cleaner<'a> {
             return verdict;
         }
         stats.drug_cache_misses += 1;
-        normalize_drug_string_into(raw, self.config.strip_dosage, &mut self.buf);
+        normalize_drug_string_into(raw, &mut self.buf);
         let nearest = match self.drug_norm_memo.get(self.buf.as_str()) {
             Some(&hit) => hit,
             None => {
@@ -466,7 +454,7 @@ impl<'a> Cleaner<'a> {
     }
 
     fn resolve_drug_uncached(&mut self, raw: &str) -> Option<(u32, bool)> {
-        normalize_drug_string_into(raw, self.config.strip_dosage, &mut self.buf);
+        normalize_drug_string_into(raw, &mut self.buf);
         match self.drug_vocab.nearest(&self.buf, self.config.max_edit_distance) {
             // Exact match still counts as a correction when normalization
             // changed the string (dosage strip, case fix).
@@ -537,16 +525,16 @@ mod tests {
 
     #[test]
     fn normalize_strips_dosage_and_formulation() {
-        assert_eq!(normalize_drug_string("Ibuprofen 200mg Tablet", true), "IBUPROFEN");
-        assert_eq!(normalize_drug_string("warfarin  sodium 5 MG", true), "WARFARIN");
-        assert_eq!(normalize_drug_string("NEXIUM 40MG CAPSULES", true), "NEXIUM");
-        assert_eq!(normalize_drug_string("ASPIRIN", false), "ASPIRIN");
-        assert_eq!(normalize_drug_string("aspirin 81mg", false), "ASPIRIN 81MG");
+        assert_eq!(normalize_drug_string("Ibuprofen 200mg Tablet"), "IBUPROFEN");
+        assert_eq!(normalize_drug_string("warfarin  sodium 5 MG"), "WARFARIN");
+        assert_eq!(normalize_drug_string("NEXIUM 40MG CAPSULES"), "NEXIUM");
+        assert_eq!(normalize_drug_string("ASPIRIN"), "ASPIRIN");
+        assert_eq!(normalize_drug_string("aspirin  81mg"), "ASPIRIN");
     }
 
     #[test]
     fn normalize_pure_dosage_string_falls_back() {
-        assert_eq!(normalize_drug_string("10MG TABLET", true), "10MG TABLET");
+        assert_eq!(normalize_drug_string("10MG TABLET"), "10MG TABLET");
     }
 
     #[test]

@@ -18,6 +18,4 @@ pub mod rank;
 
 pub use cluster::{build_clusters, ContextLevel, Mcac};
 pub use exclusiveness::{coefficient_of_variation, improvement, DecayFn, ExclusivenessConfig};
-pub use rank::{
-    rank_clusters, rank_clusters_with, rank_rules_by, score_cluster, RankedMcac, RankingMethod,
-};
+pub use rank::{rank_clusters, rank_clusters_with, rank_rules_by, RankedMcac, RankingMethod};

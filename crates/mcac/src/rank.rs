@@ -2,14 +2,15 @@
 //!
 //! Table 5.2 compares four rankings of the quarter's multi-drug
 //! associations: plain confidence and plain lift over the *unfiltered* rule
-//! pool, and exclusiveness (with confidence or lift) over the closed MCAC
-//! pool. All four live here, plus improvement as an ablation baseline.
+//! pool ([`rank_rules_by`]), and exclusiveness (with confidence or lift)
+//! over the closed MCAC pool ([`rank_clusters`]). The cluster ranking can
+//! also order by a disproportionality baseline ([`RankKey`]).
 
 use crate::cluster::{build_clusters, Mcac};
-use crate::exclusiveness::{improvement, ExclusivenessConfig};
+use crate::exclusiveness::ExclusivenessConfig;
 use maras_mining::TransactionDb;
 use maras_rules::{DrugAdrRule, Measure, TargetRules};
-use maras_signals::{score_rules, ContingencyTable, SignalScores};
+use maras_signals::{score_rules, RankKey, SignalScores};
 
 /// A scored cluster, the unit of MARAS's ranked output.
 #[derive(Debug, Clone)]
@@ -24,57 +25,29 @@ pub struct RankedMcac {
     pub scores: SignalScores,
 }
 
-/// The ranking methods of Table 5.2, plus the improvement ablation and the
-/// disproportionality-baseline orderings served by `--rank-by` / `?sort_by=`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RankingMethod {
-    /// Order rules by raw confidence (no closedness filter, no context).
-    Confidence,
-    /// Order rules by raw lift (no closedness filter, no context).
-    Lift,
-    /// Exclusiveness (Formula 3.5) with the given inner measure and θ.
-    Exclusiveness(ExclusivenessConfig),
-    /// Bayardo's improvement (Formula 3.2) with the given inner measure.
-    Improvement(Measure),
-    /// Proportional reporting ratio point estimate.
-    Prr,
-    /// Reporting odds ratio point estimate.
-    Ror,
-    /// MGPS shrunken geometric mean (EBGM).
-    Ebgm,
-    /// Geometric mean of PRR, ROR and EBGM — a composite that rewards
-    /// agreement across the frequentist and Bayesian baselines.
-    Composite,
+/// How clusters are ranked: the key that orders them, and the exclusiveness
+/// settings (measure, θ, decay) every score block is computed with,
+/// whatever the key. The default is the paper's ranking, exclusiveness
+/// with confidence.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RankingMethod {
+    /// The score that orders the clusters.
+    pub key: RankKey,
+    /// The exclusiveness every cluster's score block carries.
+    pub exclusiveness: ExclusivenessConfig,
 }
 
 impl RankingMethod {
     /// The thesis's "Exclusiveness with Confidence" column.
     pub fn exclusiveness_confidence() -> Self {
-        RankingMethod::Exclusiveness(ExclusivenessConfig::default())
+        RankingMethod::default()
     }
 
     /// The thesis's "Exclusiveness with Lift" column.
     pub fn exclusiveness_lift() -> Self {
-        RankingMethod::Exclusiveness(ExclusivenessConfig {
-            measure: Measure::Lift,
-            ..Default::default()
-        })
-    }
-}
-
-impl std::fmt::Display for RankingMethod {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RankingMethod::Confidence => write!(f, "Confidence"),
-            RankingMethod::Lift => write!(f, "Lift"),
-            RankingMethod::Exclusiveness(cfg) => {
-                write!(f, "Exclusiveness with {}", cfg.measure)
-            }
-            RankingMethod::Improvement(m) => write!(f, "Improvement with {m}"),
-            RankingMethod::Prr => write!(f, "PRR"),
-            RankingMethod::Ror => write!(f, "ROR"),
-            RankingMethod::Ebgm => write!(f, "EBGM"),
-            RankingMethod::Composite => write!(f, "Composite"),
+        RankingMethod {
+            key: RankKey::Exclusiveness,
+            exclusiveness: ExclusivenessConfig { measure: Measure::Lift, ..Default::default() },
         }
     }
 }
@@ -101,9 +74,9 @@ pub fn rank_clusters(
 /// hand-built ones are probed from `db`. The full disproportionality block
 /// is then computed for every rule in one signal-engine batch pass sharded
 /// across `n_threads` workers, reading each cluster's singleton level for the
-/// interaction contrast; the chosen `method` then just picks its key out of
-/// the block (or the context-aware legacy scores). Output is identical at
-/// every thread count.
+/// interaction contrast, and given the cluster's exclusiveness under
+/// `method.exclusiveness`; `method.key` then picks the score out of the
+/// block. Output is identical at every thread count.
 pub fn rank_clusters_with(
     rules: impl Into<TargetRules>,
     db: &TransactionDb,
@@ -117,56 +90,18 @@ pub fn rank_clusters_with(
     let inputs: Vec<(&DrugAdrRule, &[DrugAdrRule])> =
         clusters.iter().map(|c| (&c.target, c.singleton_level().rules.as_slice())).collect();
     let base = score_rules(&inputs, n_threads);
-    let cfg = exclusiveness_config(method);
     let mut out: Vec<RankedMcac> = clusters
         .into_iter()
         .zip(base)
         .map(|(cluster, base)| {
-            let scores = base.with_exclusiveness(cfg.score(&cluster));
-            let score = score_from(&cluster, &scores, method);
-            RankedMcac { cluster, score, scores }
+            let scores = base.with_exclusiveness(method.exclusiveness.score(&cluster));
+            RankedMcac { cluster, score: method.key.value(&scores), scores }
         })
         .collect();
     sort_ranked(&mut out);
     maras_obs::counter("maras_mcac_clusters_total", "MCAC clusters built and ranked")
         .add(out.len() as u64);
     out
-}
-
-/// The exclusiveness configuration a ranking carries along in its score
-/// block: the method's own when ranking by exclusiveness, the default
-/// otherwise (the block still reports exclusiveness next to the baselines).
-fn exclusiveness_config(method: RankingMethod) -> ExclusivenessConfig {
-    match method {
-        RankingMethod::Exclusiveness(cfg) => cfg,
-        _ => ExclusivenessConfig::default(),
-    }
-}
-
-/// Picks the ranking key for `method` out of a computed score block.
-fn score_from(cluster: &Mcac, scores: &SignalScores, method: RankingMethod) -> f64 {
-    match method {
-        RankingMethod::Confidence => cluster.target.confidence(),
-        RankingMethod::Lift => cluster.target.lift(),
-        RankingMethod::Exclusiveness(_) => scores.exclusiveness,
-        RankingMethod::Improvement(m) => improvement(cluster, m),
-        RankingMethod::Prr => scores.prr.estimate,
-        RankingMethod::Ror => scores.ror.estimate,
-        RankingMethod::Ebgm => scores.ebgm.ebgm,
-        RankingMethod::Composite => {
-            (scores.prr.estimate * scores.ror.estimate * scores.ebgm.ebgm).cbrt()
-        }
-    }
-}
-
-/// Scores one cluster under a ranking method, deriving the score block from
-/// the target rule's stored marginals.
-pub fn score_cluster(cluster: &Mcac, method: RankingMethod) -> f64 {
-    let table = ContingencyTable::from_stats(&cluster.target.stats)
-        .expect("rule stats counted from one database are consistent");
-    let cfg = exclusiveness_config(method);
-    let scores = SignalScores::from_table(table).with_exclusiveness(cfg.score(cluster));
-    score_from(cluster, &scores, method)
 }
 
 /// Orders a plain rule pool by confidence or lift — the two context-free
@@ -276,15 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn improvement_method_runs() {
-        let d = planted_db();
-        let rules = multi_drug_rules(&d, &P, 2);
-        let ranked = rank_clusters(rules, &d, RankingMethod::Improvement(Measure::Confidence));
-        assert!(!ranked.is_empty());
-        assert!(ranked.windows(2).all(|w| w[0].score >= w[1].score));
-    }
-
-    #[test]
     fn single_drug_rules_are_excluded() {
         let d = planted_db();
         let mut rules = multi_drug_rules(&d, &P, 1);
@@ -296,20 +222,6 @@ mod tests {
         ));
         let ranked = rank_clusters(rules, &d, RankingMethod::exclusiveness_confidence());
         assert!(ranked.iter().all(|r| r.cluster.n_drugs() >= 2));
-    }
-
-    #[test]
-    fn method_display() {
-        assert_eq!(RankingMethod::Confidence.to_string(), "Confidence");
-        assert_eq!(
-            RankingMethod::exclusiveness_confidence().to_string(),
-            "Exclusiveness with confidence"
-        );
-        assert_eq!(RankingMethod::exclusiveness_lift().to_string(), "Exclusiveness with lift");
-        assert_eq!(RankingMethod::Prr.to_string(), "PRR");
-        assert_eq!(RankingMethod::Ror.to_string(), "ROR");
-        assert_eq!(RankingMethod::Ebgm.to_string(), "EBGM");
-        assert_eq!(RankingMethod::Composite.to_string(), "Composite");
     }
 
     #[test]
@@ -334,27 +246,20 @@ mod tests {
     }
 
     #[test]
-    fn baseline_methods_rank_by_their_key() {
+    fn every_key_ranks_by_its_value_and_keeps_the_callers_exclusiveness() {
         let d = planted_db();
-        for (method, key) in [
-            (
-                RankingMethod::Prr,
-                (|r: &RankedMcac| r.scores.prr.estimate) as fn(&RankedMcac) -> f64,
-            ),
-            (RankingMethod::Ror, |r| r.scores.ror.estimate),
-            (RankingMethod::Ebgm, |r| r.scores.ebgm.ebgm),
-            (RankingMethod::Composite, |r| {
-                (r.scores.prr.estimate * r.scores.ror.estimate * r.scores.ebgm.ebgm).cbrt()
-            }),
-        ] {
-            let rules = multi_drug_rules(&d, &P, 2);
-            let ranked = rank_clusters(rules, &d, method);
-            assert!(!ranked.is_empty(), "{method}");
+        let exclusiveness =
+            ExclusivenessConfig { measure: Measure::Lift, theta: 0.9, ..Default::default() };
+        for key in RankKey::ALL {
+            let method = RankingMethod { key, exclusiveness };
+            let ranked = rank_clusters(multi_drug_rules(&d, &P, 2), &d, method);
+            assert!(!ranked.is_empty(), "{key:?}");
             for r in &ranked {
-                assert_eq!(r.score, key(r), "{method}");
-                assert!(r.score.is_finite(), "{method}: {}", r.score);
+                assert_eq!(r.score, key.value(&r.scores), "{key:?}");
+                assert!(r.score.is_finite(), "{key:?}: {}", r.score);
+                assert_eq!(r.scores.exclusiveness, exclusiveness.score(&r.cluster), "{key:?}");
             }
-            assert!(ranked.windows(2).all(|w| w[0].score >= w[1].score), "{method}");
+            assert!(ranked.windows(2).all(|w| w[0].score >= w[1].score), "{key:?}");
         }
     }
 
@@ -370,22 +275,6 @@ mod tests {
                 assert_eq!(a.cluster.target, b.cluster.target, "threads={threads}");
                 assert_eq!(a.score.to_bits(), b.score.to_bits(), "threads={threads}");
                 assert_eq!(a.scores, b.scores, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn score_cluster_matches_ranked_score() {
-        let d = planted_db();
-        let rules = multi_drug_rules(&d, &P, 2);
-        for method in [
-            RankingMethod::Confidence,
-            RankingMethod::exclusiveness_confidence(),
-            RankingMethod::Prr,
-            RankingMethod::Ebgm,
-        ] {
-            for r in rank_clusters(rules.clone(), &d, method) {
-                assert_eq!(r.score, score_cluster(&r.cluster, method), "{method}");
             }
         }
     }

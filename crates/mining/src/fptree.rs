@@ -74,12 +74,6 @@ impl FpTree {
         0
     }
 
-    /// Number of nodes including the root.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Immutable node access.
     #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
@@ -235,7 +229,7 @@ mod tests {
         t.insert_path(&items(&[1, 2, 3]), 2);
         t.finish();
         // root + 1,2,3,4 = 5 nodes
-        assert_eq!(t.node_count(), 5);
+        assert_eq!(t.nodes.len(), 5);
         assert_eq!(t.header(Item(1)).unwrap().total, 4);
         assert_eq!(t.header(Item(2)).unwrap().total, 4);
         assert_eq!(t.header(Item(3)).unwrap().total, 3);

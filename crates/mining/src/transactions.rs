@@ -100,19 +100,9 @@ impl TransactionDb {
         &self.transactions[tid as usize]
     }
 
-    /// Number of distinct items that occur at least once.
-    pub fn distinct_items(&self) -> usize {
-        self.tidlists.len()
-    }
-
     /// Iterates over `(item, support)` pairs for every occurring item.
     pub fn item_supports(&self) -> impl Iterator<Item = (Item, u32)> + '_ {
         self.tidlists.iter().map(|(&i, t)| (i, t.len() as u32))
-    }
-
-    /// Support of a single item (`|{t : i ∈ t}|`).
-    pub fn item_support(&self, item: Item) -> u32 {
-        self.tidlists.get(&item).map_or(0, |t| t.len() as u32)
     }
 
     /// The cover (compressed tid-set) of a single item.
@@ -215,19 +205,6 @@ impl TransactionDb {
         }
         self.closure(itemset) == *itemset
     }
-
-    /// Restricts the database to transactions whose tids satisfy `keep`,
-    /// renumbering tids densely. Used by per-quarter slicing.
-    pub fn filter_tids(&self, mut keep: impl FnMut(u32) -> bool) -> TransactionDb {
-        let kept: Vec<ItemSet> = self
-            .transactions
-            .iter()
-            .enumerate()
-            .filter(|(tid, _)| keep(*tid as u32))
-            .map(|(_, t)| t.clone())
-            .collect();
-        TransactionDb::from_itemsets(kept)
-    }
 }
 
 #[cfg(test)]
@@ -250,10 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn len_and_distinct_items() {
+    fn len_and_item_bound() {
         let db = sample_db();
         assert_eq!(db.len(), 5);
-        assert_eq!(db.distinct_items(), 5);
         assert_eq!(db.item_bound(), 12);
     }
 
@@ -307,15 +283,6 @@ mod tests {
         for s in [set(&[0]), set(&[1]), set(&[0, 1]), set(&[10, 11])] {
             assert_eq!(db.support(&db.closure(&s)), db.support(&s));
         }
-    }
-
-    #[test]
-    fn filter_tids_renumbers() {
-        let db = sample_db();
-        let q = db.filter_tids(|tid| tid < 2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.support(&set(&[0])), 2);
-        assert_eq!(q.support(&set(&[1])), 1);
     }
 
     mod properties {

@@ -125,11 +125,6 @@ impl SpanRecord {
     pub fn depth(&self) -> usize {
         self.path.split('/').count()
     }
-
-    /// The parent span's path, or `None` for a root span.
-    pub fn parent_path(&self) -> Option<&str> {
-        self.path.rsplit_once('/').map(|(p, _)| p)
-    }
 }
 
 struct Frame {
@@ -322,7 +317,6 @@ mod tests {
         assert!(outer.start_ns <= leaf.start_ns);
         assert_eq!(leaf.name(), "leaf");
         assert_eq!(leaf.depth(), 3);
-        assert_eq!(leaf.parent_path(), Some("outer/inner"));
     }
 
     #[test]

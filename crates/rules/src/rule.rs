@@ -18,19 +18,6 @@ pub struct DrugAdrRule {
 }
 
 impl DrugAdrRule {
-    /// Builds a rule from a mixed itemset, counting the antecedent and
-    /// consequent supports against the database.
-    ///
-    /// Returns `None` if the itemset lacks either a drug or an ADR item.
-    pub fn from_itemset(
-        itemset: &ItemSet,
-        support: u64,
-        partition: &ItemPartition,
-        db: &TransactionDb,
-    ) -> Option<Self> {
-        Self::from_pattern(itemset.items(), support, partition, db)
-    }
-
     /// Builds a rule from a mixed pattern borrowed as a sorted item slice,
     /// counting the antecedent and consequent supports against the
     /// database — the path of rule pools streamed straight from the miner.
@@ -133,10 +120,11 @@ mod tests {
     }
 
     #[test]
-    fn from_itemset_splits_and_counts() {
+    fn from_pattern_splits_and_counts() {
         let p = ItemPartition::new(10);
         let d = db(&[&[0, 1, 10], &[0, 1, 10], &[0, 2], &[1, 10]]);
-        let rule = DrugAdrRule::from_itemset(&set(&[0, 1, 10]), 2, &p, &d).expect("mixed itemset");
+        let rule =
+            DrugAdrRule::from_pattern(set(&[0, 1, 10]).items(), 2, &p, &d).expect("mixed pattern");
         assert_eq!(rule.drugs, set(&[0, 1]));
         assert_eq!(rule.adrs, set(&[10]));
         assert_eq!(rule.stats.support_ab, 2);
@@ -148,12 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn from_itemset_rejects_pure_sets() {
+    fn from_pattern_rejects_pure_sets() {
         let p = ItemPartition::new(10);
         let d = db(&[&[0, 1]]);
-        assert!(DrugAdrRule::from_itemset(&set(&[0, 1]), 1, &p, &d).is_none());
-        assert!(DrugAdrRule::from_itemset(&set(&[10, 11]), 1, &p, &d).is_none());
-        assert!(DrugAdrRule::from_itemset(&ItemSet::empty(), 0, &p, &d).is_none());
+        assert!(DrugAdrRule::from_pattern(set(&[0, 1]).items(), 1, &p, &d).is_none());
+        assert!(DrugAdrRule::from_pattern(set(&[10, 11]).items(), 1, &p, &d).is_none());
+        assert!(DrugAdrRule::from_pattern(&[], 0, &p, &d).is_none());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! Hostile clients are bounded on two axes: every line read goes through
 //! a [`Read::take`]-capped reader so a newline-free flood fails with
 //! [`ParseError::TooLarge`] before buffering more than the header cap,
-//! and [`read_request`] enforces one absolute deadline over the whole
-//! request so a byte-at-a-time slowloris releases the worker after the
-//! configured I/O timeout ([`ParseError::Timeout`]).
+//! and [`read_request_capturing`] enforces one absolute deadline over the
+//! whole request so a byte-at-a-time slowloris releases the worker after
+//! the configured I/O timeout ([`ParseError::Timeout`]).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -110,19 +110,11 @@ impl Read for DeadlineStream<'_> {
 
 /// Reads and parses one request from the stream. `io_timeout` bounds the
 /// *total* wall time spent reading the request, not just each read.
-pub fn read_request(
-    stream: &mut TcpStream,
-    io_timeout: Option<Duration>,
-) -> Result<Request, ParseError> {
-    let mut discard = None;
-    read_request_capturing(stream, io_timeout, &mut discard)
-}
-
-/// [`read_request`], additionally capturing whatever request line the
-/// peer managed to send into `line_out` — *before* any parse error
-/// propagates. A slowloris connection cut off by the deadline mid-header
-/// still yields its (possibly partial) request line, so the shed/timeout
-/// log event can name what the client was asking for.
+/// Whatever request line the peer managed to send is captured into
+/// `line_out` — *before* any parse error propagates. A slowloris
+/// connection cut off by the deadline mid-header still yields its
+/// (possibly partial) request line, so the shed/timeout log event can name
+/// what the client was asking for.
 pub fn read_request_capturing(
     stream: &mut TcpStream,
     io_timeout: Option<Duration>,
@@ -222,19 +214,9 @@ fn parse_request_capturing<R: BufRead>(
     Ok(Request { method, path, query })
 }
 
-/// Writes a response with the given content type and closes the
-/// connection semantics.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    write_response_with(stream, status, content_type, &[], body)
-}
-
-/// [`write_response`] plus caller-supplied extra headers (the server
-/// uses this to echo `x-maras-request-id` on every response path).
+/// Writes a response with the given content type and extra headers (the
+/// server uses these to echo `x-maras-request-id` on every response path)
+/// and closes the connection semantics.
 pub fn write_response_with(
     stream: &mut TcpStream,
     status: u16,

@@ -71,5 +71,5 @@ pub use debug::{FlightRecorder, RequestId, RequestRecord, REQUEST_ID_HEADER};
 pub use metrics::{Endpoint, ServeMetrics};
 pub use router::{respond, ReloadError, ServeState, DEFAULT_SLOW_THRESHOLD_US};
 pub use server::{serve, serve_with, ServeConfig, ServerHandle};
-pub use snapshot::{scores_json, ClusterEntry, ContextEntry, Snapshot, SortBy};
+pub use snapshot::{scores_json, ClusterEntry, ContextEntry, Snapshot};
 pub use store::{load, save, FORMAT_VERSION, MAGIC};

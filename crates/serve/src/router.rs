@@ -13,13 +13,14 @@ use crate::cache::QueryCache;
 use crate::debug::{self, FlightRecorder, DEFAULT_RECENT_REQUESTS};
 use crate::http::Request;
 use crate::metrics::{Endpoint, ServeMetrics};
-use crate::snapshot::{Snapshot, SortBy};
+use crate::snapshot::Snapshot;
 use crate::store;
 use maras_core::RuleQuery;
 use maras_evidence::EvidenceReader;
 use maras_faers::CaseReport;
 use maras_format::FormatError;
 use maras_obs::{Event, Level, Registry};
+use maras_signals::RankKey;
 use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -551,21 +552,21 @@ fn search(generation: &Generation, req: &Request) -> (u16, String) {
         Err(e) => return (400, e),
     };
     let sort_by = match req.param("sort_by") {
-        None => SortBy::Rank,
-        Some(s) => match SortBy::from_str_opt(s) {
-            Some(sb) => sb,
+        None | Some("rank" | "score") => None,
+        Some(s) => match RankKey::parse(s) {
+            Some(key) => Some(key),
             None => {
-                return (
-                    400,
-                    error_body(
-                        "bad_request",
-                        "'sort_by' must be one of rank, score, exclusiveness, prr, ror, ebgm",
-                    ),
-                )
+                let names = RankKey::ALL.map(RankKey::name).join(", ");
+                let msg = format!("'sort_by' must be one of rank, score, {names}");
+                return (400, error_body("bad_request", &msg));
             }
         },
     };
-    let ranks = snap.sort_ranks(snap.query(&query), sort_by);
+    let hits = snap.query(&query);
+    let ranks = match sort_by {
+        Some(key) => snap.sort_ranks(&hits, key),
+        None => hits,
+    };
     let body = Value::obj([
         ("quarter", Value::from(snap.quarter.clone())),
         ("total", Value::from(ranks.len())),

@@ -15,7 +15,7 @@ use maras_core::pipeline::AnalysisResult;
 use maras_core::{KnowledgeBase, RuleQuery};
 use maras_faers::Vocabulary;
 use maras_rules::RuleStats;
-use maras_signals::SignalScores;
+use maras_signals::{RankKey, SignalScores};
 use maras_tidset::TidSet;
 use rustc_hash::FxHashMap;
 use serde_json::Value;
@@ -79,33 +79,6 @@ impl ClusterEntry {
     }
 }
 
-/// Presentation orders the snapshot maintains sorted rank indexes for
-/// (the `?sort_by=` query parameter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SortBy {
-    /// Native rank order (the pipeline's ranking method; default).
-    Rank,
-    /// Descending PRR point estimate.
-    Prr,
-    /// Descending ROR point estimate.
-    Ror,
-    /// Descending EBGM posterior geometric mean.
-    Ebgm,
-}
-
-impl SortBy {
-    /// Parses the wire spelling; `None` for anything unrecognized.
-    pub fn from_str_opt(s: &str) -> Option<SortBy> {
-        match s {
-            "rank" | "score" | "exclusiveness" => Some(SortBy::Rank),
-            "prr" => Some(SortBy::Prr),
-            "ror" => Some(SortBy::Ror),
-            "ebgm" => Some(SortBy::Ebgm),
-            _ => None,
-        }
-    }
-}
-
 /// An immutable, index-accelerated view of one quarter's ranked clusters.
 #[derive(Debug)]
 pub struct Snapshot {
@@ -125,12 +98,9 @@ pub struct Snapshot {
     pub(crate) severity_at_least: Vec<TidSet>,
     /// Antecedent cardinality → compressed rank postings.
     pub(crate) n_drugs_index: FxHashMap<usize, TidSet>,
-    /// Ranks ordered by descending PRR estimate (ties: rank ascending).
-    by_prr: Vec<u32>,
-    /// Ranks ordered by descending ROR estimate (ties: rank ascending).
-    by_ror: Vec<u32>,
-    /// Ranks ordered by descending EBGM (ties: rank ascending).
-    by_ebgm: Vec<u32>,
+    /// `by_key[k as usize]` — ranks ordered by descending
+    /// [`RankKey::value`] of `k` (ties: rank ascending).
+    by_key: [Vec<u32>; RankKey::ALL.len()],
 }
 
 impl Snapshot {
@@ -233,9 +203,7 @@ impl Snapshot {
         {
             postings.record_build();
         }
-        let by_prr = ranks_by_key_desc(&clusters, |c| c.scores.prr.estimate);
-        let by_ror = ranks_by_key_desc(&clusters, |c| c.scores.ror.estimate);
-        let by_ebgm = ranks_by_key_desc(&clusters, |c| c.scores.ebgm.ebgm);
+        let by_key = RankKey::ALL.map(|key| ranks_by_key_desc(&clusters, key));
         Snapshot {
             quarter,
             n_reports,
@@ -246,9 +214,7 @@ impl Snapshot {
             adr_index,
             severity_at_least,
             n_drugs_index,
-            by_prr,
-            by_ror,
-            by_ebgm,
+            by_key,
         }
     }
 
@@ -317,16 +283,10 @@ impl Snapshot {
         // A NaN threshold rejects nothing in the scan predicate (`x < NaN`
         // is always false), so it must not narrow here either.
         if let Some(min) = q.min_prr.filter(|m| !m.is_nan()) {
-            narrow(
-                &mut candidates,
-                &self.ranks_at_least(&self.by_prr, min, |c| c.scores.prr.estimate),
-            );
+            narrow(&mut candidates, &self.ranks_at_least(RankKey::Prr, min));
         }
         if let Some(min) = q.min_ror.filter(|m| !m.is_nan()) {
-            narrow(
-                &mut candidates,
-                &self.ranks_at_least(&self.by_ror, min, |c| c.scores.ror.estimate),
-            );
+            narrow(&mut candidates, &self.ranks_at_least(RankKey::Ror, min));
         }
         let survivors: Box<dyn Iterator<Item = u32> + '_> = match &candidates {
             Some(ranks) => Box::new(ranks.iter()),
@@ -372,32 +332,22 @@ impl Snapshot {
     }
 
     /// The compressed set of ranks whose `key` is at least `min`: a
-    /// prefix of the descending-sorted index, found by binary search.
-    fn ranks_at_least(
-        &self,
-        index: &[u32],
-        min: f64,
-        key: impl Fn(&ClusterEntry) -> f64,
-    ) -> TidSet {
-        let end = index.partition_point(|&r| key(&self.clusters[r as usize]) >= min);
+    /// prefix of the key's descending index, found by binary search.
+    fn ranks_at_least(&self, key: RankKey, min: f64) -> TidSet {
+        let index = &self.by_key[key as usize];
+        let end = index.partition_point(|&r| key.value(&self.clusters[r as usize].scores) >= min);
         let mut prefix = index[..end].to_vec();
         prefix.sort_unstable();
         TidSet::from_sorted(&prefix)
     }
 
-    /// Reorders query-result ranks by a maintained sorted index. `Rank`
-    /// keeps the native order; the others walk the per-measure index and
-    /// keep only members of `hits`, so the relative order is descending
-    /// in that measure with rank-ascending ties.
-    pub fn sort_ranks(&self, hits: Vec<usize>, sort_by: SortBy) -> Vec<usize> {
-        let index = match sort_by {
-            SortBy::Rank => return hits,
-            SortBy::Prr => &self.by_prr,
-            SortBy::Ror => &self.by_ror,
-            SortBy::Ebgm => &self.by_ebgm,
-        };
+    /// Reorders query-result ranks by `key`: walks the key's index and
+    /// keeps only members of `hits`, so the relative order is descending
+    /// in that key with rank-ascending ties.
+    pub fn sort_ranks(&self, hits: &[usize], key: RankKey) -> Vec<usize> {
+        let index = &self.by_key[key as usize];
         let mut member = vec![false; self.clusters.len()];
-        for &h in &hits {
+        for &h in hits {
             member[h] = true;
         }
         index.iter().map(|&r| r as usize).filter(|&r| member[r]).collect()
@@ -466,17 +416,8 @@ impl Snapshot {
     }
 
     /// JSON detail view of one cluster: the hit fields plus contextual
-    /// rules and supporting case ids (the §4.1 drill-down).
-    ///
-    /// # Panics
-    /// Panics if `rank` is out of range; use [`Self::try_detail_json`] for
-    /// ranks parsed from request paths.
-    pub fn detail_json(&self, rank: usize) -> Value {
-        self.try_detail_json(rank).expect("cluster rank out of range")
-    }
-
-    /// Checked variant of [`Self::detail_json`]: `None` when `rank` is out
-    /// of range instead of panicking.
+    /// rules and supporting case ids (the §4.1 drill-down); `None` when
+    /// `rank` is out of range.
     pub fn try_detail_json(&self, rank: usize) -> Option<Value> {
         let c = self.clusters.get(rank)?;
         let mut detail = match self.try_hit_json(rank)? {
@@ -517,11 +458,14 @@ impl Snapshot {
 
 /// Ranks sorted by a score key, descending, ties broken by ascending
 /// rank. Estimates are always finite (the engine never emits NaN), but
-/// `total_cmp` keeps the build total regardless.
-fn ranks_by_key_desc(clusters: &[ClusterEntry], key: impl Fn(&ClusterEntry) -> f64) -> Vec<u32> {
+/// `total_cmp` keeps the build total regardless. Each value is computed
+/// once (the composite takes a cube root); ranks are distinct, so an
+/// unstable sort gives the same order.
+fn ranks_by_key_desc(clusters: &[ClusterEntry], key: RankKey) -> Vec<u32> {
+    let values: Vec<f64> = clusters.iter().map(|c| key.value(&c.scores)).collect();
     let mut ranks: Vec<u32> = (0..clusters.len() as u32).collect();
-    ranks.sort_by(|&x, &y| {
-        key(&clusters[y as usize]).total_cmp(&key(&clusters[x as usize])).then_with(|| x.cmp(&y))
+    ranks.sort_unstable_by(|&x, &y| {
+        values[y as usize].total_cmp(&values[x as usize]).then_with(|| x.cmp(&y))
     });
     ranks
 }
@@ -681,7 +625,7 @@ mod tests {
     fn detail_json_carries_context_and_cases() {
         let (result, dv, av) = fixture();
         let snap = Snapshot::build("2014 Q1", &result, &dv, &av, None);
-        let detail = snap.detail_json(0);
+        let detail = snap.try_detail_json(0).unwrap();
         assert_eq!(detail["rank"], 1usize);
         let n_drugs = detail["drugs"].as_array().unwrap().len();
         let context = detail["context"].as_array().unwrap();
@@ -700,49 +644,36 @@ mod tests {
     }
 
     #[test]
-    fn sorted_indexes_order_by_their_measure() {
+    fn sorted_indexes_order_by_their_key() {
         let (result, dv, av) = fixture();
         let snap = Snapshot::build("2014 Q1", &result, &dv, &av, None);
         let all = snap.query(&RuleQuery::new());
-        for (sort_by, key) in [
-            (SortBy::Prr, (|c: &ClusterEntry| c.scores.prr.estimate) as fn(&ClusterEntry) -> f64),
-            (SortBy::Ror, |c: &ClusterEntry| c.scores.ror.estimate),
-            (SortBy::Ebgm, |c: &ClusterEntry| c.scores.ebgm.ebgm),
-        ] {
-            let sorted = snap.sort_ranks(all.clone(), sort_by);
+        for key in RankKey::ALL {
+            let sorted = snap.sort_ranks(&all, key);
             // Same set of ranks, reordered.
             let mut back = sorted.clone();
             back.sort_unstable();
-            assert_eq!(back, all, "{sort_by:?}");
+            assert_eq!(back, all, "{key:?}");
             for w in sorted.windows(2) {
-                let (x, y) = (key(&snap.clusters[w[0]]), key(&snap.clusters[w[1]]));
+                let (x, y) = (
+                    key.value(&snap.clusters[w[0]].scores),
+                    key.value(&snap.clusters[w[1]].scores),
+                );
                 assert!(
                     x > y || (x == y && w[0] < w[1]),
-                    "{sort_by:?}: rank {} ({x}) before rank {} ({y})",
+                    "{key:?}: rank {} ({x}) before rank {} ({y})",
                     w[0],
                     w[1]
                 );
             }
         }
-        // Rank keeps native order, and sorting a filtered subset preserves
-        // membership.
-        assert_eq!(snap.sort_ranks(all.clone(), SortBy::Rank), all);
+        // The ranking key's index is the native order, and sorting a
+        // filtered subset preserves membership.
+        assert_eq!(snap.sort_ranks(&all, RankKey::Exclusiveness), all);
         let subset = snap.query(&RuleQuery::new().with_min_ror(1.0));
-        let mut sorted_subset = snap.sort_ranks(subset.clone(), SortBy::Ror);
+        let mut sorted_subset = snap.sort_ranks(&subset, RankKey::Ror);
         sorted_subset.sort_unstable();
         assert_eq!(sorted_subset, subset);
-    }
-
-    #[test]
-    fn sort_by_parses_wire_spellings() {
-        assert_eq!(SortBy::from_str_opt("prr"), Some(SortBy::Prr));
-        assert_eq!(SortBy::from_str_opt("ror"), Some(SortBy::Ror));
-        assert_eq!(SortBy::from_str_opt("ebgm"), Some(SortBy::Ebgm));
-        assert_eq!(SortBy::from_str_opt("rank"), Some(SortBy::Rank));
-        assert_eq!(SortBy::from_str_opt("score"), Some(SortBy::Rank));
-        assert_eq!(SortBy::from_str_opt("exclusiveness"), Some(SortBy::Rank));
-        assert_eq!(SortBy::from_str_opt("PRR"), None);
-        assert_eq!(SortBy::from_str_opt("bogus"), None);
     }
 
     #[test]
@@ -760,7 +691,7 @@ mod tests {
         assert_eq!(scores["exclusiveness"].as_f64().unwrap(), c.score);
         assert!(scores["interaction"].as_f64().is_some());
         // The detail view inherits the block from the hit view.
-        assert_eq!(snap.detail_json(0)["scores"].to_string(), scores.to_string());
+        assert_eq!(snap.try_detail_json(0).unwrap()["scores"].to_string(), scores.to_string());
     }
 
     #[test]
@@ -772,6 +703,5 @@ mod tests {
         assert!(snap.try_hit_json(snap.len()).is_none());
         assert!(snap.try_detail_json(snap.len()).is_none());
         assert!(snap.try_detail_json(usize::MAX).is_none());
-        assert_eq!(snap.try_detail_json(0).unwrap().to_string(), snap.detail_json(0).to_string());
     }
 }

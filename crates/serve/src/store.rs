@@ -295,11 +295,8 @@ mod tests {
         let q = RuleQuery::new().with_min_prr(2.0).with_min_ror(1.5);
         assert_eq!(loaded.query(&q), snap.query(&q));
         let all = snap.query(&RuleQuery::new());
-        for sort_by in [crate::snapshot::SortBy::Prr, crate::snapshot::SortBy::Ebgm] {
-            assert_eq!(
-                loaded.sort_ranks(all.clone(), sort_by),
-                snap.sort_ranks(all.clone(), sort_by)
-            );
+        for key in maras_signals::RankKey::ALL {
+            assert_eq!(loaded.sort_ranks(&all, key), snap.sort_ranks(&all, key));
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -169,6 +169,58 @@ impl SignalScores {
     }
 }
 
+/// A score that ranks clusters: the CLI's `--rank-by` and the server's
+/// `?sort_by=` name one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RankKey {
+    /// MARAS exclusiveness over MCACs (the paper's ranking; the default).
+    #[default]
+    Exclusiveness,
+    /// Proportional reporting ratio point estimate.
+    Prr,
+    /// Reporting odds ratio point estimate.
+    Ror,
+    /// MGPS shrunken geometric mean (EBGM).
+    Ebgm,
+    /// Geometric mean of PRR, ROR and EBGM — a composite that rewards
+    /// agreement across the frequentist and Bayesian baselines.
+    Composite,
+}
+
+impl RankKey {
+    /// Every key, in declaration order (`ALL[k as usize] == k`).
+    pub const ALL: [RankKey; 5] =
+        [RankKey::Exclusiveness, RankKey::Prr, RankKey::Ror, RankKey::Ebgm, RankKey::Composite];
+
+    /// Parses the CLI / query-string spelling; `None` for anything else.
+    pub fn parse(s: &str) -> Option<RankKey> {
+        RankKey::ALL.into_iter().find(|k| k.name() == s)
+    }
+
+    /// The CLI / query-string spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            RankKey::Exclusiveness => "exclusiveness",
+            RankKey::Prr => "prr",
+            RankKey::Ror => "ror",
+            RankKey::Ebgm => "ebgm",
+            RankKey::Composite => "composite",
+        }
+    }
+
+    /// This key's value in a score block: the one place a key reads its
+    /// score.
+    pub fn value(self, s: &SignalScores) -> f64 {
+        match self {
+            RankKey::Exclusiveness => s.exclusiveness,
+            RankKey::Prr => s.prr.estimate,
+            RankKey::Ror => s.ror.estimate,
+            RankKey::Ebgm => s.ebgm.ebgm,
+            RankKey::Composite => (s.prr.estimate * s.ror.estimate * s.ebgm.ebgm).cbrt(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +349,24 @@ mod tests {
         let s = s.with_interaction(1.25).with_exclusiveness(0.75);
         assert_eq!(s.interaction, 1.25);
         assert_eq!(s.exclusiveness, 0.75);
+    }
+
+    #[test]
+    fn rank_keys_round_trip_and_read_their_score() {
+        for (i, key) in RankKey::ALL.into_iter().enumerate() {
+            assert_eq!(key as usize, i);
+            assert_eq!(RankKey::parse(key.name()), Some(key));
+        }
+        assert_eq!(RankKey::parse("PRR"), None);
+        assert_eq!(RankKey::parse("rank"), None);
+        assert_eq!(RankKey::default(), RankKey::Exclusiveness);
+        let s = SignalScores::from_table(textbook()).with_exclusiveness(0.75);
+        assert_eq!(RankKey::Exclusiveness.value(&s), 0.75);
+        assert_eq!(RankKey::Prr.value(&s), s.prr.estimate);
+        assert_eq!(RankKey::Ror.value(&s), s.ror.estimate);
+        assert_eq!(RankKey::Ebgm.value(&s), s.ebgm.ebgm);
+        let composite = (s.prr.estimate * s.ror.estimate * s.ebgm.ebgm).cbrt();
+        assert_eq!(RankKey::Composite.value(&s), composite);
     }
 
     mod properties {

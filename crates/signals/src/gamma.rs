@@ -59,11 +59,6 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
     gamma_p_with_factor(a, x, ln_gamma(a)).0
 }
 
-/// Regularized upper incomplete gamma `Q(a, x) = 1 − P(a, x)`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
-    1.0 - gamma_p(a, x)
-}
-
 /// `P(a, x)` for `x > 0` from a precomputed `ln_gamma_a = lnΓ(a)`, paired
 /// with the factor `xᵃ e⁻ˣ / Γ(a)` both branches scale by. That factor
 /// divided by `x` is the Gamma(a, 1) density at `x`, so a solver inverting
@@ -210,13 +205,6 @@ mod tests {
         assert!((gamma_p(100.0, 100.0) - 0.5).abs() < 0.03);
         // Exact check: exponential median.
         assert!((gamma_p(1.0, 2f64.ln()) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn p_plus_q_is_one() {
-        for (a, x) in [(0.5, 0.2), (1.0, 1.0), (3.5, 2.0), (10.0, 20.0), (2.0, 0.01)] {
-            assert!((gamma_p(a, x) + gamma_q(a, x) - 1.0).abs() < 1e-12, "a={a} x={x}");
-        }
     }
 
     /// `1 − Σ_{k<a} e⁻ˣ xᵏ / k!`, which is `P(a, x)` for integer `a`. Sums

@@ -8,7 +8,8 @@
 //! each rule's stored tid-list marginals and, for the interaction contrast,
 //! its single-drug contextual rules. `maras-mcac` runs it on every ranked
 //! cluster and the snapshot/server layers carry the resulting
-//! [`SignalScores`] block to clients.
+//! [`SignalScores`] block to clients. [`RankKey`] names the score in that
+//! block a ranking orders by, for `--rank-by` and `?sort_by=` alike.
 
 #![warn(missing_docs)]
 
@@ -23,7 +24,7 @@ pub mod metrics;
 
 pub use contingency::{ContingencyError, ContingencyTable};
 pub use disproportionality::{
-    chi_square_yates, evans_signal, prr, ror, rrr, ConfidenceInterval, SignalScores,
+    chi_square_yates, evans_signal, prr, ror, rrr, ConfidenceInterval, RankKey, SignalScores,
 };
 pub use ebgm::{ebgm, ebgm_from_table, EbgmScores, GammaMixturePrior};
 pub use engine::score_rules;

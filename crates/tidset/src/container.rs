@@ -5,8 +5,8 @@
 //! a fixed 8 KiB, an array chunk `2·n` bytes, so the break-even cardinality
 //! is 4096. Every kernel here keeps the representation *canonical* — an
 //! array at or below [`ARRAY_MAX`] elements, a bitmap strictly above — so
-//! equality of sets is equality of representations and the membership /
-//! rank probes always pick the right algorithm for the density they see.
+//! equality of sets is equality of representations and the membership
+//! probes always pick the right algorithm for the density they see.
 
 /// Largest cardinality stored as a sorted array (the 4096 break-even).
 pub const ARRAY_MAX: usize = 4096;
@@ -84,19 +84,6 @@ impl Container {
             Container::Bitmap { words, card } => {
                 set_bit(words, v);
                 *card += 1;
-            }
-        }
-    }
-
-    /// Number of present values strictly below `v`.
-    pub fn rank_below(&self, v: u16) -> usize {
-        match self {
-            Container::Array(a) => a.partition_point(|&x| x < v),
-            Container::Bitmap { words, .. } => {
-                let word = usize::from(v) >> 6;
-                let mut n: u32 = words[..word].iter().map(|w| w.count_ones()).sum();
-                n += (words[word] & ((1u64 << (v & 63)) - 1)).count_ones();
-                n as usize
             }
         }
     }
@@ -565,17 +552,14 @@ mod tests {
     }
 
     #[test]
-    fn rank_select_roundtrip() {
+    fn select_follows_iteration_order() {
         for c in [array(&[0, 7, 65535]), dense(100..5000)] {
             assert!(c.is_canonical());
-            for idx in 0..c.len() {
-                let v = c.select(idx);
-                assert_eq!(c.rank_below(v), idx);
-                assert!(c.contains(v));
+            for (idx, v) in c.iter().enumerate() {
+                assert_eq!(c.select(idx), v);
             }
             assert_eq!(c.iter().count(), c.len());
         }
-        assert_eq!(dense(0..5000).rank_below(65535), 5000);
     }
 
     #[test]

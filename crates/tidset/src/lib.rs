@@ -13,8 +13,6 @@
 //! answers support-counting questions without materializing anything —
 //! the innermost loop of FP-Growth support, `ScoreEngine` contingency
 //! marginals, `/search` filter narrowing, and evidence covers.
-//! [`TidSet::rank`]/[`TidSet::select`]/[`TidSet::page`] give O(chunks)
-//! pagination over compressed postings.
 //!
 //! Kernel invocations, container mix, and built bytes are exported as
 //! `maras_tidset_*` series through [`maras-obs`](maras_obs); see

@@ -9,9 +9,9 @@ use crate::metrics::metrics;
 /// Chunks are keyed by the high 16 bits of the tid and stored sorted, so
 /// binary operations walk two chunk lists like a merge; each chunk is a
 /// sorted-array or bitmap [`Container`] over the low 16 bits. Cardinality
-/// is cached, membership and [`rank`](TidSet::rank)/[`select`](TidSet::select)
-/// are logarithmic in the chunk count, and the intersection kernels pick
-/// merge, gallop, or word-AND per chunk pair by density.
+/// is cached, membership is logarithmic in the chunk count, and the
+/// intersection kernels pick merge, gallop, or word-AND per chunk pair by
+/// density.
 ///
 /// ```
 /// use maras_tidset::TidSet;
@@ -96,61 +96,6 @@ impl TidSet {
             Ok(i) => self.chunks[i].1.contains(tid as u16),
             Err(_) => false,
         }
-    }
-
-    /// Number of members strictly below `tid`.
-    pub fn rank(&self, tid: u32) -> u64 {
-        let key = (tid >> 16) as u16;
-        let mut n = 0u64;
-        for &(k, ref c) in &self.chunks {
-            if k < key {
-                n += c.len() as u64;
-            } else if k == key {
-                n += c.rank_below(tid as u16) as u64;
-            } else {
-                break;
-            }
-        }
-        n
-    }
-
-    /// The `idx`-th smallest member (0-based), or `None` past the end —
-    /// the pagination primitive (`select(offset)` starts a page without
-    /// decompressing the prefix).
-    pub fn select(&self, idx: u64) -> Option<u32> {
-        let mut remaining = idx;
-        for &(k, ref c) in &self.chunks {
-            let n = c.len() as u64;
-            if remaining < n {
-                return Some(u32::from(k) << 16 | u32::from(c.select(remaining as usize)));
-            }
-            remaining -= n;
-        }
-        None
-    }
-
-    /// One page of members: `limit` tids starting at 0-based `offset`,
-    /// ascending. Seeks the start chunk by rank instead of walking the
-    /// whole prefix.
-    pub fn page(&self, offset: u64, limit: usize) -> Vec<u32> {
-        let mut out = Vec::with_capacity(limit.min(self.len.saturating_sub(offset) as usize));
-        let mut skip = offset;
-        for &(k, ref c) in &self.chunks {
-            let n = c.len() as u64;
-            if skip >= n {
-                skip -= n;
-                continue;
-            }
-            let base = u32::from(k) << 16;
-            for idx in (skip as usize)..c.len() {
-                if out.len() == limit {
-                    return out;
-                }
-                out.push(base | u32::from(c.select(idx)));
-            }
-            skip = 0;
-        }
-        out
     }
 
     /// Iterates members ascending.
@@ -434,25 +379,6 @@ mod tests {
         let b = set(&[1, 2, 3]);
         assert_eq!(b.intersect_count_capped(&b, 3), 3);
         assert_eq!(b.intersect_count_capped(&b, 2), 3, "cap+1 signals over");
-    }
-
-    #[test]
-    fn rank_select_page() {
-        let s = set(&[10, 65_536, 65_537, 200_000, 200_001]);
-        assert_eq!(s.rank(10), 0);
-        assert_eq!(s.rank(11), 1);
-        assert_eq!(s.rank(65_537), 2);
-        assert_eq!(s.rank(u32::MAX), 5);
-        assert_eq!(s.select(0), Some(10));
-        assert_eq!(s.select(3), Some(200_000));
-        assert_eq!(s.select(5), None);
-        assert_eq!(s.page(1, 2), vec![65_536, 65_537]);
-        assert_eq!(s.page(3, 10), vec![200_000, 200_001]);
-        assert_eq!(s.page(5, 10), Vec::<u32>::new());
-        // Dense chunk paging hits the bitmap select path.
-        let d = range(0..8_000);
-        assert_eq!(d.page(4_500, 3), vec![4_500, 4_501, 4_502]);
-        assert_eq!(d.rank(4_500), 4_500);
     }
 
     #[test]

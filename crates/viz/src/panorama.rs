@@ -83,7 +83,7 @@ mod tests {
                     ItemSet::from_ids([10u32]),
                     &db,
                 );
-                let mut ranked = rank_clusters(vec![t], &db, RankingMethod::Confidence)
+                let mut ranked = rank_clusters(vec![t], &db, RankingMethod::default())
                     .pop()
                     .expect("fixture rule is multi-drug");
                 ranked.score = 1.0 - i as f64 * 0.1;

@@ -21,7 +21,7 @@
 //! a blown error budget exits with code 2.
 
 use maras::core::ingest::{run_quarters_dir, QuarterOutcome};
-use maras::core::{supporting_reports, KnowledgeBase, Pipeline, PipelineConfig, RankBy};
+use maras::core::{supporting_reports, KnowledgeBase, Pipeline, PipelineConfig};
 use maras::evidence::{build_archive, check_archive, BuildConfig, EvidenceReader};
 use maras::faers::ascii::{
     read_quarter_dir_with, write_quarter_dir, AsciiError, ErrorBudget, IngestMetrics, IngestMode,
@@ -29,8 +29,9 @@ use maras::faers::ascii::{
 };
 use maras::faers::{CleaningStats, QuarterId, SynthConfig, Synthesizer, Vocabulary};
 use maras::format::FormatError;
-use maras::rules::{DrugAdrRule, Measure};
+use maras::rules::DrugAdrRule;
 use maras::serve::{ServeState, Snapshot};
+use maras::signals::RankKey;
 use maras::study::{appendix_a_battery, run_study, Encoding, StudyConfig};
 use maras::viz::{glyph_svg, panorama_svg, GlyphConfig, PanoramaConfig, Theme, DARK, LIGHT};
 use std::collections::HashMap;
@@ -168,6 +169,9 @@ worker threads. Ingest output is byte-identical at any thread count.
 --rank-by METHOD orders the ranked clusters by exclusiveness (default)
 or a disproportionality baseline (prr, ror, ebgm, or their geometric
 mean, composite); every method serves the full score block either way.
+--theta and --measure set the exclusiveness in every score block,
+whatever --rank-by says. The server's /search?sort_by= takes the same
+names, plus rank or score for the snapshot's own order.
   maras study    [--participants N] [--seed S]
   maras demo
 
@@ -407,7 +411,7 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, CliError> {
         .with_n_threads(flag_num(flags, "threads", 0usize)?);
     match flags.get("measure").map(String::as_str) {
         None | Some("confidence") => {}
-        Some("lift") => config.exclusiveness.measure = Measure::Lift,
+        Some("lift") => config = config.with_lift(),
         Some(other) => {
             return Err(CliError::usage(format!(
                 "--measure must be confidence or lift, got {other:?}"
@@ -415,14 +419,11 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, CliError> {
         }
     }
     if let Some(s) = flags.get("rank-by") {
-        match RankBy::from_str_opt(s) {
-            Some(rank_by) => config = config.with_rank_by(rank_by),
-            None => {
-                return Err(CliError::usage(format!(
-                    "--rank-by must be exclusiveness, prr, ror, ebgm, or composite, got {s:?}"
-                )))
-            }
-        }
+        let key = RankKey::parse(s).ok_or_else(|| {
+            let names = RankKey::ALL.map(RankKey::name).join(", ");
+            CliError::usage(format!("--rank-by must be one of {names}, got {s:?}"))
+        })?;
+        config = config.with_rank_by(key);
     }
     Ok(config)
 }

@@ -133,6 +133,51 @@ fn analyze_with_drug_filter() {
 }
 
 #[test]
+fn theta_and_measure_set_the_exclusiveness_under_every_rank_by() {
+    let dir = tmpdir("rank_by");
+    let dir_s = dir.to_str().unwrap();
+    let gen = maras(&["generate", "--out", dir_s, "--reports", "900", "--seed", "5"]);
+    assert!(gen.status.success(), "stderr: {}", String::from_utf8_lossy(&gen.stderr));
+
+    // (drugs, adrs) → served exclusiveness of every cluster of one run.
+    let exclusiveness = |tag: &str, extra: &[&str]| {
+        let json = dir.join(format!("{tag}.json"));
+        let mut args = vec!["analyze", "--dir", dir_s, "--quarter", "2014Q1"];
+        args.extend(["--min-support", "6", "--top", "100000", "--json", json.to_str().unwrap()]);
+        args.extend(extra);
+        let out = maras(&args);
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let parsed: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        let rows = parsed["rules"].as_array().unwrap().clone();
+        assert!(!rows.is_empty(), "{tag}: no clusters");
+        rows.into_iter()
+            .map(|r| {
+                let key = format!("{} => {}", r["drugs"], r["adrs"]);
+                (key, r["scores"]["exclusiveness"].as_f64().unwrap())
+            })
+            .collect::<std::collections::BTreeMap<_, _>>()
+    };
+    let lift_09 = ["--theta", "0.9", "--measure", "lift"];
+    let by_prr = exclusiveness("prr", &[&["--rank-by", "prr"][..], &lift_09].concat());
+    let by_excl = exclusiveness("excl", &[&["--rank-by", "exclusiveness"][..], &lift_09].concat());
+    let by_prr_default = exclusiveness("prr_default", &["--rank-by", "prr"]);
+
+    let mut shared = 0;
+    for (key, value) in &by_prr {
+        if let Some(want) = by_excl.get(key) {
+            assert_eq!(value, want, "{key}: --rank-by prr served another exclusiveness");
+            shared += 1;
+        }
+    }
+    assert_eq!(shared, by_excl.len(), "both runs rank the same clusters");
+    // The settings do reach the PRR ranking: they move some cluster's value.
+    assert!(by_prr.iter().any(|(key, value)| by_prr_default.get(key) != Some(value)));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn dirty_data_modes_and_exit_codes() {
     let dir = tmpdir("dirty");
     let dir_s = dir.to_str().unwrap();

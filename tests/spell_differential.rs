@@ -56,7 +56,7 @@ fn nearest_equals_a_brute_force_scan_on_faulty_years() {
                 .expect("lenient read of row-level faults");
             assert!(!read.report.is_clean(), "seed {seed}: faults must land");
             for report in &read.data.reports {
-                drugs.extend(report.drugs.iter().map(|d| normalize_drug_string(&d.name, true)));
+                drugs.extend(report.drugs.iter().map(|d| normalize_drug_string(&d.name)));
                 adrs.extend(report.reactions.iter().map(|a| a.to_string()));
             }
         }
