@@ -1,11 +1,13 @@
 # Development targets for the MARAS workspace.
 #
 # `make verify` is the pre-merge gate: formatting, lints and rustdoc
-# warnings as errors, and the release build + every workspace crate's tests
-# (which include the serve crate's ephemeral-port HTTP integration tests).
-# Clippy and rustdoc are scoped to the first-party crates; the vendored
-# dependency shims under vendor/ are formatted but not lint-clean by
-# contract.
+# warnings as errors, the release build + every workspace crate's tests
+# (which include the serve crate's ephemeral-port HTTP integration tests),
+# the chaos suite on one test thread, and one CLI round trip. It runs each
+# test binary once; the per-layer targets below rerun a layer's suites on
+# their own, for focused runs. Clippy and rustdoc are scoped to the
+# first-party crates; the vendored dependency shims under vendor/ are
+# formatted but not lint-clean by contract.
 
 FIRST_PARTY = -p maras -p maras-bench -p maras-core -p maras-evidence \
               -p maras-faers -p maras-format -p maras-mcac -p maras-mining \
@@ -14,12 +16,10 @@ FIRST_PARTY = -p maras -p maras-bench -p maras-core -p maras-evidence \
 
 .PHONY: verify fmt fmt-check clippy doc-check test obs-test logs-test \
         serve-test evidence-test format-test signals-test mcac-test \
-        tidset-test clean-test chaos \
+        tidset-test clean-test chaos cli-roundtrip \
         snapshot trace bench
 
-verify: fmt-check clippy doc-check test obs-test logs-test serve-test \
-        evidence-test format-test signals-test mcac-test tidset-test \
-        clean-test chaos
+verify: fmt-check clippy doc-check test chaos cli-roundtrip
 
 fmt:
 	cargo fmt
@@ -83,8 +83,9 @@ evidence-test:
 # both files (every truncation and length lie under a recomputed checksum
 # must load or get a typed error, within a heap bound), the MARASNAP
 # store tests (round trip, and the typed refusals of a context mask past
-# its target's drugs, and of target counts, a case-id count or context
-# counts no report set could produce),
+# its target's drugs, of a context other than each proper drug subset
+# once, and of target counts, a case-id count or context counts no
+# report set could produce),
 # the JSON-identity suite (every /cluster/N of a built and a reloaded
 # snapshot equals the body rendered from the analysis itself), the
 # corrupt-archive suite, and a CLI round trip that writes a snapshot and
@@ -151,6 +152,23 @@ clean-test:
 	cargo test -q -p maras-faers
 	cargo test -q --test clean_properties
 	cargo test -q --test spell_differential
+
+# The CLI end to end, each command once: generate a quarter, write its
+# snapshot with the evidence archive, load both as `maras serve` does,
+# then build an archive on its own and check both archives.
+cli-roundtrip:
+	cargo run -q --release --bin maras -- generate --out target/cli-data --reports 2000
+	cargo run -q --release --bin maras -- snapshot --dir target/cli-data \
+		--quarter 2014Q1 --out target/cli-data/2014Q1.snap \
+		--evidence target/cli-data/2014Q1.evid
+	cargo run -q --release --bin maras -- serve --snapshot target/cli-data/2014Q1.snap \
+		--evidence target/cli-data/2014Q1.evid --check
+	cargo run -q --release --bin maras -- evidence build --dir target/cli-data \
+		--quarter 2014Q1 --out target/cli-data/2014Q1-built.evid
+	cargo run -q --release --bin maras -- evidence check \
+		--archive target/cli-data/2014Q1.evid
+	cargo run -q --release --bin maras -- evidence check \
+		--archive target/cli-data/2014Q1-built.evid
 
 # The chaos suite: seeded misbehaving clients (slowloris, header floods,
 # aborts, connection floods, panic routes, drain races) against a live

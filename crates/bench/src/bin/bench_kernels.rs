@@ -32,7 +32,7 @@ use maras_faers::{clean_quarter, CleanConfig};
 use maras_mcac::{build_clusters, Mcac};
 use maras_mining::{mine_patterns_parallel, Item, TransactionDb};
 use maras_obs::ObsConfig;
-use maras_rules::{rule_space, DrugAdrRule, ItemPartition};
+use maras_rules::{rule_space, ContextRule, DrugAdrRule, ItemPartition};
 use maras_serve::http::Request;
 use maras_serve::{respond, ServeState, Snapshot};
 use maras_signals::{
@@ -217,7 +217,7 @@ fn us_per(ns: u64, calls: usize) -> f64 {
 
 /// A rule paired with its single-drug contextual rules: what `score_rules`
 /// takes.
-type Input<'a> = (&'a DrugAdrRule, &'a [DrugAdrRule]);
+type Input<'a> = (&'a DrugAdrRule, &'a [ContextRule]);
 
 /// One quarter's cleaned transactions, with the multi-drug clusters mined
 /// from them at `MIN_SUPPORT`.
@@ -252,7 +252,7 @@ impl Quarter {
     }
 
     fn inputs(&self) -> Vec<Input<'_>> {
-        self.clusters.iter().map(|c| (&c.target, c.singleton_level().rules.as_slice())).collect()
+        self.clusters.iter().map(|c| (&c.target, c.singleton_level())).collect()
     }
 }
 
@@ -381,8 +381,8 @@ fn measures(q: &Quarter) -> Value {
             "interaction",
             Box::new(|&(rule, singles), _| {
                 let s = 0.5 / rule.stats.n_transactions.max(1) as f64;
-                let best = singles.iter().map(DrugAdrRule::confidence).fold(0.0f64, f64::max);
-                black_box(((rule.confidence() + s) / (best + s)).log2());
+                let best = singles.iter().map(|c| c.stats(&rule.stats).confidence());
+                black_box(((rule.confidence() + s) / (best.fold(0.0f64, f64::max) + s)).log2());
             }),
         ),
     ];

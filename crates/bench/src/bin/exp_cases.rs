@@ -65,12 +65,12 @@ fn main() {
             Some(r) => {
                 let rm = &result.ranked[r];
                 let n_support = supporting_reports(result, &rm.cluster.target).len();
+                let target = &rm.cluster.target.stats;
                 let max_single_conf = rm
                     .cluster
                     .singleton_level()
-                    .rules
                     .iter()
-                    .map(|c| c.confidence())
+                    .map(|c| c.stats(target).confidence())
                     .fold(0.0f64, f64::max);
                 (
                     format!("{} of {}", r + 1, result.ranked.len()),

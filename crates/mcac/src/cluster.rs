@@ -1,19 +1,7 @@
 //! MCAC construction (thesis §3.5, Defs 3.5.1–3.5.2, Table 3.1).
 
-use maras_mining::{ItemSet, TransactionDb};
-use maras_rules::{DrugAdrRule, TargetRules};
-
-/// One level of a cluster's context: all contextual rules whose antecedent
-/// has the same cardinality `k`, ordered by descending confidence (the order
-/// the contextual glyph lays sectors out in, §4).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ContextLevel {
-    /// Antecedent cardinality of every rule in this level.
-    pub cardinality: usize,
-    /// Contextual rules `X ⇒ B`, `|X| = cardinality`, sorted by descending
-    /// confidence (ties broken by antecedent for determinism).
-    pub rules: Vec<DrugAdrRule>,
-}
+use maras_mining::TransactionDb;
+use maras_rules::{is_complete_context, ContextRule, DrugAdrRule, RuleStats, TargetRules};
 
 /// A multi-level contextual association cluster: a *target* multi-drug rule
 /// together with its complete context (Def. 3.5.2 — one contextual rule per
@@ -22,9 +10,12 @@ pub struct ContextLevel {
 pub struct Mcac {
     /// The evaluated multi-drug association.
     pub target: DrugAdrRule,
-    /// Context levels in descending cardinality (`n-1` first, singletons
-    /// last), mirroring Table 3.1's `R̃₂` before `R̃₁` presentation.
-    pub levels: Vec<ContextLevel>,
+    /// The contextual rules `X ⇒ B`, level by level in descending
+    /// cardinality (`n-1` first, singletons last, mirroring Table 3.1's
+    /// `R̃₂` before `R̃₁` presentation). Each level is ordered by descending
+    /// confidence, the order the contextual glyph lays sectors out in (§4),
+    /// with ties in the lexicographic order of the kept drugs.
+    pub context: Vec<ContextRule>,
 }
 
 impl Mcac {
@@ -50,7 +41,7 @@ impl Mcac {
     /// assert_eq!(cluster.context_size(), 2); // {0}=>.. and {1}=>..
     /// assert_eq!(cluster.target.confidence(), 1.0);
     /// // Each single drug appears twice, once with the ADR: conf = 0.5.
-    /// assert!(cluster.context_rules().all(|r| r.confidence() <= 0.5));
+    /// assert!(cluster.context_stats().all(|r| r.confidence() <= 0.5));
     /// ```
     ///
     /// # Panics
@@ -67,43 +58,31 @@ impl Mcac {
 
     /// Total number of contextual rules (`2^n − 2` for `n` drugs).
     pub fn context_size(&self) -> usize {
-        self.levels.iter().map(|l| l.rules.len()).sum()
+        self.context.len()
     }
 
-    /// The level holding contextual rules of cardinality `k`, if any.
-    pub fn level(&self, cardinality: usize) -> Option<&ContextLevel> {
-        self.levels.iter().find(|l| l.cardinality == cardinality)
+    /// The context levels in [`Self::context`] order, `n-1` first: each the
+    /// slice of rules that keep the same number of drugs.
+    pub fn levels(&self) -> impl Iterator<Item = &[ContextRule]> {
+        self.context.chunk_by(|a, b| a.n_drugs() == b.n_drugs())
     }
 
-    /// Iterates over every contextual rule across all levels.
-    pub fn context_rules(&self) -> impl Iterator<Item = &DrugAdrRule> {
-        self.levels.iter().flat_map(|l| l.rules.iter())
+    /// The counts of every contextual rule, in [`Self::context`] order.
+    pub fn context_stats(&self) -> impl Iterator<Item = RuleStats> + '_ {
+        self.context.iter().map(|rule| rule.stats(&self.target.stats))
     }
 
     /// The single-drug level (`k = 1`), the most diagnostic one (§3.6:
-    /// individual-drug context matters most).
-    pub fn singleton_level(&self) -> &ContextLevel {
-        self.levels.last().expect("n >= 2 guarantees a k=1 level")
+    /// individual-drug context matters most): the last `n` rules.
+    pub fn singleton_level(&self) -> &[ContextRule] {
+        &self.context[self.context.len() - self.n_drugs()..]
     }
 
-    /// Checks Def. 3.5.2's completeness invariant: the union of contextual
-    /// antecedents is the powerset of the target antecedent minus itself and
-    /// the empty set.
+    /// Checks Def. 3.5.2's completeness invariant: the contextual
+    /// antecedents are the powerset of the target antecedent minus itself
+    /// and the empty set, each once ([`is_complete_context`]).
     pub fn context_is_complete(&self) -> bool {
-        let n = self.n_drugs();
-        let expected: usize = (1usize << n) - 2;
-        if self.context_size() != expected {
-            return false;
-        }
-        let mut seen: Vec<&ItemSet> = self.context_rules().map(|r| &r.drugs).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len() == expected
-            && self.context_rules().all(|r| {
-                r.drugs.is_proper_subset_of(&self.target.drugs)
-                    && !r.drugs.is_empty()
-                    && r.adrs == self.target.adrs
-            })
+        is_complete_context(self.n_drugs(), &self.context)
     }
 }
 
@@ -112,10 +91,10 @@ impl Mcac {
 /// Targets from [`maras_rules::rule_space`] carry their context counts,
 /// which the miner already counted: every contextual rule's antecedent `X`
 /// and `X ∪ B` are subsets of the target's frequent itemset, so they are
-/// frequent too. Laying out the levels then touches no tid-list. A
-/// hand-built target's contextual rules may fall below any mining
-/// threshold, so theirs are probed from `db`, three tid-list intersections
-/// per rule.
+/// frequent too. Laying out the levels then touches no tid-list and
+/// allocates one context per target. A hand-built target's contextual
+/// rules may fall below any mining threshold, so theirs are probed from
+/// `db`, two tid-list intersections per rule.
 ///
 /// ```
 /// use maras_mining::{Item, ItemSet, TransactionDb};
@@ -148,23 +127,17 @@ pub fn build_clusters(targets: impl Into<TargetRules>, db: &TransactionDb) -> Ve
     }
     targets
         .into_contexts(db)
-        .map(|(target, context)| {
-            let n = target.drugs.len();
-            let mut levels: Vec<ContextLevel> =
-                (1..n).rev().map(|k| ContextLevel { cardinality: k, rules: Vec::new() }).collect();
-            for rule in context {
-                // levels[0] has cardinality n-1, levels[n-1-k] has cardinality k.
-                levels[n - 1 - rule.drugs.len()].rules.push(rule);
-            }
-            for level in &mut levels {
-                level.rules.sort_by(|a, b| {
-                    b.confidence()
-                        .partial_cmp(&a.confidence())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.drugs.cmp(&b.drugs))
-                });
-            }
-            Mcac { target, levels }
+        .map(|(target, mut context)| {
+            let drugs = target.drugs.items();
+            // Confidences are neither NaN nor -0.0: `total_cmp` is numeric order.
+            let confidence = |r: &ContextRule| r.stats(&target.stats).confidence();
+            context.sort_by(|a, b| {
+                b.n_drugs()
+                    .cmp(&a.n_drugs())
+                    .then_with(|| confidence(b).total_cmp(&confidence(a)))
+                    .then_with(|| a.drugs(drugs).cmp(b.drugs(drugs)))
+            });
+            Mcac { target, context }
         })
         .collect()
 }
@@ -172,7 +145,7 @@ pub fn build_clusters(targets: impl Into<TargetRules>, db: &TransactionDb) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maras_mining::Item;
+    use maras_mining::{Item, ItemSet};
     use maras_rules::ItemPartition;
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
@@ -195,11 +168,12 @@ mod tests {
         let cluster = Mcac::build(target(&[0, 1, 2], &[10], &d), &d);
         assert_eq!(cluster.n_drugs(), 3);
         assert_eq!(cluster.context_size(), 6); // 2^3 - 2
-        assert_eq!(cluster.levels.len(), 2);
-        assert_eq!(cluster.levels[0].cardinality, 2); // R̃² first
-        assert_eq!(cluster.levels[1].cardinality, 1); // R̃¹ last
-        assert_eq!(cluster.levels[0].rules.len(), 3);
-        assert_eq!(cluster.levels[1].rules.len(), 3);
+        let levels: Vec<&[ContextRule]> = cluster.levels().collect();
+        assert_eq!(levels.len(), 2);
+        assert!(levels[0].iter().all(|r| r.n_drugs() == 2)); // R̃² first
+        assert!(levels[1].iter().all(|r| r.n_drugs() == 1)); // R̃¹ last
+        assert_eq!(levels[0].len(), 3);
+        assert_eq!(levels[1].len(), 3);
         assert!(cluster.context_is_complete());
     }
 
@@ -218,8 +192,11 @@ mod tests {
         let k1 = cluster.singleton_level();
         // {1}=>{10}: support({1})=4 ({0,1,10}x2,{1,10},{1,4}); joint=3 → 0.75
         // {0}=>{10}: support({0})=4; joint=2 → 0.5
-        let confs: Vec<(String, f64)> =
-            k1.rules.iter().map(|r| (r.drugs.to_string(), r.confidence())).collect();
+        let confs: Vec<(String, f64)> = k1
+            .iter()
+            .map(|r| r.to_rule(&cluster.target))
+            .map(|r| (r.drugs.to_string(), r.confidence()))
+            .collect();
         assert_eq!(confs[0], ("{i1}".to_string(), 0.75));
         assert_eq!(confs[1], ("{i0}".to_string(), 0.5));
     }
@@ -228,8 +205,9 @@ mod tests {
     fn levels_sorted_by_confidence_desc() {
         let d = db(&[&[0, 1, 2, 10], &[0, 10], &[0, 10], &[1, 10], &[1, 5], &[2, 6]]);
         let cluster = Mcac::build(target(&[0, 1, 2], &[10], &d), &d);
-        for level in &cluster.levels {
-            let confs: Vec<f64> = level.rules.iter().map(|r| r.confidence()).collect();
+        for level in cluster.levels() {
+            let confs: Vec<f64> =
+                level.iter().map(|r| r.stats(&cluster.target.stats).confidence()).collect();
             assert!(confs.windows(2).all(|w| w[0] >= w[1]), "{confs:?}");
         }
     }
@@ -248,13 +226,22 @@ mod tests {
     fn four_drug_cluster_has_three_levels() {
         let d = db(&[&[0, 1, 2, 3, 10]]);
         let cluster = Mcac::build(target(&[0, 1, 2, 3], &[10], &d), &d);
-        assert_eq!(cluster.levels.len(), 3);
+        let levels: Vec<&[ContextRule]> = cluster.levels().collect();
+        assert_eq!(levels.len(), 3);
         assert_eq!(cluster.context_size(), 14); // 2^4 - 2
-        assert_eq!(cluster.level(3).unwrap().rules.len(), 4);
-        assert_eq!(cluster.level(2).unwrap().rules.len(), 6);
-        assert_eq!(cluster.level(1).unwrap().rules.len(), 4);
-        assert!(cluster.level(4).is_none());
+        let sizes: Vec<(usize, usize)> = levels.iter().map(|l| (l[0].n_drugs(), l.len())).collect();
+        assert_eq!(sizes, [(3, 4), (2, 6), (1, 4)]);
         assert!(cluster.context_is_complete());
+        // One report holds every drug and the ADR, so every context rule
+        // has confidence 1 and each level falls back to the lexicographic
+        // order of its kept drugs, not to mask order ({0,3} is mask 9 and
+        // {1,2} mask 6).
+        assert!(cluster.context_stats().all(|r| r.confidence() == 1.0));
+        let pairs: Vec<Vec<u32>> = levels[1]
+            .iter()
+            .map(|r| r.drugs(cluster.target.drugs.items()).map(|d| d.0).collect())
+            .collect();
+        assert_eq!(pairs, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]);
     }
 
     #[test]
@@ -285,36 +272,54 @@ mod tests {
                 prop_assert!(c.context_is_complete());
                 prop_assert_eq!(c.context_size(), (1 << n_drugs) - 2);
                 // Levels strictly descending cardinality.
-                let cards: Vec<usize> = c.levels.iter().map(|l| l.cardinality).collect();
+                let cards: Vec<usize> = c.levels().map(|l| l[0].n_drugs()).collect();
                 prop_assert!(cards.windows(2).all(|w| w[0] == w[1] + 1));
                 let _ = ItemPartition::new(10); // partition consistent with item choice
             }
         }
 
         /// The per-probe oracle: the target and each contextual rule counted
-        /// straight from the database, one target at a time.
+        /// straight from the database, one target at a time, the levels
+        /// ordered over item sets and each rule then named by the target
+        /// drugs it keeps.
         fn per_probe_cluster(target: &DrugAdrRule, d: &TransactionDb) -> Mcac {
             let target = DrugAdrRule::from_parts(target.drugs.clone(), target.adrs.clone(), d);
             let n = target.drugs.len();
-            let mut levels: Vec<ContextLevel> =
-                (1..n).rev().map(|k| ContextLevel { cardinality: k, rules: Vec::new() }).collect();
+            let mut levels: Vec<Vec<DrugAdrRule>> = vec![Vec::new(); n - 1];
             for subset in target.drugs.proper_nonempty_subsets() {
                 let k = subset.len();
-                levels[n - 1 - k].rules.push(DrugAdrRule::from_parts(
-                    subset,
-                    target.adrs.clone(),
-                    d,
-                ));
+                levels[n - 1 - k].push(DrugAdrRule::from_parts(subset, target.adrs.clone(), d));
             }
             for level in &mut levels {
-                level.rules.sort_by(|a, b| {
+                level.sort_by(|a, b| {
                     b.confidence()
                         .partial_cmp(&a.confidence())
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then_with(|| a.drugs.cmp(&b.drugs))
                 });
             }
-            Mcac { target, levels }
+            let context = levels
+                .into_iter()
+                .flatten()
+                .map(|rule| {
+                    // A context rule keeps its target's consequent support
+                    // and report count.
+                    assert_eq!(rule.stats.support_b, target.stats.support_b);
+                    assert_eq!(rule.stats.n_transactions, target.stats.n_transactions);
+                    let mask = target
+                        .drugs
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, drug)| rule.drugs.contains(drug))
+                        .fold(0, |mask, (i, _)| mask | 1 << i);
+                    ContextRule {
+                        mask,
+                        support_a: rule.stats.support_a,
+                        support_ab: rule.stats.support_ab,
+                    }
+                })
+                .collect();
+            Mcac { target, context }
         }
 
         proptest! {

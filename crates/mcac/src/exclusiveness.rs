@@ -68,17 +68,18 @@ impl ExclusivenessConfig {
     /// Formula 3.5: the full multi-level exclusiveness score of a cluster.
     pub fn score(&self, cluster: &Mcac) -> f64 {
         let n = cluster.n_drugs();
-        let p = cluster.target.stats.measure(self.measure);
-        let n_levels = cluster.levels.len() as f64;
+        let target = &cluster.target.stats;
+        let p = target.measure(self.measure);
+        let n_levels = cluster.levels().count() as f64;
         debug_assert!(n_levels >= 1.0);
         let mut acc = 0.0;
-        for level in &cluster.levels {
+        for level in cluster.levels() {
             let values: Vec<f64> =
-                level.rules.iter().map(|r| r.stats.measure(self.measure)).collect();
+                level.iter().map(|r| r.stats(target).measure(self.measure)).collect();
             let mean = mean(&values);
             let cv = coefficient_of_variation(&values);
             let penalty = (1.0 - self.theta * cv).max(0.0);
-            acc += (p - mean) * self.decay.weight(level.cardinality, n) * penalty;
+            acc += (p - mean) * self.decay.weight(level[0].n_drugs(), n) * penalty;
         }
         acc / n_levels
     }
@@ -86,16 +87,14 @@ impl ExclusivenessConfig {
     /// Formula 3.3: plain contrast against the whole-context mean.
     pub fn score_mean(&self, cluster: &Mcac) -> f64 {
         let p = cluster.target.stats.measure(self.measure);
-        let values: Vec<f64> =
-            cluster.context_rules().map(|r| r.stats.measure(self.measure)).collect();
+        let values: Vec<f64> = cluster.context_stats().map(|r| r.measure(self.measure)).collect();
         p - mean(&values)
     }
 
     /// Formula 3.4: whole-context mean with the CV penalty.
     pub fn score_cv(&self, cluster: &Mcac) -> f64 {
         let p = cluster.target.stats.measure(self.measure);
-        let values: Vec<f64> =
-            cluster.context_rules().map(|r| r.stats.measure(self.measure)).collect();
+        let values: Vec<f64> = cluster.context_stats().map(|r| r.measure(self.measure)).collect();
         let penalty = (1.0 - self.theta * coefficient_of_variation(&values)).max(0.0);
         (p - mean(&values)) * penalty
     }
@@ -105,7 +104,7 @@ impl ExclusivenessConfig {
 /// sub-rule, under the configured measure.
 pub fn improvement(cluster: &Mcac, measure: Measure) -> f64 {
     let p = cluster.target.stats.measure(measure);
-    cluster.context_rules().map(|r| p - r.stats.measure(measure)).fold(f64::INFINITY, f64::min)
+    cluster.context_stats().map(|r| p - r.measure(measure)).fold(f64::INFINITY, f64::min)
 }
 
 fn mean(values: &[f64]) -> f64 {

@@ -5,10 +5,11 @@
 //! signal only if the ADRs `B` are *exclusively* associated with the full
 //! drug combination `A`, not with any drug subset. The MCAC groups `R` (the
 //! *target rule*) with every contextual rule `X ⇒ B`, `X ⊂ A` (Defs
-//! 3.5.1–3.5.2), leveled by antecedent cardinality, and the exclusiveness
-//! score contrasts the target's strength against its context (Formulas
-//! 3.3–3.5), with Bayardo's *improvement* (Formula 3.2) as the baseline it
-//! refines.
+//! 3.5.1–3.5.2), leveled by antecedent cardinality: one
+//! [`maras_rules::ContextRule`] per subset, as the miner produced it and the
+//! snapshot stores it. The exclusiveness score contrasts the target's
+//! strength against its context (Formulas 3.3–3.5), with Bayardo's
+//! *improvement* (Formula 3.2) as the baseline it refines.
 
 #![warn(missing_docs)]
 
@@ -16,6 +17,6 @@ pub mod cluster;
 pub mod exclusiveness;
 pub mod rank;
 
-pub use cluster::{build_clusters, ContextLevel, Mcac};
+pub use cluster::{build_clusters, Mcac};
 pub use exclusiveness::{coefficient_of_variation, improvement, DecayFn, ExclusivenessConfig};
 pub use rank::{rank_clusters, rank_clusters_with, rank_rules_by, RankedMcac, RankingMethod};

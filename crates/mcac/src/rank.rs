@@ -87,8 +87,7 @@ pub fn rank_clusters_with(
     let mut targets = rules.into();
     targets.retain_multi_drug();
     let clusters = build_clusters(targets, db);
-    let inputs: Vec<(&DrugAdrRule, &[DrugAdrRule])> =
-        clusters.iter().map(|c| (&c.target, c.singleton_level().rules.as_slice())).collect();
+    let inputs: Vec<_> = clusters.iter().map(|c| (&c.target, c.singleton_level())).collect();
     let base = score_rules(&inputs, n_threads);
     let mut out: Vec<RankedMcac> = clusters
         .into_iter()

@@ -11,8 +11,9 @@
 //!   frequent itemsets: the full `A ⇒ B` split space ("total rules" of
 //!   Fig. 5.1), the drug→ADR filtered space, and the closed drug-ADR
 //!   associations MARAS keeps.
-//! * [`targets`] — the MCAC target rules with the counts of their
-//!   contexts, read from the mining pass's support index.
+//! * [`targets`] — the MCAC target rules and their contexts, read from the
+//!   mining pass's support index: one [`ContextRule`] (a drug mask and two
+//!   counts) per proper drug subset, the contextual rule of every layer.
 //! * [`supportedness`] — the thesis's three association types (explicitly
 //!   supported, implicitly supported, partial/unsupported; Defs 3.3.1–3.3.2)
 //!   classified directly from reports, used to validate Lemma 3.4.2.
@@ -33,4 +34,4 @@ pub use measures::{confidence, lift, Measure, RuleStats};
 pub use partition::ItemPartition;
 pub use rule::DrugAdrRule;
 pub use supportedness::{classify, Supportedness};
-pub use targets::TargetRules;
+pub use targets::{is_complete_context, ContextRule, TargetRules};

@@ -1,7 +1,7 @@
-//! MCAC target rules together with the counts of their contexts.
+//! MCAC target rules together with their contexts.
 //!
 //! A target `A ⇒ B` is evaluated with its full context (thesis Def. 3.5.2):
-//! one contextual rule `X ⇒ B` for every proper non-empty drug subset
+//! one [`ContextRule`] `X ⇒ B` for every proper non-empty drug subset
 //! `X ⊂ A`. Each `X` and `X ∪ B` is a subset of the frequent itemset
 //! `A ∪ B`, so it is frequent too and the miner has already counted it;
 //! [`crate::rule_space`] reads those counts from the mining pass's
@@ -13,6 +13,63 @@ use crate::measures::RuleStats;
 use crate::partition::ItemPartition;
 use crate::rule::DrugAdrRule;
 use maras_mining::{Item, ItemSet, PatternStore, SupportIndex, TransactionDb};
+
+/// One contextual rule `X ⇒ B` of a target `A ⇒ B`: bit `i` of `mask`
+/// keeps the target's `drugs[i]`, and its consequent support and report
+/// count are the target's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ContextRule {
+    /// The target drugs the antecedent `X` keeps.
+    pub mask: u32,
+    /// `|X|` — reports containing the kept drugs.
+    pub support_a: u64,
+    /// `|X ∪ B|` — reports containing the kept drugs and the target's ADRs.
+    pub support_ab: u64,
+}
+
+impl ContextRule {
+    /// The rule's counts: its own two supports, and the consequent support
+    /// and report count of its target, whose counts are `target`.
+    pub fn stats(&self, target: &RuleStats) -> RuleStats {
+        RuleStats { support_ab: self.support_ab, support_a: self.support_a, ..*target }
+    }
+
+    /// The drugs the mask keeps out of its target's `drugs`, in order.
+    pub fn drugs<'a, T>(&self, drugs: &'a [T]) -> impl Iterator<Item = &'a T> + 'a {
+        kept(drugs, self.mask)
+    }
+
+    /// How many drugs the rule keeps: the cardinality of its context level.
+    pub fn n_drugs(&self) -> usize {
+        self.mask.count_ones() as usize
+    }
+
+    /// The rule as a standalone [`DrugAdrRule`] of `target`, with its own
+    /// item sets: for display, where a rule is named one at a time.
+    pub fn to_rule(&self, target: &DrugAdrRule) -> DrugAdrRule {
+        DrugAdrRule {
+            drugs: self.drugs(target.drugs.items()).copied().collect(),
+            adrs: target.adrs.clone(),
+            stats: self.stats(&target.stats),
+        }
+    }
+}
+
+/// Whether `context` is the full context of a target of `n_drugs` drugs
+/// (Def. 3.5.2): a target of `n ≥ 2` drugs has `2ⁿ − 2` rules, and each
+/// mask in `1..2ⁿ − 1` appears exactly once.
+pub fn is_complete_context(n_drugs: usize, context: &[ContextRule]) -> bool {
+    let full = (1u64 << n_drugs.min(63)) - 1;
+    // The length check comes first, so `seen` is no larger than `context`.
+    if n_drugs < 2 || context.len() as u64 != full - 1 {
+        return false;
+    }
+    let mut seen = vec![false; full as usize];
+    context.iter().all(|c| {
+        let mask = c.mask as usize;
+        mask != 0 && mask < seen.len() && !std::mem::replace(&mut seen[mask], true)
+    })
+}
 
 /// MCAC target rules, each with the counts of its context.
 ///
@@ -30,16 +87,15 @@ use maras_mining::{Item, ItemSet, PatternStore, SupportIndex, TransactionDb};
 /// assert_eq!(target.confidence(), 1.0);
 /// // {0} ⇒ {10} and {1} ⇒ {10}: drug 0 is reported three times.
 /// assert_eq!(context.len(), 2);
-/// assert_eq!(context[0].stats.support_a, 3);
+/// assert_eq!((context[0].mask, context[0].support_a), (0b01, 3));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TargetRules {
     rules: Vec<DrugAdrRule>,
-    /// `(support(X), support(X ∪ B))` of every context rule, targets back
-    /// to back, each target's subsets in [`context_masks`] order; `None`
-    /// for targets built by hand, whose contexts are probed from the
-    /// database.
-    contexts: Option<Vec<(u64, u64)>>,
+    /// Every target's context rules, targets back to back, each target's
+    /// in [`context_masks`] order; `None` for targets built by hand, whose
+    /// contexts are probed from the database.
+    contexts: Option<Vec<ContextRule>>,
 }
 
 impl TargetRules {
@@ -69,10 +125,10 @@ impl TargetRules {
             let (drugs, adrs) = partition.split_items(items);
             for mask in context_masks(drugs.len()) {
                 select(drugs, mask, &mut scratch);
-                let support_x = support(&scratch);
+                let support_a = support(&scratch);
                 // Drug ids sort below ADR ids, so `X ∪ B` is `X` then `B`.
                 scratch.extend_from_slice(adrs);
-                contexts.push((support_x, support(&scratch)));
+                contexts.push(ContextRule { mask, support_a, support_ab: support(&scratch) });
             }
             rules.push(DrugAdrRule {
                 drugs: ItemSet::from_sorted_unchecked(drugs.to_vec()),
@@ -115,39 +171,36 @@ impl TargetRules {
         self.rules.retain(DrugAdrRule::is_multi_drug);
     }
 
-    /// Each target with its context: the rule `X ⇒ B` for every proper
-    /// non-empty subset `X` of its drugs, in ascending order of the subset's
-    /// mask over the target's drugs. A rule's consequent support and report
-    /// count are its target's. Targets built by hand have their contexts
-    /// probed from `db` instead, three tid-list intersections per rule.
+    /// Each target with its context: one [`ContextRule`] for every proper
+    /// non-empty subset of its drugs, in ascending mask order. Targets
+    /// built by hand have their contexts probed from `db` instead, two
+    /// tid-list intersections per rule.
     ///
     /// # Panics
     /// Panics if a target has more than 24 drugs.
     pub fn into_contexts(
         self,
         db: &TransactionDb,
-    ) -> impl Iterator<Item = (DrugAdrRule, Vec<DrugAdrRule>)> + '_ {
+    ) -> impl Iterator<Item = (DrugAdrRule, Vec<ContextRule>)> + '_ {
         let TargetRules { rules, contexts } = self;
-        let mut counts = contexts.map(Vec::into_iter);
+        let mut counted = contexts.map(Vec::into_iter);
         let mut scratch: Vec<Item> = Vec::new();
         rules.into_iter().map(move |target| {
             let drugs = target.drugs.items();
-            let context = context_masks(drugs.len())
-                .map(|mask| {
-                    select(drugs, mask, &mut scratch);
-                    let subset = ItemSet::from_sorted_unchecked(scratch.clone());
-                    let Some(counts) = counts.as_mut() else {
-                        return DrugAdrRule::from_parts(subset, target.adrs.clone(), db);
-                    };
-                    let (support_a, support_ab) =
-                        counts.next().expect("one count per context rule");
-                    DrugAdrRule {
-                        drugs: subset,
-                        adrs: target.adrs.clone(),
-                        stats: RuleStats { support_ab, support_a, ..target.stats },
-                    }
-                })
-                .collect();
+            let masks = context_masks(drugs.len());
+            let context = match counted.as_mut() {
+                Some(counted) => counted.take(masks.len()).collect(),
+                None => masks
+                    .map(|mask| {
+                        select(drugs, mask, &mut scratch);
+                        ContextRule {
+                            mask,
+                            support_a: db.support_of(&scratch) as u64,
+                            support_ab: db.support_of_union(&scratch, target.adrs.items()) as u64,
+                        }
+                    })
+                    .collect(),
+            };
             (target, context)
         })
     }
@@ -167,8 +220,53 @@ fn context_masks(n_drugs: usize) -> std::ops::Range<u32> {
     1..(1u32 << n_drugs) - 1
 }
 
+/// The drugs `mask` keeps, in order: none past the 32nd.
+fn kept<T>(drugs: &[T], mask: u32) -> impl Iterator<Item = &T> {
+    (0..drugs.len().min(32)).filter(move |&b| mask >> b & 1 == 1).map(move |b| &drugs[b])
+}
+
 /// Writes the drugs `mask` keeps into `out`, in order.
 fn select(drugs: &[Item], mask: u32, out: &mut Vec<Item>) {
     out.clear();
-    out.extend(drugs.iter().enumerate().filter(|&(b, _)| mask & (1 << b) != 0).map(|(_, &d)| d));
+    out.extend(kept(drugs, mask));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_context_rule_keeps_masked_drugs_and_its_targets_consequent() {
+        let target = DrugAdrRule {
+            drugs: ItemSet::from_ids([3u32, 5, 8]),
+            adrs: ItemSet::from_ids([20u32]),
+            stats: RuleStats { support_ab: 4, support_a: 5, support_b: 40, n_transactions: 1000 },
+        };
+        // {d3, d8} ⇒ {a20}, reported 20 times, 10 of them with the ADR.
+        let rule = ContextRule { mask: 0b101, support_a: 20, support_ab: 10 };
+        assert_eq!(rule.drugs(target.drugs.items()).collect::<Vec<_>>(), [&Item(3), &Item(8)]);
+        assert_eq!(rule.n_drugs(), 2);
+        let stats = rule.stats(&target.stats);
+        assert_eq!((stats.confidence(), stats.support_b, stats.n_transactions), (0.5, 40, 1000));
+        let alone = rule.to_rule(&target);
+        assert_eq!(
+            (alone.drugs, alone.adrs, alone.stats),
+            (ItemSet::from_ids([3u32, 8]), target.adrs, stats)
+        );
+    }
+
+    #[test]
+    fn a_complete_context_holds_each_proper_nonempty_mask_once() {
+        let rules = |masks: &[u32]| -> Vec<ContextRule> {
+            masks.iter().map(|&mask| ContextRule { mask, support_a: 1, support_ab: 1 }).collect()
+        };
+        assert!(is_complete_context(2, &rules(&[2, 1])));
+        assert!(is_complete_context(3, &rules(&[3, 5, 6, 1, 2, 4])));
+        assert!(!is_complete_context(2, &rules(&[1, 1])));
+        assert!(!is_complete_context(2, &rules(&[1, 3])));
+        assert!(!is_complete_context(2, &rules(&[0, 1])));
+        assert!(!is_complete_context(3, &rules(&[1, 2, 3, 4, 5])));
+        assert!(!is_complete_context(1, &[]));
+        assert!(!is_complete_context(32, &[]));
+    }
 }

@@ -14,7 +14,9 @@
 //!   shared [`maras_format`] container (magic, format version, FNV-1a
 //!   checksum, typed refusals, durable atomic writes); loading rebuilds
 //!   the posting indexes and the closed-form scores instead of reading
-//!   them.
+//!   them. A cluster's context is the analysis' own
+//!   [`maras_rules::ContextRule`]s, refused unless it holds each proper
+//!   drug subset once.
 //! * [`server`] + [`router`] + [`http`] — an HTTP/1.1 JSON API on
 //!   `std::net` and a fixed thread pool: `/search`, `/autocomplete`,
 //!   `/cluster/<rank>`, `/cluster/<rank>/reports` and
@@ -49,8 +51,9 @@
 //!   process-global registry) and as the legacy JSON dump on
 //!   `/metrics.json`. Requests slower than
 //!   [`ServeState::slow_threshold_us`] become a `serve.request` event
-//!   and are counted; every request records parse/route/cache/render
-//!   spans into [`maras_obs`].
+//!   and are counted. Requests open no [`maras_obs`] spans: nothing in a
+//!   long-running server drains the span collector, and these metrics
+//!   and the flight recorder already hold every phase time.
 //!
 //! No dependencies beyond the workspace: the whole server is `std`.
 
@@ -71,5 +74,5 @@ pub use debug::{FlightRecorder, RequestId, RequestRecord, REQUEST_ID_HEADER};
 pub use metrics::{Endpoint, ServeMetrics};
 pub use router::{respond, ReloadError, ServeState, DEFAULT_SLOW_THRESHOLD_US};
 pub use server::{serve, serve_with, ServeConfig, ServerHandle};
-pub use snapshot::{scores_json, ClusterEntry, ContextEntry, Snapshot};
+pub use snapshot::{scores_json, ClusterEntry, Snapshot};
 pub use store::{load, save, FORMAT_VERSION, MAGIC};

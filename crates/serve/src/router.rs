@@ -334,15 +334,11 @@ fn cached(
 ) -> (Endpoint, u16, String) {
     let key = req.cache_key();
     let generation = state.current();
-    let cache_span = maras_obs::span("cache");
-    let hit = generation.cache.get(&key);
-    drop(cache_span);
-    if let Some(body) = hit {
+    if let Some(body) = generation.cache.get(&key) {
         state.metrics.cache_hits.inc();
         return (endpoint, 200, body);
     }
     state.metrics.cache_misses.inc();
-    let _render = maras_obs::span("render");
     let (status, body) = handler(&generation, req);
     if status == 200 {
         generation.cache.put(key, body.clone());

@@ -409,13 +409,11 @@ fn elapsed_us(since: Instant) -> u64 {
     since.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// Runs one request phase under a span of that name and records its wall
-/// time, in µs, into the phase's histogram.
-fn timed<T>(phase: &'static str, hist: &Histogram, f: impl FnOnce() -> T) -> (T, u64) {
+/// Runs one request phase and records its wall time, in µs, into the
+/// phase's histogram.
+fn timed<T>(hist: &Histogram, f: impl FnOnce() -> T) -> (T, u64) {
     let t = Instant::now();
-    let span = maras_obs::span(phase);
     let out = f();
-    drop(span);
     let us = elapsed_us(t);
     hist.observe(us as f64);
     (out, us)
@@ -440,11 +438,10 @@ fn handle_connection(
     ctx: &mut RequestCtx,
 ) {
     let started = ctx.started;
-    let request_span = maras_obs::span("request");
     // Satellite of the flight recorder: the request line is captured
     // into `ctx.line` *before* parse errors propagate, so a slowloris
     // cut off by the deadline still yields an attributable event.
-    let (parsed, parse_us) = timed("parse", &state.metrics.parse_us, || {
+    let (parsed, parse_us) = timed(&state.metrics.parse_us, || {
         http::read_request_capturing(stream, io_timeout, &mut ctx.line)
     });
     ctx.parse_us = parse_us;
@@ -452,7 +449,7 @@ fn handle_connection(
         Ok(req) => {
             ctx.line = Some(format!("{} {}", req.method, req.path));
             let ((endpoint, status, body), route_us) =
-                timed("route", &state.metrics.route_us, || router::respond(state, &req));
+                timed(&state.metrics.route_us, || router::respond(state, &req));
             ctx.route_us = route_us;
             (Some(req), endpoint, status, body, None)
         }
@@ -493,7 +490,7 @@ fn handle_connection(
         _ => "application/json",
     };
     let id_text = ctx.id.to_string();
-    let (write_result, write_us) = timed("write", &state.metrics.write_us, || {
+    let (write_result, write_us) = timed(&state.metrics.write_us, || {
         http::write_response_with(
             stream,
             status,
@@ -511,7 +508,6 @@ fn handle_connection(
     }
     let latency_us = elapsed_us(started);
     state.metrics.record(endpoint, latency_us, status >= 400);
-    drop(request_span);
     let slow = latency_us > state.slow_threshold_us();
     if slow {
         state.metrics.slow_requests.inc();

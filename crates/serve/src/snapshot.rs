@@ -14,7 +14,7 @@ use maras_core::link::{max_severity, supporting_case_ids, supporting_tids};
 use maras_core::pipeline::AnalysisResult;
 use maras_core::{KnowledgeBase, RuleQuery};
 use maras_faers::Vocabulary;
-use maras_rules::RuleStats;
+use maras_rules::{ContextRule, RuleStats};
 use maras_signals::{RankKey, SignalScores};
 use maras_tidset::TidSet;
 use rustc_hash::FxHashMap;
@@ -23,21 +23,6 @@ use serde_json::Value;
 /// Outcome severities span 0..=6 (`Outcome::severity`), so seven
 /// at-least buckets cover every reachable threshold.
 const N_SEVERITIES: usize = 7;
-
-/// One contextual rule of a cluster. By Def. 3.5.2 its antecedent is a
-/// proper subset of the target's drugs and its consequent is the target's
-/// ADR set, so it stores only which drugs it keeps and its own two counts;
-/// its names, consequent support and report count are the target's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContextEntry {
-    /// The target drugs the antecedent keeps: bit `i` selects
-    /// [`ClusterEntry::drugs`]`[i]`.
-    pub drug_mask: u32,
-    /// Absolute support `|X ∪ B|` of the contextual rule.
-    pub support: u64,
-    /// Support `|X|` of its antecedent.
-    pub support_a: u64,
-}
 
 /// One ranked cluster, denormalized into exactly the fields the query
 /// filters and the JSON API read — no itemset decoding at request time.
@@ -60,8 +45,10 @@ pub struct ClusterEntry {
     pub has_novel_adr: bool,
     /// FAERS case ids of the supporting reports (drill-down).
     pub case_ids: Vec<u64>,
-    /// Contextual rules, levels flattened in the cluster's level order.
-    pub context: Vec<ContextEntry>,
+    /// The cluster's contextual rules in its level order, copied from the
+    /// analysis' `Mcac::context`: bit `i` of a mask keeps
+    /// [`ClusterEntry::drugs`]`[i]`.
+    pub context: Vec<ContextRule>,
     /// Full disproportionality score block from the signal engine.
     pub scores: SignalScores,
 }
@@ -130,20 +117,6 @@ impl Snapshot {
                 let adrs = result.encoded.names(&t.adrs, drug_vocab, adr_vocab);
                 let refs: Vec<&str> = drugs.iter().map(String::as_str).collect();
                 let adr_refs: Vec<&str> = adrs.iter().map(String::as_str).collect();
-                let context = r
-                    .cluster
-                    .context_rules()
-                    .map(|c| ContextEntry {
-                        drug_mask: t
-                            .drugs
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, d)| c.drugs.contains(d))
-                            .fold(0, |mask, (i, _)| mask | 1 << i),
-                        support: c.support(),
-                        support_a: c.stats.support_a,
-                    })
-                    .collect();
                 let tids = supporting_tids(result, t);
                 ClusterEntry {
                     score: r.score,
@@ -151,7 +124,7 @@ impl Snapshot {
                     known: kb.is_some_and(|kb| kb.is_known(&refs)),
                     has_novel_adr: kb.is_none_or(|kb| kb.has_novel_adr(&refs, &adr_refs)),
                     case_ids: supporting_case_ids(result, &tids),
-                    context,
+                    context: r.cluster.context.clone(),
                     scores: r.scores,
                     drugs,
                     adrs,
@@ -429,22 +402,13 @@ impl Snapshot {
         // where to page through them (served from the evidence archive).
         detail.insert("n_supporting_reports".into(), Value::from(c.case_ids.len()));
         detail.insert("reports_url".into(), Value::from(format!("/cluster/{}/reports", rank + 1)));
-        // A contextual rule keeps the target's consequent support and N,
-        // and the target drugs its mask selects.
         let target = c.stats();
         detail.insert(
             "context".into(),
             Value::arr(c.context.iter().map(|ctx| {
-                let stats =
-                    RuleStats { support_ab: ctx.support, support_a: ctx.support_a, ..target };
-                let drugs = c
-                    .drugs
-                    .iter()
-                    .take(u32::BITS as usize)
-                    .enumerate()
-                    .filter(|&(i, _)| (ctx.drug_mask >> i) & 1 == 1);
+                let stats = ctx.stats(&target);
                 Value::obj([
-                    ("drugs", Value::arr(drugs.map(|(_, d)| Value::from(d.as_str())))),
+                    ("drugs", Value::arr(ctx.drugs(&c.drugs).map(|d| Value::from(d.as_str())))),
                     ("adrs", Value::from(c.adrs.clone())),
                     ("support", Value::from(stats.support_ab)),
                     ("confidence", Value::from(stats.confidence())),

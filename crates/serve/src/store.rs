@@ -15,8 +15,8 @@
 //!   score                              f64
 //!   max_severity, known, has_novel_adr u8 each
 //!   case ids                           u64 count + u64 each
-//!   context                            u64 count, then per rule: drug
-//!                                      mask u32, support u64, support_a u64
+//!   context                            u64 count, then per rule: mask
+//!                                      u32, support_ab u64, support_a u64
 //!   target counts                      support_ab, support_a, support_b,
 //!                                      n: u64 each
 //!   ebgm, eb05, eb95, posterior_w1     f64 each
@@ -26,28 +26,29 @@
 //! The file stores nothing it can derive. [`load`] rebuilds every posting
 //! index from the clusters through [`Snapshot::from_parts`], the path
 //! [`Snapshot::build`] takes, so no index can disagree with the clusters.
-//! A contextual rule is a mask over its target's drugs plus its own two
-//! counts; its names, consequent support and report count are the
-//! target's. The target's 2×2 table is rebuilt from its four counts and
-//! the closed-form scores from the table, through the constructor the
-//! signal engine scores with ([`SignalScores::from_table_and_ebgm`]), so
-//! they come back bit-identical; EBGM, a quantile solve per cluster, is
-//! stored. Loading verifies magic, version, length and checksum before
+//! A contextual rule is the analysis' own [`ContextRule`], a mask over its
+//! target's drugs plus its own two counts; its names, consequent support
+//! and report count are the target's. The target's 2×2 table is rebuilt
+//! from its four counts and the closed-form scores from the table, through
+//! the constructor the signal engine scores with
+//! ([`SignalScores::from_table_and_ebgm`]), so they come back
+//! bit-identical; EBGM, a quantile solve per cluster, is stored. Loading verifies magic, version, length and checksum before
 //! touching the payload, and refuses a truncated or bit-flipped file with a
 //! typed [`FormatError`] instead of yielding a half-parsed snapshot. It
 //! also refuses counts no report set could produce: a target table that
-//! does not add up, a case-id count other than the target's support, and a
-//! contextual rule whose counts break `support ≤ support_a ≤ N`, exceed the
-//! target's consequent support, or fall below the target's own (its drugs
-//! are a proper subset of the target's). Saving goes through
+//! does not add up, a case-id count other than the target's support, a
+//! context other than each proper drug subset once ([`is_complete_context`]),
+//! and a contextual rule whose counts break `support_ab ≤ support_a ≤ N`,
+//! exceed the target's consequent support, or fall below the target's own
+//! (its drugs are a proper subset of the target's). Saving goes through
 //! [`maras_format::write_atomic`], so a crash mid-write never clobbers the
 //! previous good snapshot, and a reload that races a save sees either the
 //! old file or the new one.
 
-use crate::snapshot::{ClusterEntry, ContextEntry, Snapshot};
+use crate::snapshot::{ClusterEntry, Snapshot};
 use maras_faers::Vocabulary;
 use maras_format::{put_f64, put_str, put_u32, put_u64, Cursor, FormatError, Header, HEADER_LEN};
-use maras_rules::RuleStats;
+use maras_rules::{is_complete_context, ContextRule, RuleStats};
 use maras_signals::{ContingencyError, ContingencyTable, EbgmScores, SignalScores};
 use std::fs;
 use std::path::Path;
@@ -110,8 +111,8 @@ fn encode_snapshot(s: &Snapshot) -> Vec<u8> {
         }
         put_u64(&mut out, c.context.len() as u64);
         for ctx in &c.context {
-            put_u32(&mut out, ctx.drug_mask);
-            put_u64(&mut out, ctx.support);
+            put_u32(&mut out, ctx.mask);
+            put_u64(&mut out, ctx.support_ab);
             put_u64(&mut out, ctx.support_a);
         }
         let stats = c.stats();
@@ -175,12 +176,15 @@ fn cluster(c: &mut Cursor<'_>) -> Result<ClusterEntry, FormatError> {
     // A target with 32 drugs or more can keep any mask.
     let n_drugs = u32::try_from(drugs.len()).unwrap_or(u32::MAX);
     let context = c.items(n_ctx, CONTEXT_BYTES, |c| {
-        let drug_mask = c.u32()?;
-        if drug_mask.checked_shr(n_drugs).unwrap_or(0) != 0 {
+        let mask = c.u32()?;
+        if mask.checked_shr(n_drugs).unwrap_or(0) != 0 {
             return Err(FormatError::Corrupt("context drug mask selects a drug its target lacks"));
         }
-        Ok(ContextEntry { drug_mask, support: c.u64()?, support_a: c.u64()? })
+        Ok(ContextRule { mask, support_ab: c.u64()?, support_a: c.u64()? })
     })?;
+    if !is_complete_context(drugs.len(), &context) {
+        return Err(FormatError::Corrupt("context is not each proper drug subset once"));
+    }
     let stats = RuleStats {
         support_ab: c.u64()?,
         support_a: c.u64()?,
@@ -222,18 +226,18 @@ fn cluster(c: &mut Cursor<'_>) -> Result<ClusterEntry, FormatError> {
 /// Refuses counts no report set could give a contextual rule `X ⇒ B` of
 /// the target `A ⇒ B`, whose counts already passed their own checks. `X`
 /// is a proper subset of `A`, so every report holding `A` holds `X`.
-fn check_context(ctx: &ContextEntry, target: &RuleStats) -> Result<(), FormatError> {
+fn check_context(ctx: &ContextRule, target: &RuleStats) -> Result<(), FormatError> {
     let refuse = |why| Err(FormatError::Corrupt(why));
-    if ctx.support > ctx.support_a {
+    if ctx.support_ab > ctx.support_a {
         return refuse("context joint support exceeds its antecedent support");
     }
     if ctx.support_a > target.n_transactions {
         return refuse("context antecedent support exceeds the report count");
     }
-    if ctx.support > target.support_b {
+    if ctx.support_ab > target.support_b {
         return refuse("context joint support exceeds the consequent support");
     }
-    if ctx.support < target.support_ab {
+    if ctx.support_ab < target.support_ab {
         return refuse("context joint support is below the target's");
     }
     if ctx.support_a < target.support_a {
@@ -356,7 +360,7 @@ mod tests {
         for bit in [None, Some(31)] {
             let payload = one_cluster(|c| {
                 let bit = bit.unwrap_or(c.drugs.len());
-                c.context[0].drug_mask |= 1 << bit;
+                c.context[0].mask |= 1 << bit;
             });
             match load_payload(&payload, "mask") {
                 Err(FormatError::Corrupt(msg)) => {
@@ -365,9 +369,34 @@ mod tests {
                 other => panic!("mask bit {bit:?} accepted: {other:?}"),
             }
         }
-        // Every bit below the drug count is a drug of the target.
-        let payload = one_cluster(|c| c.context[0].drug_mask = (1 << c.drugs.len()) - 1);
-        assert!(load_payload(&payload, "full-mask").is_ok());
+    }
+
+    #[test]
+    fn refuses_a_context_other_than_each_proper_drug_subset_once() {
+        let edits: [fn(&mut ClusterEntry); 4] = [
+            // Every drug of the target: the target itself, not a context rule.
+            |c| c.context[0].mask = (1 << c.drugs.len()) - 1,
+            // No drug at all.
+            |c| c.context[0].mask = 0,
+            // One subset twice, so another is missing.
+            |c| c.context[0].mask = c.context[1].mask,
+            // One subset missing.
+            |c| {
+                c.context.pop();
+            },
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let payload = one_cluster(edit);
+            match load_payload(&payload, "context-subsets") {
+                Err(FormatError::Corrupt(msg)) => {
+                    assert_eq!(msg, "context is not each proper drug subset once", "edit {i}")
+                }
+                other => panic!("edit {i} accepted: {other:?}"),
+            }
+        }
+        // The same rules in another order are the same context.
+        let payload = one_cluster(|c| c.context.reverse());
+        assert!(load_payload(&payload, "context-reordered").is_ok());
     }
 
     #[test]
@@ -409,7 +438,7 @@ mod tests {
     fn agree_with_counts(c: &mut ClusterEntry) {
         c.case_ids = (1..=10).collect();
         for ctx in &mut c.context {
-            (ctx.support, ctx.support_a) = (20, 60);
+            (ctx.support_ab, ctx.support_a) = (20, 60);
         }
     }
 
@@ -436,7 +465,7 @@ mod tests {
             let payload = one_cluster(|c| {
                 consistent_counts(c);
                 let last = c.context.len() - 1;
-                (c.context[last].support, c.context[last].support_a) = (support, support_a);
+                (c.context[last].support_ab, c.context[last].support_a) = (support, support_a);
             });
             match load_payload(&payload, "context-counts") {
                 Err(FormatError::Corrupt(msg)) => assert_eq!(msg, want, "{support}/{support_a}"),
@@ -447,11 +476,11 @@ mod tests {
         for (support, support_a) in [(10, 40), (25, 1000)] {
             let payload = one_cluster(|c| {
                 consistent_counts(c);
-                (c.context[0].support, c.context[0].support_a) = (support, support_a);
+                (c.context[0].support_ab, c.context[0].support_a) = (support, support_a);
             });
             let loaded = load_payload(&payload, "context-counts-ok").unwrap();
             let ctx = &loaded.clusters[0].context[0];
-            assert_eq!((ctx.support, ctx.support_a), (support, support_a));
+            assert_eq!((ctx.support_ab, ctx.support_a), (support, support_a));
         }
     }
 

@@ -41,8 +41,9 @@ fn expected_detail(
     let adr_refs: Vec<&str> = adrs.iter().map(String::as_str).collect();
     let tids = supporting_tids(result, target);
     let case_ids = supporting_case_ids(result, &tids);
-    let context = ranked.cluster.context_rules().map(|rule| {
-        let (drugs, adrs) = names(result, rule, vocabs);
+    let context = ranked.cluster.context.iter().map(|rule| {
+        let rule = rule.to_rule(target);
+        let (drugs, adrs) = names(result, &rule, vocabs);
         Value::obj([
             ("drugs", Value::from(drugs)),
             ("adrs", Value::from(adrs)),

@@ -19,7 +19,7 @@
 use crate::contingency::ContingencyTable;
 use crate::disproportionality::SignalScores;
 use crate::metrics::SignalsMetrics;
-use maras_rules::{DrugAdrRule, RuleStats};
+use maras_rules::{ContextRule, DrugAdrRule, RuleStats};
 use std::time::Instant;
 
 /// Scores every rule in one pass, sharded across `n_threads` workers
@@ -35,7 +35,7 @@ use std::time::Instant;
 /// The exclusiveness slot stays 0 here — it needs the rule's whole
 /// cluster, which `maras-mcac` attaches during ranking.
 pub fn score_rules(
-    rules: &[(&DrugAdrRule, &[DrugAdrRule])],
+    rules: &[(&DrugAdrRule, &[ContextRule])],
     n_threads: usize,
 ) -> Vec<SignalScores> {
     let n_threads = n_threads.max(1);
@@ -55,7 +55,7 @@ pub fn score_rules(
     out
 }
 
-fn score_sharded(rules: &[(&DrugAdrRule, &[DrugAdrRule])], n_threads: usize) -> Vec<SignalScores> {
+fn score_sharded(rules: &[(&DrugAdrRule, &[ContextRule])], n_threads: usize) -> Vec<SignalScores> {
     let parent = maras_obs::current_path().unwrap_or_default();
     let parent = &parent;
     let shards: Vec<Vec<(usize, SignalScores)>> = std::thread::scope(|scope| {
@@ -83,7 +83,7 @@ fn score_sharded(rules: &[(&DrugAdrRule, &[DrugAdrRule])], n_threads: usize) -> 
     out.into_iter().map(|s| s.expect("every rule index scored exactly once")).collect()
 }
 
-fn score_rule(rule: &DrugAdrRule, singles: &[DrugAdrRule]) -> SignalScores {
+fn score_rule(rule: &DrugAdrRule, singles: &[ContextRule]) -> SignalScores {
     let table =
         ContingencyTable::from_stats(&rule.stats).expect("miner-derived rule stats are consistent");
     let base = SignalScores::from_table(table);
@@ -98,11 +98,11 @@ fn score_rule(rule: &DrugAdrRule, singles: &[DrugAdrRule]) -> SignalScores {
 /// the integers that function re-derives with `db.support` scans, so every
 /// rate divides identical `f64` values, and `f64::max` over these non-NaN
 /// rates gives the same best single rate in any order.
-fn interaction(stats: &RuleStats, singles: &[DrugAdrRule]) -> f64 {
+fn interaction(stats: &RuleStats, singles: &[ContextRule]) -> f64 {
     let n = stats.n_transactions.max(1) as f64;
     let s = 0.5 / n;
     let p_combo = stats.confidence();
-    let p_best_single = singles.iter().map(DrugAdrRule::confidence).fold(0.0f64, f64::max);
+    let p_best_single = singles.iter().map(|c| c.stats(stats).confidence()).fold(0.0f64, f64::max);
     ((p_combo + s) / (p_best_single + s)).log2()
 }
 
@@ -135,14 +135,21 @@ mod tests {
     }
 
     /// Each rule's single-drug contextual rules, counted per probe.
-    fn singles(d: &TransactionDb, rules: &[DrugAdrRule]) -> Vec<Vec<DrugAdrRule>> {
+    fn singles(d: &TransactionDb, rules: &[DrugAdrRule]) -> Vec<Vec<ContextRule>> {
         rules
             .iter()
             .map(|r| {
                 r.drugs
                     .iter()
-                    .map(|drug| {
-                        DrugAdrRule::from_parts(ItemSet::singleton(drug), r.adrs.clone(), d)
+                    .enumerate()
+                    .map(|(i, drug)| {
+                        let single =
+                            DrugAdrRule::from_parts(ItemSet::singleton(drug), r.adrs.clone(), d);
+                        ContextRule {
+                            mask: 1 << i,
+                            support_a: single.stats.support_a,
+                            support_ab: single.stats.support_ab,
+                        }
                     })
                     .collect()
             })
@@ -151,8 +158,8 @@ mod tests {
 
     fn inputs<'a>(
         rules: &'a [DrugAdrRule],
-        singles: &'a [Vec<DrugAdrRule>],
-    ) -> Vec<(&'a DrugAdrRule, &'a [DrugAdrRule])> {
+        singles: &'a [Vec<ContextRule>],
+    ) -> Vec<(&'a DrugAdrRule, &'a [ContextRule])> {
         rules.iter().zip(singles).map(|(r, s)| (r, s.as_slice())).collect()
     }
 
@@ -180,7 +187,7 @@ mod tests {
         let d = example_db();
         let rules = multi_drug_rules(&d, &P, 1);
         let singles = singles(&d, &rules);
-        let reversed: Vec<Vec<DrugAdrRule>> =
+        let reversed: Vec<Vec<ContextRule>> =
             singles.iter().map(|s| s.iter().rev().cloned().collect()).collect();
         let a = score_rules(&inputs(&rules, &singles), 1);
         let b = score_rules(&inputs(&rules, &reversed), 1);

@@ -6,7 +6,8 @@
 //! for multi-drug signals. The [`engine`] module bundles every measure into
 //! one batch scoring pass over mined rules, fed from counts already held:
 //! each rule's stored tid-list marginals and, for the interaction contrast,
-//! its single-drug contextual rules. `maras-mcac` runs it on every ranked
+//! its single-drug contextual rules ([`maras_rules::ContextRule`]s: a drug
+//! mask and two counts). `maras-mcac` runs it on every ranked
 //! cluster and the snapshot/server layers carry the resulting
 //! [`SignalScores`] block to clients. [`RankKey`] names the score in that
 //! block a ranking orders by, for `--rank-by` and `?sort_by=` alike.

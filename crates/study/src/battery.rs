@@ -27,7 +27,7 @@ impl ClusterStimulus {
     pub fn from_ranked(r: &RankedMcac) -> Self {
         ClusterStimulus {
             target: r.cluster.target.confidence(),
-            context: r.cluster.context_rules().map(|c| c.confidence()).collect(),
+            context: r.cluster.context_stats().map(|c| c.confidence()).collect(),
             true_score: r.score,
         }
     }

@@ -239,7 +239,7 @@ pub fn mcac_barchart_themed(
 
     let bar_w = (plot_w / n_bars as f64 - 2.0).clamp(4.0, 28.0);
     let step = plot_w / n_bars as f64;
-    let n_levels = cluster.levels.len();
+    let n_levels = cluster.levels().count();
     let mut x = MARGIN_LEFT + (step - bar_w) / 2.0;
 
     // Target bar (direct label: the headline number).
@@ -266,8 +266,8 @@ pub fn mcac_barchart_themed(
     doc.text(x + bar_w / 2.0, baseline + 14.0, "R", 9.0, theme.text_secondary, "middle", true);
     x += step;
 
-    for (level_index, level) in cluster.levels.iter().enumerate() {
-        for (ri, rule) in level.rules.iter().enumerate() {
+    for (level_index, level) in cluster.levels().enumerate() {
+        for (ri, rule) in level.iter().map(|r| r.to_rule(&cluster.target)).enumerate() {
             let c = rule.confidence().clamp(0.0, 1.0);
             let h = (c * plot_h).max(1.0);
             let fill = theme.level_color(level_index, n_levels);
@@ -278,12 +278,12 @@ pub fn mcac_barchart_themed(
                 h,
                 4.0,
                 fill,
-                Some(&format!("{} (conf {:.2})", describe(rule), c)),
+                Some(&format!("{} (conf {:.2})", describe(&rule), c)),
             );
             doc.text(
                 x + bar_w / 2.0,
                 baseline + 14.0,
-                &format!("R{}{}", level.cardinality, (b'a' + ri as u8) as char),
+                &format!("R{}{}", rule.n_drugs(), (b'a' + ri as u8) as char),
                 9.0,
                 theme.text_secondary,
                 "middle",

@@ -111,15 +111,14 @@ impl GlyphGeometry {
         let band_inner = inner_max + config.ring_gap;
         let band_outer = max_outer;
 
-        let n_levels = cluster.levels.len();
         let n_sectors: usize = cluster.context_size();
         let step = TAU / n_sectors.max(1) as f64;
         let mut sectors = Vec::with_capacity(n_sectors);
         let mut angle = -PI / 2.0; // 12 o'clock
         let mut rule_index = 0usize;
-        for (level_index, level) in cluster.levels.iter().enumerate() {
-            for rule in &level.rules {
-                let c = rule.confidence().clamp(0.0, 1.0);
+        for (level_index, level) in cluster.levels().enumerate() {
+            for rule in level {
+                let c = rule.stats(&cluster.target.stats).confidence().clamp(0.0, 1.0);
                 // Depth ∝ confidence, with a sliver floor so empty context
                 // slots remain visible (Def. 3.5.2 demands the full powerset).
                 let depth = (band_outer - band_inner) * c;
@@ -129,14 +128,13 @@ impl GlyphGeometry {
                     end_angle: angle + step,
                     outer_radius,
                     level_index,
-                    cardinality: level.cardinality,
+                    cardinality: rule.n_drugs(),
                     confidence: c,
                     rule_index,
                 });
                 angle += step;
                 rule_index += 1;
             }
-            let _ = n_levels;
         }
         GlyphGeometry {
             center,
@@ -161,7 +159,7 @@ pub fn glyph_svg(
     let theme = config.theme;
     let mut doc = SvgDoc::new(config.size, config.size, theme.surface);
     let (cx, cy) = geom.center;
-    let n_levels = cluster.levels.len();
+    let n_levels = cluster.levels().count();
     let describe = |rule: &DrugAdrRule| -> String {
         match namer {
             Some(f) => f(rule),
@@ -171,9 +169,8 @@ pub fn glyph_svg(
 
     // Context sectors first (under the inner circle), with a 2px surface
     // stroke as the spacer between adjacent fills.
-    let context: Vec<&DrugAdrRule> = cluster.context_rules().collect();
     for s in &geom.sectors {
-        let rule = context[s.rule_index];
+        let rule = &cluster.context[s.rule_index].to_rule(&cluster.target);
         let fill = theme.level_color(s.level_index, n_levels);
         let title = format!("{} (conf {:.2})", describe(rule), s.confidence);
         doc.annular_sector(
@@ -231,13 +228,13 @@ pub fn glyph_svg(
         let lx = 10.0;
         let mut ly = 20.0;
         doc.text(lx, ly, "# of Drugs", 11.0, theme.text_primary, "start", true);
-        for (level_index, level) in cluster.levels.iter().enumerate() {
+        for (level_index, level) in cluster.levels().enumerate() {
             ly += 16.0;
             doc.rect(lx, ly - 9.0, 11.0, 11.0, theme.level_color(level_index, n_levels));
             doc.text(
                 lx + 16.0,
                 ly,
-                &level.cardinality.to_string(),
+                &level[0].n_drugs().to_string(),
                 10.0,
                 theme.text_secondary,
                 "start",

@@ -394,20 +394,26 @@ fn load_vocabs(dir: &Path) -> Result<(Vocabulary, Vocabulary), CliError> {
     Ok((read_vocab(&dir.join("drug_vocab.txt"))?, read_vocab(&dir.join("adr_vocab.txt"))?))
 }
 
+/// Parses the pipeline and ingest flags before it reads any file.
 fn load(
+    flags: &Flags,
     dir: &Path,
     id: QuarterId,
-    opts: &IngestOptions,
-) -> Result<(Ingested, Vocabulary, Vocabulary), CliError> {
-    let ingested = read_quarter_dir_with(dir, id, opts)?;
+) -> Result<(Pipeline, Ingested, Vocabulary, Vocabulary), CliError> {
+    let pipeline = Pipeline::new(pipeline_config(flags)?);
+    let ingested = read_quarter_dir_with(dir, id, &ingest_options(flags)?)?;
     let (dv, av) = load_vocabs(dir)?;
-    Ok((ingested, dv, av))
+    Ok((pipeline, ingested, dv, av))
 }
 
 fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, CliError> {
+    let theta: f64 = flag_num(flags, "theta", 0.5)?;
+    if !(0.0..=1.0).contains(&theta) {
+        return Err(CliError::usage(format!("--theta must be in [0, 1], got {theta}")));
+    }
     let mut config = PipelineConfig::default()
         .with_min_support(flag_num(flags, "min-support", 6u64)?)
-        .with_theta(flag_num(flags, "theta", 0.5f64)?)
+        .with_theta(theta)
         .with_n_threads(flag_num(flags, "threads", 0usize)?);
     match flags.get("measure").map(String::as_str) {
         None | Some("confidence") => {}
@@ -538,12 +544,11 @@ fn cmd_analyze(flags: &Flags) -> Result<(), CliError> {
     let dir = PathBuf::from(flag(flags, "dir")?);
     let id = parse_quarter(flag(flags, "quarter")?)?;
     let top: usize = flag_num(flags, "top", 15)?;
-    let opts = ingest_options(flags)?;
-    let (ingested, dv, av) = load(&dir, id, &opts)?;
+    let (pipeline, ingested, dv, av) = load(flags, &dir, id)?;
     print_ingest(&ingested.report);
     let ingest_report = ingested.report;
     let ingest_metrics = ingested.metrics;
-    let result = Pipeline::new(pipeline_config(flags)?).run(ingested.data, &dv, &av);
+    let result = pipeline.run(ingested.data, &dv, &av);
 
     println!(
         "{id}: {} reports -> {} cleaned -> {} MCACs ({} total splits, {} drug->ADR rules)",
@@ -615,8 +620,8 @@ fn cmd_year(flags: &Flags) -> Result<(), CliError> {
     let year: u16 = flag_num(flags, "year", 2014)?;
     let top: usize = flag_num(flags, "top", 10)?;
     let opts = ingest_options(flags)?;
-    let (dv, av) = load_vocabs(&dir)?;
     let pipeline = Pipeline::new(pipeline_config(flags)?);
+    let (dv, av) = load_vocabs(&dir)?;
     let ids: Vec<QuarterId> = (1..=4).map(|q| QuarterId::new(year, q)).collect();
     let run = run_quarters_dir(&pipeline, &dir, &ids, &opts, &dv, &av);
 
@@ -717,12 +722,11 @@ fn cmd_render(flags: &Flags) -> Result<(), CliError> {
     let id = parse_quarter(flag(flags, "quarter")?)?;
     let out = PathBuf::from(flags.get("out").cloned().unwrap_or_else(|| "figures".into()));
     let top: usize = flag_num(flags, "top", 15)?;
-    let opts = ingest_options(flags)?;
-    let (ingested, dv, av) = load(&dir, id, &opts)?;
+    let (pipeline, ingested, dv, av) = load(flags, &dir, id)?;
     if !ingested.report.is_clean() {
         print_ingest(&ingested.report);
     }
-    let result = Pipeline::new(pipeline_config(flags)?).run(ingested.data, &dv, &av);
+    let result = pipeline.run(ingested.data, &dv, &av);
     if result.ranked.is_empty() {
         return Err(CliError::Other("no clusters mined".into()));
     }
@@ -758,10 +762,9 @@ fn cmd_report(flags: &Flags) -> Result<(), CliError> {
     let id = parse_quarter(flag(flags, "quarter")?)?;
     let out = PathBuf::from(flags.get("out").cloned().unwrap_or_else(|| "report.html".into()));
     let top: usize = flag_num(flags, "top", 25)?;
-    let opts = ingest_options(flags)?;
-    let (ingested, dv, av) = load(&dir, id, &opts)?;
+    let (pipeline, ingested, dv, av) = load(flags, &dir, id)?;
     print_ingest(&ingested.report);
-    let result = Pipeline::new(pipeline_config(flags)?).run(ingested.data, &dv, &av);
+    let result = pipeline.run(ingested.data, &dv, &av);
     let kb = KnowledgeBase::literature_validated();
     let cfg = maras::report::ReportConfig {
         top_n: top,
@@ -780,10 +783,9 @@ fn cmd_snapshot(flags: &Flags) -> Result<(), CliError> {
     let dir = PathBuf::from(flag(flags, "dir")?);
     let id = parse_quarter(flag(flags, "quarter")?)?;
     let out = PathBuf::from(flag(flags, "out")?);
-    let opts = ingest_options(flags)?;
-    let (ingested, dv, av) = load(&dir, id, &opts)?;
+    let (pipeline, ingested, dv, av) = load(flags, &dir, id)?;
     print_ingest(&ingested.report);
-    let result = Pipeline::new(pipeline_config(flags)?).run(ingested.data, &dv, &av);
+    let result = pipeline.run(ingested.data, &dv, &av);
     let kb = KnowledgeBase::literature_validated();
     let snap = Snapshot::build(id.to_string(), &result, &dv, &av, Some(&kb));
     maras::serve::save(&snap, &out).map_err(CliError::Snapshot)?;
@@ -849,10 +851,9 @@ fn cmd_evidence_build(flags: &Flags) -> Result<(), CliError> {
     if block_size == 0 {
         return Err(CliError::usage("--block-size must be >= 1"));
     }
-    let opts = ingest_options(flags)?;
-    let (ingested, dv, av) = load(&dir, id, &opts)?;
+    let (pipeline, ingested, dv, av) = load(flags, &dir, id)?;
     print_ingest(&ingested.report);
-    let result = Pipeline::new(pipeline_config(flags)?).run(ingested.data, &dv, &av);
+    let result = pipeline.run(ingested.data, &dv, &av);
     let summary = build_archive(&result, &dv, &av, &out, BuildConfig { block_size })
         .map_err(CliError::Evidence)?;
     println!(

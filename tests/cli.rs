@@ -40,6 +40,15 @@ fn help_and_error_paths() {
     let badq = maras(&["analyze", "--dir", "/nonexistent", "--quarter", "2014Q9"]);
     assert!(!badq.status.success());
     assert!(String::from_utf8_lossy(&badq.stderr).contains("quarter must be 1-4"));
+
+    // A θ outside [0, 1] is a usage error, reported before any file is read.
+    for (theta, shown) in [("1.5", "1.5"), ("nan", "NaN")] {
+        let bad =
+            maras(&["analyze", "--dir", "/nonexistent", "--quarter", "2014Q1", "--theta", theta]);
+        assert_eq!(bad.status.code(), Some(1), "--theta {theta}");
+        let stderr = String::from_utf8_lossy(&bad.stderr);
+        assert!(stderr.contains(&format!("--theta must be in [0, 1], got {shown}")), "{stderr}");
+    }
 }
 
 #[test]

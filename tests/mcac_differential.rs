@@ -41,21 +41,24 @@ fn check_against_oracle(result: &AnalysisResult, ctx: &str) -> [usize; 5] {
         let target = &cluster.target;
         by_size[cluster.n_drugs().min(4)] += 1;
         assert!(cluster.context_is_complete(), "{ctx} cluster {i}: incomplete context");
-        for level in &cluster.levels {
-            for rule in &level.rules {
-                assert_eq!(rule.drugs.len(), level.cardinality, "{ctx} cluster {i}: level");
+        let n = cluster.n_drugs();
+        assert_eq!(cluster.levels().count(), n - 1, "{ctx} cluster {i}: levels");
+        for (level, cardinality) in cluster.levels().zip((1..n).rev()) {
+            let rules: Vec<DrugAdrRule> = level.iter().map(|rule| rule.to_rule(target)).collect();
+            for rule in &rules {
+                assert_eq!(rule.drugs.len(), cardinality, "{ctx} cluster {i}: level");
                 assert_eq!(
                     rule.stats,
                     oracle_stats(db, &rule.drugs, &rule.adrs),
                     "{ctx} cluster {i}: counts of {rule}"
                 );
             }
-            for w in level.rules.windows(2) {
+            for w in rules.windows(2) {
                 let (a, b) = (w[0].confidence(), w[1].confidence());
                 assert!(
                     a > b || (a == b && w[0].drugs < w[1].drugs),
                     "{ctx} cluster {i}: level {} out of order: {} then {}",
-                    level.cardinality,
+                    cardinality,
                     w[0],
                     w[1]
                 );

@@ -1,7 +1,9 @@
 //! Cross-layer observability tests: span nesting stays deterministic
 //! under the sharded ingest reader and the parallel miner, every pipeline
-//! stage shows up in the span stream, and the Chrome trace export is
-//! well-formed JSON with real durations.
+//! stage shows up in the span stream, the Chrome trace export is
+//! well-formed JSON with real durations, and serving requests records no
+//! spans (a long-running server has no one to drain them; its per-request
+//! timings live in its metrics and flight recorder).
 //!
 //! The span collector is process-global, so every test here drains it
 //! under one shared lock and leaves tracing enabled on exit.
@@ -141,4 +143,41 @@ fn disabling_tracing_silences_the_pipeline() {
     let spans = obs::take_spans();
     obs::init(&ObsConfig::enabled());
     assert!(spans.is_empty(), "disabled tracing must record nothing, got {}", spans.len());
+}
+
+#[test]
+fn serving_requests_records_no_spans() {
+    use maras::serve::{serve, ServeState, Snapshot};
+    use std::io::{Read, Write};
+    let _g = lock();
+    obs::init(&ObsConfig::enabled());
+    let mut synth = Synthesizer::new(SynthConfig::test_scale(25));
+    let quarter = synth.generate_quarter(QuarterId::new(2014, 1));
+    let (dv, av) = (synth.drug_vocab().clone(), synth.adr_vocab().clone());
+    let result = Pipeline::new(PipelineConfig::default()).run(quarter, &dv, &av);
+    let snapshot = Snapshot::build("2014 Q1", &result, &dv, &av, None);
+    let drug = snapshot.clusters.first().expect("the fixture mines clusters").drugs[0].clone();
+    let server = serve(std::sync::Arc::new(ServeState::new(snapshot, None, 64)), "127.0.0.1:0", 2)
+        .expect("bind ephemeral port");
+    obs::take_spans();
+    // A cache miss and then a hit on each cached endpoint, and one route
+    // that bypasses the cache.
+    let search = format!("/search?drug={drug}");
+    for target in ["/cluster/1", "/cluster/1", &search, &search, "/healthz", "/nope"] {
+        let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+        let request =
+            format!("GET {target} HTTP/1.1\r\nhost: localhost\r\nconnection: close\r\n\r\n");
+        stream.write_all(request.as_bytes()).expect("send request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read response");
+        assert!(response.starts_with("HTTP/1.1 "), "{target}: {response:?}");
+    }
+    server.shutdown();
+    let spans = obs::take_spans();
+    let recorded: Vec<&str> = spans
+        .iter()
+        .filter(|s| s.path.starts_with("request") || matches!(s.name(), "cache" | "render"))
+        .map(|s| &*s.path)
+        .collect();
+    assert!(recorded.is_empty(), "serving recorded spans: {recorded:?}");
 }

@@ -124,7 +124,8 @@ fn exclusiveness_separates_planted_from_dominated() {
     // check is a margin, not an absolute bound.)
     let cluster = &result.ranked[rank].cluster;
     let target_conf = cluster.target.confidence();
-    for ctx in &cluster.singleton_level().rules {
+    for ctx in cluster.singleton_level() {
+        let ctx = ctx.to_rule(&cluster.target);
         assert!(
             ctx.confidence() < target_conf - 0.3,
             "single drug {} explains the ADR too well: {} vs target {}",

@@ -104,7 +104,8 @@ fn mcac_context_confidences_match_db_counts() {
     let db = &f.result.encoded.db;
     assert!(!f.result.ranked.is_empty());
     for r in &f.result.ranked {
-        for ctx in r.cluster.context_rules() {
+        for ctx in &r.cluster.context {
+            let ctx = ctx.to_rule(&r.cluster.target);
             let want = RuleStats {
                 support_ab: db.support(&ctx.complete_itemset()) as u64,
                 support_a: db.support(&ctx.drugs) as u64,

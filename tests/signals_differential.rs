@@ -10,7 +10,7 @@ use maras::core::{Pipeline, PipelineConfig};
 use maras::faers::ascii::{read_quarter_dir_with, write_quarter_dir, IngestOptions};
 use maras::faers::{QuarterId, SynthConfig, Synthesizer};
 use maras::mining::TransactionDb;
-use maras::rules::DrugAdrRule;
+use maras::rules::{ContextRule, DrugAdrRule};
 use maras::signals::{interaction_contrast, score_rules, ContingencyTable, SignalScores};
 
 /// Bit-level equality over the whole score block, with a labelled panic
@@ -82,10 +82,10 @@ fn engine_is_bit_identical_to_legacy_across_quarters_modes_and_threads() {
             assert!(!rules.is_empty(), "seed {seed} {mode}: no ranked rules");
             let legacy: Vec<SignalScores> = rules.iter().map(|r| legacy_score(db, r)).collect();
 
-            let inputs: Vec<(&DrugAdrRule, &[DrugAdrRule])> = result
+            let inputs: Vec<(&DrugAdrRule, &[ContextRule])> = result
                 .ranked
                 .iter()
-                .map(|r| (&r.cluster.target, r.cluster.singleton_level().rules.as_slice()))
+                .map(|r| (&r.cluster.target, r.cluster.singleton_level()))
                 .collect();
             for threads in [1usize, 2, 4] {
                 let scored = score_rules(&inputs, threads);

@@ -13,7 +13,7 @@ use maras::core::{link, Pipeline, PipelineConfig, RuleQuery};
 use maras::evidence::{build_archive, BuildConfig, EvidenceReader};
 use maras::faers::{QuarterId, SynthConfig, Synthesizer};
 use maras::mining::{Item, ItemSet, TransactionDb};
-use maras::rules::DrugAdrRule;
+use maras::rules::{ContextRule, DrugAdrRule};
 use maras::serve::Snapshot;
 use maras::signals::{interaction_contrast, score_rules, ContingencyTable, SignalScores};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -308,10 +308,10 @@ fn quarter_marginals_and_scores_match_scalar_paths_at_all_thread_counts() {
 
         // Scores: bit-identical to the legacy per-rule path at 1/2/4 threads.
         let legacy: Vec<SignalScores> = rules.iter().map(|r| legacy_score(db, r)).collect();
-        let inputs: Vec<(&DrugAdrRule, &[DrugAdrRule])> = result
+        let inputs: Vec<(&DrugAdrRule, &[ContextRule])> = result
             .ranked
             .iter()
-            .map(|r| (&r.cluster.target, r.cluster.singleton_level().rules.as_slice()))
+            .map(|r| (&r.cluster.target, r.cluster.singleton_level()))
             .collect();
         for threads in [1usize, 2, 4] {
             let scored = score_rules(&inputs, threads);
