@@ -30,7 +30,7 @@ use maras_core::PipelineConfig;
 use maras_faers::ascii::{read_quarter_with, IngestOptions, QuarterWriter};
 use maras_faers::{clean_quarter, CleanConfig};
 use maras_mcac::{build_clusters, Mcac};
-use maras_mining::{mine_patterns_parallel, Item, TransactionDb};
+use maras_mining::{mine_patterns_parallel, Item, PatternStore, TransactionDb};
 use maras_obs::ObsConfig;
 use maras_rules::{rule_space, ContextRule, DrugAdrRule, ItemPartition};
 use maras_serve::http::Request;
@@ -611,7 +611,12 @@ fn threads(corpus: &Corpus, q: &Quarter) -> Value {
             .expect("benchmark quarter must ingest cleanly")
     };
     let read_1 = read(1);
-    let mined_1 = mine_patterns_parallel(&q.db, MIN_SUPPORT, 1);
+    // The miner's record order is unspecified; compare the sorted stores.
+    let sorted = |mut store: PatternStore| {
+        store.sort_by_items();
+        store
+    };
+    let mined_1 = sorted(mine_patterns_parallel(&q.db, MIN_SUPPORT, 1));
     let inputs = q.inputs();
     let scores_1 = score_rules(&inputs, 1);
 
@@ -620,7 +625,7 @@ fn threads(corpus: &Corpus, q: &Quarter) -> Value {
         thread_knob(
             "mine_patterns_parallel",
             |threads| mine_patterns_parallel(&q.db, MIN_SUPPORT, threads),
-            |store| store.iter().eq(mined_1.iter()),
+            |store| sorted(store.clone()).iter().eq(mined_1.iter()),
         ),
         thread_knob("score_rules", |threads| score_rules(&inputs, threads), |s| *s == scores_1),
     ]

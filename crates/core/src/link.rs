@@ -5,10 +5,14 @@
 //! patients that supports the corresponding drug-drug interactions" — the
 //! evaluator needs age, history and co-medication context. The pipeline
 //! keeps tid → source-report provenance, so any mined rule resolves to the
-//! exact FAERS case reports in its cover.
+//! exact FAERS case reports in its cover. One rule's cover comes from
+//! [`supporting_tids`]; every ranked target's at once from
+//! [`target_covers`], one scan of the transactions instead of one tid-list
+//! intersection per target.
 
 use crate::pipeline::AnalysisResult;
 use maras_faers::model::{CaseReport, Outcome};
+use maras_mining::Covers;
 use maras_rules::DrugAdrRule;
 
 /// Transaction ids of a rule's cover (every transaction containing all of
@@ -16,6 +20,16 @@ use maras_rules::DrugAdrRule;
 /// the evidence archive's postings intersection must reproduce exactly.
 pub fn supporting_tids(result: &AnalysisResult, rule: &DrugAdrRule) -> Vec<u32> {
     result.encoded.db.cover_tids(&rule.complete_itemset())
+}
+
+/// Every ranked target's cover from one batch call
+/// ([`TransactionDb::covers`](maras_mining::TransactionDb::covers)): cover
+/// `i` is [`supporting_tids`] of `result.ranked[i]`'s target.
+pub fn target_covers(result: &AnalysisResult) -> Covers {
+    result.encoded.db.covers(result.ranked.iter().map(|r| {
+        let target = &r.cluster.target;
+        target.drugs.iter().chain(target.adrs.iter())
+    }))
 }
 
 /// The raw case reports supporting a rule, in tid order.
@@ -87,5 +101,11 @@ mod tests {
         }
         // Severity: expedited reports are always serious, so a max exists.
         assert!(rule_max_severity(&result, rule).is_some());
+        // The batch covers are the per-rule ones.
+        let covers = target_covers(&result);
+        assert_eq!(covers.len(), result.ranked.len());
+        for (r, cover) in result.ranked.iter().zip(covers.iter()) {
+            assert_eq!(cover, supporting_tids(&result, &r.cluster.target));
+        }
     }
 }

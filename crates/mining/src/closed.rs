@@ -56,7 +56,9 @@ impl<'s> SupportIndex<'s> {
     }
 
     /// The closed patterns, copied into a fresh store ordered by descending
-    /// support then ascending itemset (the canonical presentation order).
+    /// support then ascending itemset (the canonical presentation order),
+    /// whatever the record order of the indexed store: the miner leaves
+    /// that order unspecified, and this sort is the one its output gets.
     ///
     /// One pass over borrowed arena slices: every pattern of length ≥ 2
     /// marks each of its length-1-smaller parents non-closed when the
@@ -137,6 +139,14 @@ mod tests {
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())
+    }
+
+    fn store_of(records: &[(&[Item], u64)]) -> PatternStore {
+        let mut store = PatternStore::new();
+        for &(items, support) in records {
+            store.push(items, support);
+        }
+        store
     }
 
     #[test]
@@ -253,6 +263,31 @@ mod tests {
                     for sub in set.proper_nonempty_subsets() {
                         prop_assert_eq!(index.support(sub.items()), Some(d.support(&sub) as u64));
                     }
+                }
+            }
+
+            #[test]
+            fn closed_store_ignores_the_record_order(
+                rows in arb_rows(),
+                ms in 1u64..4,
+                seed in 0u64..1_000,
+            ) {
+                // The miner's record order is unspecified, so the closed
+                // store must not depend on it.
+                use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+                let d = TransactionDb::new(
+                    rows.into_iter().map(|t| t.into_iter().map(Item).collect()).collect(),
+                );
+                let mined = mine_patterns(&d, ms);
+                let expect = SupportIndex::new(&mined).closed_store();
+                let mut records: Vec<(&[Item], u64)> = mined.iter().collect();
+                records.reverse();
+                let reversed = store_of(&records);
+                records.shuffle(&mut StdRng::seed_from_u64(seed));
+                let shuffled = store_of(&records);
+                for store in [&reversed, &shuffled] {
+                    let closed = SupportIndex::new(store).closed_store();
+                    prop_assert!(closed.iter().eq(expect.iter()));
                 }
             }
 

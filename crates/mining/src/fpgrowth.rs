@@ -4,11 +4,10 @@
 //! large rule spaces (Fig. 5.1 reports up to 10⁶–10⁷ associations) can be
 //! counted or filtered without materializing them all.
 
-use crate::fptree::FpTree;
+use crate::fptree::{FpTree, NONE, ROOT};
 use crate::items::{Item, ItemSet};
 use crate::store::{PatternSink, PatternStore};
 use crate::transactions::TransactionDb;
-use rustc_hash::FxHashMap;
 
 /// A mined frequent itemset with its absolute support.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,12 +32,14 @@ const SINGLE_PATH_CAP: usize = 16;
 /// low threshold to keep rare drug combinations (§1.3 "a low support is
 /// necessary"). A `min_support` of 0 is clamped to 1: support-0 itemsets are
 /// not patterns of the data.
+///
+/// Conditional trees are rebuilt into one reused tree per recursion depth,
+/// so the allocations of a run grow with the depth and the widest tree, not
+/// with the number of patterns.
 pub fn fpgrowth_into<S: PatternSink>(db: &TransactionDb, min_support: u64, sink: &mut S) {
     let min_support = min_support.max(1);
     let tree = build_global_tree(db, min_support);
-    let mut prefix: Vec<Item> = Vec::new();
-    let mut scratch: Vec<Item> = Vec::new();
-    mine_into(&tree, min_support, &mut prefix, &mut scratch, sink);
+    Miner::new(min_support).mine_tree(&tree, 0, sink);
 }
 
 /// Mines the frequent-pattern space into a fresh [`PatternStore`], in the
@@ -62,31 +63,31 @@ pub fn mine_patterns(db: &TransactionDb, min_support: u64) -> PatternStore {
     store
 }
 
-/// Builds the global FP-tree: items below `min_support` dropped, transaction
-/// items reordered by descending global support (ties by ascending id).
-/// Shared by the sequential and parallel miners so "suffix item" means the
-/// same thing in both.
+/// Builds the global FP-tree: items below `min_support` dropped, the rest
+/// numbered by descending global support (ties by ascending id), which is
+/// the order each transaction's path is inserted in. Shared by the
+/// sequential and parallel miners so "suffix item" means the same thing in
+/// both.
 pub(crate) fn build_global_tree(db: &TransactionDb, min_support: u64) -> FpTree {
-    let mut supports: Vec<(Item, u64)> = db
-        .item_supports()
-        .filter(|&(_, s)| s as u64 >= min_support)
-        .map(|(i, s)| (i, s as u64))
-        .collect();
+    let mut supports: Vec<(Item, u32)> =
+        db.item_supports().filter(|&(_, s)| s as u64 >= min_support).collect();
     supports.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let rank: FxHashMap<Item, u32> =
-        supports.iter().enumerate().map(|(r, &(i, _))| (i, r as u32)).collect();
+    let mut rank = vec![NONE; db.item_bound() as usize];
+    for (r, &(item, _)) in supports.iter().enumerate() {
+        rank[item.index()] = r as u32;
+    }
 
-    let mut tree = FpTree::new();
-    let mut buf: Vec<Item> = Vec::new();
+    let mut tree = FpTree::default();
+    tree.reset(supports.iter().map(|&(item, _)| item));
+    let mut path: Vec<u32> = Vec::new();
     for t in db.transactions() {
-        buf.clear();
-        buf.extend(t.iter().filter(|i| rank.contains_key(i)));
-        buf.sort_unstable_by_key(|i| rank[i]);
-        if !buf.is_empty() {
-            tree.insert_path(&buf, 1);
+        path.clear();
+        path.extend(t.iter().map(|i| rank[i.index()]).filter(|&r| r != NONE));
+        path.sort_unstable();
+        if !path.is_empty() {
+            tree.insert(&path, 1);
         }
     }
-    tree.finish();
     tree
 }
 
@@ -106,109 +107,162 @@ fn emit_sorted<S: PatternSink>(
     sink.emit(scratch, support);
 }
 
-pub(crate) fn mine_into<S: PatternSink>(
-    tree: &FpTree,
+/// One worker's FP-Growth state: the pattern prefix, one conditional tree
+/// per recursion depth, and the dense scratch each conditional tree is
+/// projected through. All of it is reused from one conditional tree to the
+/// next.
+#[derive(Default)]
+pub(crate) struct Miner {
     min_support: u64,
-    prefix: &mut Vec<Item>,
-    scratch: &mut Vec<Item>,
-    sink: &mut S,
-) {
-    // Single-path shortcut: all combinations of path items are frequent with
-    // support = min count of the chosen suffix.
-    if let Some(path) = tree.single_path() {
-        if path.len() <= SINGLE_PATH_CAP {
-            emit_path_combinations(&path, min_support, prefix, scratch, sink);
+    /// `trees[d]` holds the conditional tree mined at recursion depth
+    /// `d + 1`.
+    trees: Vec<FpTree>,
+    /// Conditional support by local number in the projected tree; zero
+    /// between projections.
+    counts: Vec<u64>,
+    /// Local number in the projected tree → local number in the
+    /// conditional tree; `NONE` between projections.
+    remap: Vec<u32>,
+    /// The local numbers `counts` holds a non-zero entry for.
+    touched: Vec<u32>,
+    /// The prefix paths of one projection, each leaf to root, back to back.
+    paths: Vec<u32>,
+    /// Per prefix path: its end in `paths` and its count.
+    ends: Vec<(u32, u64)>,
+    /// One remapped path.
+    path: Vec<u32>,
+    prefix: Vec<Item>,
+    scratch: Vec<Item>,
+}
+
+impl Miner {
+    pub(crate) fn new(min_support: u64) -> Self {
+        Miner { min_support, ..Miner::default() }
+    }
+
+    /// Emits every pattern of `tree` (each unioned with the prefix), least
+    /// frequent item first. `depth` is the tree's recursion depth.
+    pub(crate) fn mine_tree<S: PatternSink>(&mut self, tree: &FpTree, depth: usize, sink: &mut S) {
+        // Single-path shortcut: all combinations of path items are frequent
+        // with support = the count of the deepest chosen item.
+        if tree.is_single_path() && tree.len() <= SINGLE_PATH_CAP {
+            self.emit_path_combinations(tree, sink);
             return;
         }
-    }
-
-    for &item in tree.mining_order() {
-        let header = match tree.header(item) {
-            Some(h) => h,
-            None => continue,
-        };
-        if header.total < min_support {
-            continue;
-        }
-        prefix.push(item);
-        emit_sorted(prefix, header.total, scratch, sink);
-
-        // Conditional pattern base → conditional tree.
-        let cond = conditional_tree(tree, item, min_support);
-        if cond.mining_order().is_empty() {
-            prefix.pop();
-            continue;
-        }
-        mine_into(&cond, min_support, prefix, scratch, sink);
-        prefix.pop();
-    }
-}
-
-/// Builds the conditional FP-tree for `item`: prefix paths of every node in
-/// `item`'s thread, with counts propagated and items below `min_support`
-/// removed.
-pub(crate) fn conditional_tree(tree: &FpTree, item: Item, min_support: u64) -> FpTree {
-    // First pass: conditional item supports.
-    let mut csup: FxHashMap<Item, u64> = FxHashMap::default();
-    let mut path = Vec::new();
-    let mut paths: Vec<(Vec<Item>, u64)> = Vec::new();
-    for (node, count) in tree.thread(item) {
-        tree.prefix_path(node, &mut path);
-        if path.is_empty() {
-            continue;
-        }
-        for &i in &path {
-            *csup.entry(i).or_insert(0) += count;
-        }
-        paths.push((path.clone(), count));
-    }
-    // Order surviving items by conditional support (descending).
-    let mut order: Vec<(Item, u64)> =
-        csup.iter().filter(|&(_, &s)| s >= min_support).map(|(&i, &s)| (i, s)).collect();
-    order.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let rank: FxHashMap<Item, u32> =
-        order.iter().enumerate().map(|(r, &(i, _))| (i, r as u32)).collect();
-
-    let mut cond = FpTree::new();
-    let mut buf = Vec::new();
-    for (p, count) in paths {
-        buf.clear();
-        buf.extend(p.into_iter().filter(|i| rank.contains_key(i)));
-        buf.sort_unstable_by_key(|i| rank[i]);
-        if !buf.is_empty() {
-            cond.insert_path(&buf, count);
+        for l in (0..tree.len()).rev() {
+            self.mine_item(tree, l, depth, sink);
         }
     }
-    cond.finish();
-    cond
-}
 
-/// Emits every non-empty combination of a single path, each unioned with the
-/// current prefix. `path` is in root→leaf order so counts are non-increasing;
-/// a combination's support is the count of its deepest item.
-fn emit_path_combinations<S: PatternSink>(
-    path: &[(Item, u64)],
-    min_support: u64,
-    prefix: &[Item],
-    scratch: &mut Vec<Item>,
-    sink: &mut S,
-) {
-    let n = path.len();
-    if n == 0 {
-        return;
-    }
-    debug_assert!(path.windows(2).all(|w| w[0].1 >= w[1].1), "path counts must be non-increasing");
-    for mask in 1u32..(1 << n) {
-        let deepest = 31 - mask.leading_zeros();
-        let support = path[deepest as usize].1;
-        if support < min_support {
-            continue;
+    /// Emits local item `l` of `tree` under the prefix, then every pattern
+    /// of its conditional tree.
+    pub(crate) fn mine_item<S: PatternSink>(
+        &mut self,
+        tree: &FpTree,
+        l: usize,
+        depth: usize,
+        sink: &mut S,
+    ) {
+        self.prefix.push(tree.item(l));
+        emit_sorted(&self.prefix, tree.total(l), &mut self.scratch, sink);
+        if self.trees.len() == depth {
+            self.trees.push(FpTree::default());
         }
-        scratch.clear();
-        scratch.extend_from_slice(prefix);
-        scratch.extend((0..n).filter(|b| mask & (1 << b) != 0).map(|b| path[b].0));
-        scratch.sort_unstable();
-        sink.emit(scratch, support);
+        let mut cond = std::mem::take(&mut self.trees[depth]);
+        self.project(tree, l, &mut cond);
+        if cond.len() > 0 {
+            self.mine_tree(&cond, depth + 1, sink);
+        }
+        self.trees[depth] = cond;
+        self.prefix.pop();
+    }
+
+    /// Builds the conditional FP-tree of local item `l` into `cond`: the
+    /// prefix paths of every node in `l`'s thread, with counts propagated
+    /// and items below `min_support` removed. The surviving items are
+    /// numbered by descending conditional support, ties by ascending id.
+    fn project(&mut self, tree: &FpTree, l: usize, cond: &mut FpTree) {
+        // Every ancestor of an `l` node has a smaller local number.
+        if self.counts.len() < l {
+            self.counts.resize(l, 0);
+            self.remap.resize(l, NONE);
+        }
+        self.paths.clear();
+        self.ends.clear();
+        let mut node = tree.head(l);
+        while node != NONE {
+            let n = tree.node(node);
+            let start = self.paths.len();
+            let mut up = n.parent;
+            while up != ROOT {
+                let u = tree.node(up);
+                let count = &mut self.counts[u.item as usize];
+                if *count == 0 {
+                    self.touched.push(u.item);
+                }
+                *count += n.count;
+                self.paths.push(u.item);
+                up = u.parent;
+            }
+            if self.paths.len() > start {
+                self.ends.push((self.paths.len() as u32, n.count));
+            }
+            node = n.next_same_item;
+        }
+
+        let counts = &self.counts;
+        self.touched.retain(|&i| counts[i as usize] >= self.min_support);
+        self.touched.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            counts[b].cmp(&counts[a]).then(tree.item(a).cmp(&tree.item(b)))
+        });
+        for (new, &old) in self.touched.iter().enumerate() {
+            self.remap[old as usize] = new as u32;
+        }
+        cond.reset(self.touched.iter().map(|&i| tree.item(i as usize)));
+
+        let mut start = 0;
+        for &(end, count) in &self.ends {
+            let end = end as usize;
+            self.path.clear();
+            self.path.extend(
+                self.paths[start..end]
+                    .iter()
+                    .map(|&i| self.remap[i as usize])
+                    .filter(|&i| i != NONE),
+            );
+            self.path.sort_unstable();
+            if !self.path.is_empty() {
+                cond.insert(&self.path, count);
+            }
+            start = end;
+        }
+
+        // Leave the scratch clean for the next projection.
+        for &i in &self.paths {
+            self.counts[i as usize] = 0;
+            self.remap[i as usize] = NONE;
+        }
+        self.touched.clear();
+    }
+
+    /// Emits every non-empty combination of a single-path tree's items,
+    /// each unioned with the prefix. The path runs root to leaf in local
+    /// order, so counts are non-increasing and a combination's support is
+    /// the total of its deepest item.
+    fn emit_path_combinations<S: PatternSink>(&mut self, tree: &FpTree, sink: &mut S) {
+        let n = tree.len();
+        debug_assert!(n <= SINGLE_PATH_CAP);
+        for mask in 1u32..(1 << n) {
+            let deepest = (31 - mask.leading_zeros()) as usize;
+            let support = tree.total(deepest);
+            debug_assert!(support >= self.min_support, "every item of a tree is frequent");
+            self.scratch.clear();
+            self.scratch.extend_from_slice(&self.prefix);
+            self.scratch.extend((0..n).filter(|b| mask & (1 << b) != 0).map(|b| tree.item(b)));
+            self.scratch.sort_unstable();
+            sink.emit(&self.scratch, support);
+        }
     }
 }
 
@@ -283,6 +337,30 @@ mod tests {
     fn high_threshold_prunes_everything() {
         let d = db(&[&[1, 2], &[2, 3]]);
         assert!(mine_patterns(&d, 3).is_empty());
+    }
+
+    #[test]
+    fn single_path_past_the_cap_recurses_to_the_closed_form() {
+        // One 17-item transaction, three times: the tree is one chain too
+        // long for the combination shortcut, so the miner recurses, and
+        // every one of the 2^17 - 1 non-empty subsets has support 3.
+        let n = SINGLE_PATH_CAP as u32 + 1;
+        let row: Vec<u32> = (0..n).map(|i| 10 * i).collect();
+        let d = db(&[&row, &row, &row]);
+        let mut count = 0u64;
+        let mut seen = rustc_hash::FxHashSet::default();
+        fpgrowth_into(
+            &d,
+            1,
+            &mut crate::store::FnSink(|items: &[Item], support| {
+                assert_eq!(support, 3, "{items:?}");
+                assert!(items.windows(2).all(|w| w[0] < w[1]));
+                let mask = items.iter().fold(0u32, |m, i| m | 1 << (i.0 / 10));
+                assert!(seen.insert(mask), "{items:?} emitted twice");
+                count += 1;
+            }),
+        );
+        assert_eq!(count, (1u64 << n) - 1);
     }
 
     #[test]

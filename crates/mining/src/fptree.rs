@@ -3,213 +3,174 @@
 //! rule generation").
 //!
 //! Nodes live in a flat `Vec` and refer to each other by index — the arena
-//! pattern the performance guide recommends over `Rc<RefCell<…>>` trees. Each
-//! header-table entry threads a linked list through all nodes of one item.
+//! pattern the performance guide recommends over `Rc<RefCell<…>>` trees.
+//! Every table is dense: a tree numbers its items `0..k` in insertion order
+//! (support descending, then item id ascending), and the header totals, the
+//! thread heads and the root's children are `Vec`s indexed by that number,
+//! so neither building nor mining a tree hashes anything. A tree is reset
+//! and refilled rather than dropped, so the conditional trees of one
+//! recursion depth share one set of buffers.
 
 use crate::items::Item;
-use rustc_hash::FxHashMap;
 
 /// Index of a node inside the arena. `NONE` marks a null link.
-pub type NodeId = u32;
-const NONE: NodeId = u32::MAX;
+pub(crate) type NodeId = u32;
+pub(crate) const NONE: NodeId = u32::MAX;
+/// The root is always node 0.
+pub(crate) const ROOT: NodeId = 0;
 
 /// One FP-tree node.
-#[derive(Debug, Clone)]
-pub struct Node {
-    /// The item this node represents (undefined for the root).
-    pub item: Item,
-    /// Number of transactions sharing the path down to this node.
-    pub count: u64,
-    /// Parent node index (`NONE` for the root).
-    pub parent: NodeId,
-    /// Next node carrying the same item (header-table thread).
-    pub next_same_item: NodeId,
-}
-
-/// Per-item header entry: total count and head of the node thread.
 #[derive(Debug, Clone, Copy)]
-pub struct Header {
-    /// Sum of counts of all nodes holding this item.
-    pub total: u64,
-    /// First node in this item's thread, `NONE` if absent.
-    pub head: NodeId,
+pub(crate) struct Node {
+    /// The tree-local number of this node's item (undefined for the root).
+    pub(crate) item: u32,
+    /// Number of transactions sharing the path down to this node.
+    pub(crate) count: u64,
+    /// Parent node (`NONE` for the root).
+    pub(crate) parent: NodeId,
+    /// Next node carrying the same item (the item's thread).
+    pub(crate) next_same_item: NodeId,
+    /// Most recently created child.
+    first_child: NodeId,
+    /// Next child of the same parent.
+    next_sibling: NodeId,
 }
 
-/// An FP-tree: arena of nodes plus a header table in *mining order*.
+const ROOT_NODE: Node = Node {
+    item: u32::MAX,
+    count: 0,
+    parent: NONE,
+    next_same_item: NONE,
+    first_child: NONE,
+    next_sibling: NONE,
+};
+
+/// An FP-tree over items numbered `0..k` in insertion order.
 ///
-/// Items are inserted in descending global-frequency order (ties broken by
-/// item id) so that paths share maximal prefixes; the header table keeps the
-/// items in ascending frequency order — the order FP-Growth peels them off.
-#[derive(Debug)]
-pub struct FpTree {
+/// Paths are inserted as ascending local numbers, so they share maximal
+/// prefixes. FP-Growth peels items off in reverse insertion order: the
+/// least frequent item first.
+#[derive(Debug, Default)]
+pub(crate) struct FpTree {
+    /// Local number → item.
+    items: Vec<Item>,
+    /// Local number → sum of the counts of the item's nodes.
+    totals: Vec<u64>,
+    /// Local number → first node of the item's thread.
+    heads: Vec<NodeId>,
+    /// Local number → the root's child carrying that item.
+    root_children: Vec<NodeId>,
     nodes: Vec<Node>,
-    /// child lookup: (parent, item) → node. Hash edges rather than per-node
-    /// child vectors: conditional trees are built once and traversed upward.
-    edges: FxHashMap<(NodeId, Item), NodeId>,
-    /// Header table entries keyed by item.
-    headers: FxHashMap<Item, Header>,
-    /// Items in ascending order of `headers[item].total` (mining order).
-    order: Vec<Item>,
+    /// Whether some node (the root included) has two children.
+    branched: bool,
 }
 
 impl FpTree {
-    /// Creates an empty tree containing only the root.
-    pub fn new() -> Self {
-        FpTree {
-            nodes: vec![Node {
-                item: Item(u32::MAX),
-                count: 0,
-                parent: NONE,
-                next_same_item: NONE,
-            }],
-            edges: FxHashMap::default(),
-            headers: FxHashMap::default(),
-            order: Vec::new(),
-        }
+    /// Empties the tree and numbers `items` `0..k` in the given order,
+    /// keeping every buffer's capacity.
+    pub(crate) fn reset(&mut self, items: impl IntoIterator<Item = Item>) {
+        self.items.clear();
+        self.items.extend(items);
+        let k = self.items.len();
+        self.totals.clear();
+        self.totals.resize(k, 0);
+        self.heads.clear();
+        self.heads.resize(k, NONE);
+        self.root_children.clear();
+        self.root_children.resize(k, NONE);
+        self.nodes.clear();
+        self.nodes.push(ROOT_NODE);
+        self.branched = false;
     }
 
-    /// Root node id.
+    /// Number of distinct items `k`.
     #[inline]
-    pub fn root(&self) -> NodeId {
-        0
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// The item with local number `l`.
+    #[inline]
+    pub(crate) fn item(&self, l: usize) -> Item {
+        self.items[l]
+    }
+
+    /// The total count of the item with local number `l`.
+    #[inline]
+    pub(crate) fn total(&self, l: usize) -> u64 {
+        self.totals[l]
+    }
+
+    /// The first node of the thread of local item `l`.
+    #[inline]
+    pub(crate) fn head(&self, l: usize) -> NodeId {
+        self.heads[l]
     }
 
     /// Immutable node access.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id as usize]
     }
 
-    /// Inserts one (already ordered, already frequency-filtered) transaction
-    /// path with multiplicity `count`.
-    pub fn insert_path(&mut self, path: &[Item], count: u64) {
-        let mut cur = self.root();
-        for &item in path {
-            let next = match self.edges.get(&(cur, item)) {
-                Some(&n) => {
-                    self.nodes[n as usize].count += count;
-                    n
-                }
-                None => {
-                    let id = self.nodes.len() as NodeId;
-                    let head = self.headers.get(&item).map_or(NONE, |h| h.head);
-                    self.nodes.push(Node { item, count, parent: cur, next_same_item: head });
-                    self.edges.insert((cur, item), id);
-                    let entry = self.headers.entry(item).or_insert(Header { total: 0, head: NONE });
-                    entry.head = id;
-                    id
-                }
-            };
-            let entry = self.headers.entry(item).or_insert(Header { total: 0, head: NONE });
-            entry.total += count;
-            cur = next;
-        }
-    }
-
-    /// Finalizes the header ordering. Must be called after the last insert
-    /// and before mining.
-    pub fn finish(&mut self) {
-        let mut order: Vec<Item> = self.headers.keys().copied().collect();
-        // Ascending support, then descending id: the reverse of insertion
-        // order, so FP-Growth peels the least frequent suffix item first.
-        order.sort_unstable_by(|a, b| {
-            let (ta, tb) = (self.headers[a].total, self.headers[b].total);
-            ta.cmp(&tb).then(b.0.cmp(&a.0))
-        });
-        self.order = order;
-    }
-
-    /// Items in mining order (ascending support).
+    /// Whether the tree is one chain from the root (no node has two
+    /// children). Its chain then holds every item once, in local order,
+    /// each with its total as the node count.
     #[inline]
-    pub fn mining_order(&self) -> &[Item] {
-        &self.order
+    pub(crate) fn is_single_path(&self) -> bool {
+        !self.branched
     }
 
-    /// Header entry for an item, if present.
-    #[inline]
-    pub fn header(&self, item: Item) -> Option<Header> {
-        self.headers.get(&item).copied()
-    }
-
-    /// Walks an item's node thread, yielding `(node_id, count)`.
-    pub fn thread(&self, item: Item) -> ThreadIter<'_> {
-        ThreadIter { tree: self, cur: self.headers.get(&item).map_or(NONE, |h| h.head) }
-    }
-
-    /// Collects the prefix path (root exclusive, `node` exclusive) above a
-    /// node, in root→leaf order.
-    pub fn prefix_path(&self, node: NodeId, out: &mut Vec<Item>) {
-        out.clear();
-        let mut cur = self.nodes[node as usize].parent;
-        while cur != NONE && cur != self.root() {
-            out.push(self.nodes[cur as usize].item);
-            cur = self.nodes[cur as usize].parent;
-        }
-        out.reverse();
-    }
-
-    /// True if the whole tree is a single chain (no branching). FP-Growth
-    /// exploits this to enumerate pattern combinations without recursion.
-    pub fn is_single_path(&self) -> bool {
-        // Root must have ≤1 child and every node ≤1 child.
-        let mut child_count: FxHashMap<NodeId, u32> = FxHashMap::default();
-        for &(parent, _) in self.edges.keys() {
-            let c = child_count.entry(parent).or_insert(0);
-            *c += 1;
-            if *c > 1 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The single path from root to leaf as `(item, count)` pairs, if the
-    /// tree is a single path.
-    pub fn single_path(&self) -> Option<Vec<(Item, u64)>> {
-        if !self.is_single_path() {
-            return None;
-        }
-        let mut out = Vec::new();
-        let mut cur = self.root();
-        loop {
-            // Find the unique child of cur, if any.
-            let child = self.edges.iter().find(|((p, _), _)| *p == cur).map(|(_, &c)| c);
-            match child {
-                Some(c) => {
-                    let n = &self.nodes[c as usize];
-                    out.push((n.item, n.count));
-                    cur = c;
+    /// Inserts one path of strictly ascending local numbers with
+    /// multiplicity `count`.
+    pub(crate) fn insert(&mut self, path: &[u32], count: u64) {
+        let mut cur = ROOT;
+        // Once a node is created, the rest of the path is new as well.
+        let mut fresh = false;
+        for &l in path {
+            self.totals[l as usize] += count;
+            if !fresh {
+                let child =
+                    if cur == ROOT { self.root_children[l as usize] } else { self.child(cur, l) };
+                if child != NONE {
+                    self.nodes[child as usize].count += count;
+                    cur = child;
+                    continue;
                 }
-                None => break,
+                fresh = true;
             }
+            let id = self.nodes.len() as NodeId;
+            let parent = &mut self.nodes[cur as usize];
+            self.branched |= parent.first_child != NONE;
+            let next_sibling = std::mem::replace(&mut parent.first_child, id);
+            self.nodes.push(Node {
+                item: l,
+                count,
+                parent: cur,
+                next_same_item: self.heads[l as usize],
+                first_child: NONE,
+                next_sibling,
+            });
+            self.heads[l as usize] = id;
+            if cur == ROOT {
+                self.root_children[l as usize] = id;
+            }
+            cur = id;
         }
-        Some(out)
     }
-}
 
-impl Default for FpTree {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Iterator over an item's node thread.
-pub struct ThreadIter<'a> {
-    tree: &'a FpTree,
-    cur: NodeId,
-}
-
-impl Iterator for ThreadIter<'_> {
-    type Item = (NodeId, u64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NONE {
-            return None;
+    /// The child of `node` carrying local item `l`, or `NONE`.
+    #[inline]
+    fn child(&self, node: NodeId, l: u32) -> NodeId {
+        let mut c = self.nodes[node as usize].first_child;
+        while c != NONE {
+            let n = &self.nodes[c as usize];
+            if n.item == l {
+                return c;
+            }
+            c = n.next_sibling;
         }
-        let id = self.cur;
-        let node = &self.tree.nodes[id as usize];
-        self.cur = node.next_same_item;
-        Some((id, node.count))
+        NONE
     }
 }
 
@@ -217,82 +178,74 @@ impl Iterator for ThreadIter<'_> {
 mod tests {
     use super::*;
 
-    fn items(ids: &[u32]) -> Vec<Item> {
-        ids.iter().map(|&i| Item(i)).collect()
+    fn tree(items: &[u32], paths: &[(&[u32], u64)]) -> FpTree {
+        let mut t = FpTree::default();
+        t.reset(items.iter().map(|&i| Item(i)));
+        for &(p, c) in paths {
+            t.insert(p, c);
+        }
+        t
+    }
+
+    /// `(local item, count)` of each node in an item's thread.
+    fn thread(t: &FpTree, l: usize) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        let mut cur = t.head(l);
+        while cur != NONE {
+            let n = t.node(cur);
+            out.push((n.item, n.count));
+            cur = n.next_same_item;
+        }
+        out
     }
 
     #[test]
     fn insert_shares_prefixes() {
-        let mut t = FpTree::new();
-        t.insert_path(&items(&[1, 2, 3]), 1);
-        t.insert_path(&items(&[1, 2, 4]), 1);
-        t.insert_path(&items(&[1, 2, 3]), 2);
-        t.finish();
+        let t = tree(&[1, 2, 3, 4], &[(&[0, 1, 2], 1), (&[0, 1, 3], 1), (&[0, 1, 2], 2)]);
         // root + 1,2,3,4 = 5 nodes
         assert_eq!(t.nodes.len(), 5);
-        assert_eq!(t.header(Item(1)).unwrap().total, 4);
-        assert_eq!(t.header(Item(2)).unwrap().total, 4);
-        assert_eq!(t.header(Item(3)).unwrap().total, 3);
-        assert_eq!(t.header(Item(4)).unwrap().total, 1);
+        assert_eq!((t.total(0), t.total(1), t.total(2), t.total(3)), (4, 4, 3, 1));
+        assert_eq!(t.item(3), Item(4));
+        assert!(!t.is_single_path());
     }
 
     #[test]
     fn thread_links_all_occurrences() {
-        let mut t = FpTree::new();
-        t.insert_path(&items(&[1, 3]), 1);
-        t.insert_path(&items(&[2, 3]), 1);
-        t.finish();
-        let counts: u64 = t.thread(Item(3)).map(|(_, c)| c).sum();
-        assert_eq!(counts, 2);
-        assert_eq!(t.thread(Item(3)).count(), 2);
-        assert_eq!(t.thread(Item(99)).count(), 0);
+        let t = tree(&[1, 2, 3], &[(&[0, 2], 1), (&[1, 2], 1)]);
+        assert_eq!(thread(&t, 2), vec![(2, 1), (2, 1)]);
+        // Newest node first: the second path's, under item 1.
+        assert_eq!(t.node(t.node(t.head(2)).parent).item, 1);
     }
 
     #[test]
-    fn prefix_path_is_root_to_parent() {
-        let mut t = FpTree::new();
-        t.insert_path(&items(&[1, 2, 3]), 1);
-        t.finish();
-        let (leaf, _) = t.thread(Item(3)).next().unwrap();
-        let mut buf = Vec::new();
-        t.prefix_path(leaf, &mut buf);
-        assert_eq!(buf, items(&[1, 2]));
-    }
-
-    #[test]
-    fn mining_order_ascending_support() {
-        let mut t = FpTree::new();
-        t.insert_path(&items(&[1, 2]), 5);
-        t.insert_path(&items(&[1]), 1);
-        t.insert_path(&items(&[3]), 1);
-        t.finish();
-        let order = t.mining_order();
-        // item 3 (1) before item 2 (5) before item 1 (6)
-        assert_eq!(order, &items(&[3, 2, 1])[..]);
-    }
-
-    #[test]
-    fn single_path_detection() {
-        let mut t = FpTree::new();
-        t.insert_path(&items(&[1, 2, 3]), 2);
-        t.finish();
+    fn reset_reuses_the_tree() {
+        let mut t = tree(&[1, 2], &[(&[0], 1), (&[1], 1)]);
+        assert!(!t.is_single_path(), "two root children branch");
+        t.reset([Item(7)]);
+        t.insert(&[0], 3);
+        assert_eq!((t.len(), t.total(0), t.nodes.len()), (1, 3, 2));
         assert!(t.is_single_path());
-        let p = t.single_path().unwrap();
-        assert_eq!(p, vec![(Item(1), 2), (Item(2), 2), (Item(3), 2)]);
-
-        let mut t2 = FpTree::new();
-        t2.insert_path(&items(&[1, 2]), 1);
-        t2.insert_path(&items(&[1, 3]), 1);
-        t2.finish();
-        assert!(!t2.is_single_path());
-        assert!(t2.single_path().is_none());
+        assert_eq!(thread(&t, 0), vec![(0, 3)]);
     }
 
     #[test]
-    fn empty_tree_is_single_path() {
-        let mut t = FpTree::new();
-        t.finish();
+    fn single_path_is_the_items_in_local_order() {
+        let t = tree(&[5, 3, 9], &[(&[0, 1], 2), (&[0, 1, 2], 1), (&[0], 1)]);
         assert!(t.is_single_path());
-        assert_eq!(t.single_path().unwrap(), vec![]);
+        // Node i + 1 holds local item i, with its total as the count.
+        for l in 0..t.len() {
+            let n = t.node(l as NodeId + 1);
+            assert_eq!((n.item, n.count), (l as u32, t.total(l)));
+        }
+        assert_eq!((t.total(0), t.total(1), t.total(2)), (4, 3, 1));
+    }
+
+    #[test]
+    fn deep_branch_is_detected() {
+        let t = tree(&[1, 2, 3], &[(&[0, 1], 1), (&[0, 2], 1)]);
+        assert!(!t.is_single_path());
+        let empty = tree(&[], &[]);
+        assert!(empty.is_single_path());
+        assert_eq!(empty.len(), 0);
     }
 }

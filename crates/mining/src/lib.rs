@@ -11,9 +11,13 @@
 //!   tid-lists so the support of *any* itemset (frequent or not) can be
 //!   counted exactly. Hand-built rules, and the covers a rule's reports are
 //!   drawn from, need that exact ad-hoc counting.
-//! * [`FpTree`] / [`mine_patterns`] — FP-Growth over an index-based tree
-//!   arena (no `Rc`/`RefCell`; the Rust-performance guide's arena idiom),
-//!   sharded across threads by [`mine_patterns_parallel`].
+//! * [`mine_patterns`] / [`fpgrowth_into`] — FP-Growth over an index-based
+//!   tree arena (no `Rc`/`RefCell`; the Rust-performance guide's arena
+//!   idiom) whose tables are dense per-tree vectors, not hash maps: each
+//!   tree numbers its items `0..k`, and each conditional tree is rebuilt
+//!   into one reused tree per recursion depth. Sharded across threads by
+//!   [`mine_patterns_parallel`], which leaves the record order
+//!   unspecified.
 //! * [`PatternStore`] / [`PatternSink`] — arena-backed pattern storage and
 //!   the zero-allocation emission boundary. Miners stream sorted `&[Item]`
 //!   slices into a sink; patterns live in one flat buffer addressed by
@@ -37,7 +41,7 @@
 pub mod apriori;
 pub mod closed;
 pub mod fpgrowth;
-pub mod fptree;
+mod fptree;
 pub mod items;
 pub mod parallel;
 pub mod store;
@@ -46,8 +50,7 @@ pub mod transactions;
 pub use apriori::apriori;
 pub use closed::{closed_patterns, SupportIndex};
 pub use fpgrowth::{fpgrowth_into, mine_patterns, FrequentItemset};
-pub use fptree::FpTree;
 pub use items::{Item, ItemSet};
 pub use parallel::mine_patterns_parallel;
 pub use store::{FnSink, PatternRef, PatternSink, PatternStore};
-pub use transactions::{TidSet, TransactionDb};
+pub use transactions::{Covers, TidSet, TransactionDb};

@@ -11,26 +11,26 @@
 //! contended resource and 8 threads ran no faster than 1. The emission path
 //! is now allocation-free — each worker streams sorted slices into a private
 //! [`PatternStore`] arena, and the join is a rebase merge
-//! ([`PatternStore::absorb`]) plus one record sort. See
+//! ([`PatternStore::absorb`]); nothing sorts the merged records. See
 //! EXPERIMENTS.md ("Parallel mining after the arena refactor") for the
 //! re-measured scaling, the threads section of `make bench` for 1 against
 //! 2 threads, and the differential suite in `tests/differential.rs` for
-//! the byte-identical output proof at every thread count.
+//! the proof that every thread count mines the same records.
 
-use crate::fpgrowth::{build_global_tree, conditional_tree, mine_into};
-use crate::items::Item;
+use crate::fpgrowth::{build_global_tree, Miner};
 use crate::store::PatternStore;
 use crate::transactions::TransactionDb;
 
 /// Runs the suffix-sharded miner with one private store per worker and
 /// returns the stores in worker order. Worker `w` mines exactly the patterns
-/// whose top-level suffix item has rank `≡ w (mod n_threads)` in the global
-/// frequency order, so each pattern lands in exactly one store.
+/// whose top-level suffix item has position `≡ w (mod n_threads)` in the
+/// mining order (least frequent first), so each pattern lands in exactly
+/// one store.
 fn mine_sharded(db: &TransactionDb, min_support: u64, n_threads: usize) -> Vec<PatternStore> {
     let build_span = maras_obs::span("build_tree");
     let tree = build_global_tree(db, min_support);
     drop(build_span);
-    if tree.mining_order().is_empty() {
+    if tree.len() == 0 {
         return Vec::new();
     }
     let tree = &tree;
@@ -42,26 +42,9 @@ fn mine_sharded(db: &TransactionDb, min_support: u64, n_threads: usize) -> Vec<P
                 scope.spawn(move || {
                     let _shard = maras_obs::span_under(parent, "shard");
                     let mut store = PatternStore::new();
-                    let mut prefix: Vec<Item> = Vec::new();
-                    let mut scratch: Vec<Item> = Vec::new();
-                    for (idx, &item) in tree.mining_order().iter().enumerate() {
-                        if idx % n_threads != w {
-                            continue;
-                        }
-                        let header = match tree.header(item) {
-                            Some(h) => h,
-                            None => continue,
-                        };
-                        if header.total < min_support {
-                            continue;
-                        }
-                        store.push(&[item], header.total);
-                        prefix.clear();
-                        prefix.push(item);
-                        let cond = conditional_tree(tree, item, min_support);
-                        if !cond.mining_order().is_empty() {
-                            mine_into(&cond, min_support, &mut prefix, &mut scratch, &mut store);
-                        }
+                    let mut miner = Miner::new(min_support);
+                    for l in (0..tree.len()).rev().skip(w).step_by(n_threads) {
+                        miner.mine_item(tree, l, 0, &mut store);
                     }
                     store
                 })
@@ -72,13 +55,14 @@ fn mine_sharded(db: &TransactionDb, min_support: u64, n_threads: usize) -> Vec<P
 }
 
 /// Mines all frequent itemsets into one [`PatternStore`] using `n_threads`
-/// workers (clamped to ≥ 1), records sorted in canonical (lexicographic
-/// itemset) order.
+/// workers (clamped to ≥ 1).
 ///
-/// Each worker fills a private arena; at join the arenas are merged by
-/// rebase and the combined record table is sorted once. The output is
-/// byte-identical to the sequential miner's sorted output at every thread
-/// count (differential-tested in `tests/differential.rs`).
+/// The record order is unspecified: one thread returns the sequential
+/// miner's emission order, more threads the workers' stores back to back.
+/// Every thread count yields the same set of `(itemset, support)` records
+/// (differential-tested in `tests/differential.rs`); callers that need an
+/// order sort ([`PatternStore::sort_by_items`]) or index the store, as
+/// [`SupportIndex`](crate::SupportIndex) does.
 pub fn mine_patterns_parallel(
     db: &TransactionDb,
     min_support: u64,
@@ -87,7 +71,7 @@ pub fn mine_patterns_parallel(
     let n_threads = n_threads.max(1);
     let min_support = min_support.max(1);
     let mine_span = maras_obs::span("mine");
-    let mut out = if n_threads == 1 {
+    let out = if n_threads == 1 {
         let _seq = maras_obs::span("mine_seq");
         crate::fpgrowth::mine_patterns(db, min_support)
     } else {
@@ -99,9 +83,6 @@ pub fn mine_patterns_parallel(
         }
         merged
     };
-    let sort_span = maras_obs::span("sort");
-    out.sort_by_items();
-    drop(sort_span);
     maras_obs::counter("maras_mining_patterns_total", "frequent patterns mined")
         .add(out.len() as u64);
     maras_obs::gauge("maras_mining_arena_bytes", "item arena size of the latest pattern store")
@@ -114,13 +95,16 @@ pub fn mine_patterns_parallel(
 mod tests {
     use super::*;
     use crate::fpgrowth::{mine_patterns, FrequentItemset};
+    use crate::items::Item;
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
         TransactionDb::new(rows.iter().map(|r| r.iter().map(|&i| Item(i)).collect()).collect())
     }
 
     fn parallel(d: &TransactionDb, min_support: u64, threads: usize) -> Vec<FrequentItemset> {
-        mine_patterns_parallel(d, min_support, threads).to_frequent_itemsets()
+        let mut store = mine_patterns_parallel(d, min_support, threads);
+        store.sort_by_items();
+        store.to_frequent_itemsets()
     }
 
     fn sequential_sorted(d: &TransactionDb, min_support: u64) -> Vec<FrequentItemset> {
@@ -159,16 +143,18 @@ mod tests {
         let mut seq = mine_patterns(&d, 1);
         seq.sort_by_items();
         for threads in [2, 4] {
-            let par = mine_patterns_parallel(&d, 1, threads);
+            let mut par = mine_patterns_parallel(&d, 1, threads);
+            par.sort_by_items();
             assert_eq!(par.len(), seq.len());
             assert!(par.iter().eq(seq.iter()), "threads={threads}");
         }
     }
 
     #[test]
-    fn single_thread_falls_back_to_sequential() {
-        let d = db(&[&[1, 2], &[2, 3]]);
-        assert_eq!(parallel(&d, 1, 1), sequential_sorted(&d, 1));
+    fn single_thread_is_the_sequential_emission_order() {
+        let d = db(&[&[1, 2], &[2, 3], &[1, 2, 3], &[3]]);
+        let seq = mine_patterns(&d, 1);
+        assert!(mine_patterns_parallel(&d, 1, 1).iter().eq(seq.iter()));
     }
 
     #[test]

@@ -20,6 +20,33 @@ use rustc_hash::FxHashMap;
 /// re-exported from `maras-tidset`, the shared set-algebra layer.
 pub type TidSet = maras_tidset::TidSet;
 
+/// The covers of many itemsets in one flat buffer, as
+/// [`TransactionDb::covers`] returns them: cover `i` is the ascending tids
+/// of the `i`-th itemset.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Covers {
+    tids: Vec<u32>,
+    /// Cover `i` is `tids[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+}
+
+impl Covers {
+    /// Number of covers (the number of itemsets asked for).
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether no itemset was asked for.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every cover, ascending, in itemset order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.offsets.windows(2).map(|w| &self.tids[w[0]..w[1]])
+    }
+}
+
 /// An immutable transaction database with vertical tid-list indexes.
 ///
 /// ```
@@ -161,6 +188,118 @@ impl TransactionDb {
         }
     }
 
+    /// The covers of many itemsets from one scan of the transactions: cover
+    /// `i` of the result equals [`cover_tids`](Self::cover_tids) of the
+    /// `i`-th itemset (every tid for an empty one). Items of one itemset
+    /// may come in any order and may repeat.
+    ///
+    /// Each itemset is anchored on its rarest item (ties to the smaller
+    /// id), and an anchor's itemsets keep their other items rarest first,
+    /// so a transaction holding the anchor usually rejects a non-member at
+    /// its first probe. The transactions are walked once in tid order
+    /// against a dense item marker, and the hits are laid out into one flat
+    /// buffer, each cover ascending. The scan visits every transaction
+    /// whatever the itemsets, so for a handful of itemsets per-itemset
+    /// [`cover_tids`](Self::cover_tids) is cheaper.
+    ///
+    /// ```
+    /// use maras_mining::{Item, TransactionDb};
+    /// let db = TransactionDb::new(vec![
+    ///     vec![Item(0), Item(1), Item(10)],
+    ///     vec![Item(0), Item(10)],
+    ///     vec![Item(1)],
+    /// ]);
+    /// let covers = db.covers([vec![Item(0), Item(10)], vec![Item(1)], vec![]]);
+    /// let covers: Vec<&[u32]> = covers.iter().collect();
+    /// assert_eq!(covers, [&[0, 1][..], &[0, 2], &[0, 1, 2]]);
+    /// ```
+    pub fn covers<S, I>(&self, itemsets: S) -> Covers
+    where
+        S: IntoIterator<Item = I>,
+        I: IntoIterator<Item = Item>,
+    {
+        struct Anchored {
+            anchor: Item,
+            set: u32,
+            /// The other items, rarest first: `others[start..end]`.
+            start: u32,
+            end: u32,
+        }
+        let mut anchored: Vec<Anchored> = Vec::new();
+        let mut others: Vec<Item> = Vec::new();
+        let mut everything: Vec<u32> = Vec::new();
+        let mut by_rarity: Vec<(u64, Item)> = Vec::new();
+        let mut n_sets = 0u32;
+        for itemset in itemsets {
+            let set = n_sets;
+            n_sets += 1;
+            by_rarity.clear();
+            by_rarity.extend(
+                itemset.into_iter().map(|i| (self.tidlists.get(&i).map_or(0, TidSet::len), i)),
+            );
+            by_rarity.sort_unstable();
+            by_rarity.dedup();
+            match by_rarity.first() {
+                None => everything.push(set),
+                Some(&(0, _)) => {} // an item no transaction holds: empty cover
+                Some(&(_, anchor)) => {
+                    let start = others.len() as u32;
+                    others.extend(by_rarity[1..].iter().map(|&(_, i)| i));
+                    anchored.push(Anchored { anchor, set, start, end: others.len() as u32 });
+                }
+            }
+        }
+        // Group by anchor: `anchored[first[a]..first[a + 1]]` hold item a.
+        anchored.sort_unstable_by_key(|a| a.anchor);
+        let bound = self.item_bound as usize;
+        let mut first = vec![0u32; bound + 1];
+        for a in &anchored {
+            first[a.anchor.index() + 1] += 1;
+        }
+        for i in 0..bound {
+            first[i + 1] += first[i];
+        }
+
+        // Stamp each transaction's items with its tid + 1, then test every
+        // itemset anchored on one of them against the stamps. An empty
+        // itemset is in every transaction.
+        let mut stamp = vec![0u32; bound];
+        let mut hits: Vec<(u32, u32)> = Vec::new();
+        for (tid, t) in self.transactions.iter().enumerate() {
+            let tid = tid as u32;
+            hits.extend(everything.iter().map(|&set| (set, tid)));
+            for i in t.iter() {
+                stamp[i.index()] = tid + 1;
+            }
+            for i in t.iter() {
+                let range = first[i.index()] as usize..first[i.index() + 1] as usize;
+                for a in &anchored[range] {
+                    let rest = &others[a.start as usize..a.end as usize];
+                    if rest.iter().all(|o| stamp[o.index()] == tid + 1) {
+                        hits.push((a.set, tid));
+                    }
+                }
+            }
+        }
+
+        // Lay the hits out set by set; tid order within a set is kept.
+        let mut offsets = vec![0usize; n_sets as usize + 1];
+        for &(set, _) in &hits {
+            offsets[set as usize + 1] += 1;
+        }
+        for s in 0..n_sets as usize {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut tids = vec![0u32; offsets[n_sets as usize]];
+        let mut next = offsets.clone();
+        for &(set, tid) in &hits {
+            let at = &mut next[set as usize];
+            tids[*at] = tid;
+            *at += 1;
+        }
+        Covers { tids, offsets }
+    }
+
     /// Gathers the per-item tid-sets: `None` if some item never occurs
     /// (empty cover), `Some(vec![])` for the empty itemset.
     fn lists_of(
@@ -265,6 +404,17 @@ mod tests {
     }
 
     #[test]
+    fn batch_covers_handle_ties_and_absent_items() {
+        let db = sample_db();
+        // Items 0 and 1 both occur in 3 transactions: a tie for the anchor.
+        let sets = [set(&[0, 1]), set(&[1, 0, 11]), set(&[2, 99]), ItemSet::empty(), set(&[0, 1])];
+        let covers = db.covers(sets.iter().map(|s| s.iter()));
+        let got: Vec<&[u32]> = covers.iter().collect();
+        assert_eq!(got, vec![&[0, 3][..], &[0, 3], &[], &[0, 1, 2, 3, 4], &[0, 3]]);
+        assert!(db.covers(Vec::<Vec<Item>>::new()).is_empty());
+    }
+
+    #[test]
     fn closure_grows_to_closed_set() {
         let db = sample_db();
         // {0,1} appears only with {10,11}.
@@ -325,6 +475,34 @@ mod tests {
                     prop_assert_eq!(db.support(&c), db.support(&s));
                     prop_assert!(db.is_closed(&c));
                 }
+            }
+
+            #[test]
+            fn batch_covers_match_cover_tids(
+                db in arb_db(),
+                sets in proptest::collection::vec(arb_set(), 0..12),
+                dup in 0usize..12,
+            ) {
+                // Item 20 is beyond every transaction's items, the empty
+                // itemset covers every tid, and a repeated itemset and
+                // ties for the rarest item (small ids share supports on
+                // 30 transactions) must not disturb the layout.
+                let mut sets = sets;
+                sets.push(ItemSet::empty());
+                sets.push(ItemSet::from_ids([3u32, 20]));
+                if let Some(s) = sets.get(dup % sets.len()).cloned() {
+                    sets.push(s);
+                }
+                let covers = db.covers(sets.iter().map(|s| s.iter()));
+                prop_assert_eq!(covers.len(), sets.len());
+                for (s, cover) in sets.iter().zip(covers.iter()) {
+                    prop_assert_eq!(cover, db.cover_tids(s).as_slice(), "itemset {}", s);
+                }
+                // Item order and repeats inside one itemset do not matter.
+                let reversed = db.covers(
+                    sets.iter().map(|s| s.items().iter().rev().chain(s.items()).copied()),
+                );
+                prop_assert_eq!(reversed, covers);
             }
 
             #[test]

@@ -10,7 +10,7 @@
 //! guaranteed identical to [`RuleQuery::apply`] — the parity the
 //! integration tests pin down.
 
-use maras_core::link::{max_severity, supporting_case_ids, supporting_tids};
+use maras_core::link::{max_severity, supporting_case_ids, target_covers};
 use maras_core::pipeline::AnalysisResult;
 use maras_core::{KnowledgeBase, RuleQuery};
 use maras_faers::Vocabulary;
@@ -94,7 +94,10 @@ impl Snapshot {
     /// Builds a snapshot from a pipeline result. Pass the knowledge base
     /// the interactive scan path would use; with `None`, the
     /// `unknown_only` / `novel_adr_only` filters keep everything, exactly
-    /// like `RuleQuery::apply` without a knowledge base.
+    /// like `RuleQuery::apply` without a knowledge base. Every cluster's
+    /// case ids and severity come from its target's cover, and all the
+    /// covers from one scan of the transactions
+    /// ([`target_covers`]).
     pub fn build(
         quarter: impl Into<String>,
         result: &AnalysisResult,
@@ -103,10 +106,12 @@ impl Snapshot {
         kb: Option<&KnowledgeBase>,
     ) -> Snapshot {
         let _span = maras_obs::span("snapshot_build");
+        let covers = target_covers(result);
         let clusters = result
             .ranked
             .iter()
-            .map(|r| {
+            .zip(covers.iter())
+            .map(|(r, tids)| {
                 let t = &r.cluster.target;
                 let drugs: Vec<String> = result
                     .encoded
@@ -117,13 +122,12 @@ impl Snapshot {
                 let adrs = result.encoded.names(&t.adrs, drug_vocab, adr_vocab);
                 let refs: Vec<&str> = drugs.iter().map(String::as_str).collect();
                 let adr_refs: Vec<&str> = adrs.iter().map(String::as_str).collect();
-                let tids = supporting_tids(result, t);
                 ClusterEntry {
                     score: r.score,
-                    max_severity: max_severity(result, &tids).map_or(0, |o| o.severity()),
+                    max_severity: max_severity(result, tids).map_or(0, |o| o.severity()),
                     known: kb.is_some_and(|kb| kb.is_known(&refs)),
                     has_novel_adr: kb.is_none_or(|kb| kb.has_novel_adr(&refs, &adr_refs)),
-                    case_ids: supporting_case_ids(result, &tids),
+                    case_ids: supporting_case_ids(result, tids),
                     context: r.cluster.context.clone(),
                     scores: r.scores,
                     drugs,

@@ -3,7 +3,10 @@
 //! marginals, `/search` filter-grid narrowing, and the evidence reader's
 //! cover path — must be byte-identical to the scalar sorted-`Vec<u32>`
 //! baselines the PR deleted, across seeded quarters, a dense synthetic
-//! corpus that forces bitmap containers, and 1/2/4 scoring threads.
+//! corpus that forces bitmap containers, and 1/2/4 scoring threads. The
+//! batch target covers (`link::target_covers`, one transaction scan) are
+//! held the same way to the per-rule `link::supporting_tids`, at 1 and 2
+//! mining threads.
 //!
 //! The scalar galloping kernels are re-implemented here, in-test, as the
 //! ground truth; nothing in this file goes through `maras-tidset` on the
@@ -318,6 +321,33 @@ fn quarter_marginals_and_scores_match_scalar_paths_at_all_thread_counts() {
             assert_eq!(scored.len(), legacy.len());
             for (i, (got, want)) in scored.iter().zip(&legacy).enumerate() {
                 assert_bits_eq(got, want, &format!("seed {seed} threads {threads} rule {i}"));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Batch target covers against per-rule covers.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn batch_target_covers_match_per_rule_covers_at_one_and_two_threads() {
+    for seed in [44u64, 45] {
+        let mut cfg = SynthConfig::test_scale(seed);
+        cfg.n_reports = 1500;
+        let mut synth = Synthesizer::new(cfg);
+        let quarter = synth.generate_quarter(QuarterId::new(2016, 1 + (seed % 4) as u8));
+        for threads in [1usize, 2] {
+            let config = PipelineConfig::default().with_min_support(6).with_n_threads(threads);
+            let result =
+                Pipeline::new(config).run(quarter.clone(), synth.drug_vocab(), synth.adr_vocab());
+            assert!(!result.ranked.is_empty(), "seed {seed}: no ranked rules");
+            let covers = link::target_covers(&result);
+            assert_eq!(covers.len(), result.ranked.len());
+            for (rank, (r, cover)) in result.ranked.iter().zip(covers.iter()).enumerate() {
+                let want = link::supporting_tids(&result, &r.cluster.target);
+                assert_eq!(cover, want, "seed {seed} threads {threads} rank {rank}");
+                assert_eq!(cover.len() as u64, r.cluster.target.support());
             }
         }
     }
