@@ -28,7 +28,7 @@ pub fn supporting_tids(result: &AnalysisResult, rule: &DrugAdrRule) -> Vec<u32> 
 pub fn target_covers(result: &AnalysisResult) -> Covers {
     result.encoded.db.covers(result.ranked.iter().map(|r| {
         let target = &r.cluster.target;
-        target.drugs.iter().chain(target.adrs.iter())
+        (target.drugs.iter().chain(target.adrs.iter()), target.support())
     }))
 }
 

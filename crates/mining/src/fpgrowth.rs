@@ -4,7 +4,7 @@
 //! large rule spaces (Fig. 5.1 reports up to 10⁶–10⁷ associations) can be
 //! counted or filtered without materializing them all.
 
-use crate::fptree::{FpTree, NONE, ROOT};
+use crate::fptree::FpTree;
 use crate::items::{Item, ItemSet};
 use crate::store::{PatternSink, PatternStore};
 use crate::transactions::TransactionDb;
@@ -21,6 +21,9 @@ pub struct FrequentItemset {
 /// Longest single path that still gets the combination shortcut; longer
 /// paths fall back to plain recursion to bound the 2^len blow-up.
 const SINGLE_PATH_CAP: usize = 16;
+
+/// The local number of an item a tree leaves out (below `min_support`).
+const UNRANKED: u32 = u32::MAX;
 
 /// Runs FP-Growth, streaming every frequent itemset (of length ≥ 1) with
 /// `support ≥ min_support` into `sink` as a strictly-ascending `&[Item]`
@@ -72,7 +75,7 @@ pub(crate) fn build_global_tree(db: &TransactionDb, min_support: u64) -> FpTree 
     let mut supports: Vec<(Item, u32)> =
         db.item_supports().filter(|&(_, s)| s as u64 >= min_support).collect();
     supports.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut rank = vec![NONE; db.item_bound() as usize];
+    let mut rank = vec![UNRANKED; db.item_bound() as usize];
     for (r, &(item, _)) in supports.iter().enumerate() {
         rank[item.index()] = r as u32;
     }
@@ -82,7 +85,7 @@ pub(crate) fn build_global_tree(db: &TransactionDb, min_support: u64) -> FpTree 
     let mut path: Vec<u32> = Vec::new();
     for t in db.transactions() {
         path.clear();
-        path.extend(t.iter().map(|i| rank[i.index()]).filter(|&r| r != NONE));
+        path.extend(t.iter().map(|i| rank[i.index()]).filter(|&r| r != UNRANKED));
         path.sort_unstable();
         if !path.is_empty() {
             tree.insert(&path, 1);
@@ -121,7 +124,7 @@ pub(crate) struct Miner {
     /// between projections.
     counts: Vec<u64>,
     /// Local number in the projected tree → local number in the
-    /// conditional tree; `NONE` between projections.
+    /// conditional tree; `UNRANKED` between projections.
     remap: Vec<u32>,
     /// The local numbers `counts` holds a non-zero entry for.
     touched: Vec<u32>,
@@ -182,32 +185,26 @@ impl Miner {
     /// and items below `min_support` removed. The surviving items are
     /// numbered by descending conditional support, ties by ascending id.
     fn project(&mut self, tree: &FpTree, l: usize, cond: &mut FpTree) {
-        // Every ancestor of an `l` node has a smaller local number.
+        // Every item on a prefix path of `l` has a smaller local number.
         if self.counts.len() < l {
             self.counts.resize(l, 0);
-            self.remap.resize(l, NONE);
+            self.remap.resize(l, UNRANKED);
         }
         self.paths.clear();
         self.ends.clear();
-        let mut node = tree.head(l);
-        while node != NONE {
-            let n = tree.node(node);
+        for (count, path) in tree.prefix_paths(l) {
             let start = self.paths.len();
-            let mut up = n.parent;
-            while up != ROOT {
-                let u = tree.node(up);
-                let count = &mut self.counts[u.item as usize];
-                if *count == 0 {
-                    self.touched.push(u.item);
+            for i in path {
+                let c = &mut self.counts[i as usize];
+                if *c == 0 {
+                    self.touched.push(i);
                 }
-                *count += n.count;
-                self.paths.push(u.item);
-                up = u.parent;
+                *c += count;
+                self.paths.push(i);
             }
             if self.paths.len() > start {
-                self.ends.push((self.paths.len() as u32, n.count));
+                self.ends.push((self.paths.len() as u32, count));
             }
-            node = n.next_same_item;
         }
 
         let counts = &self.counts;
@@ -229,7 +226,7 @@ impl Miner {
                 self.paths[start..end]
                     .iter()
                     .map(|&i| self.remap[i as usize])
-                    .filter(|&i| i != NONE),
+                    .filter(|&i| i != UNRANKED),
             );
             self.path.sort_unstable();
             if !self.path.is_empty() {
@@ -241,7 +238,7 @@ impl Miner {
         // Leave the scratch clean for the next projection.
         for &i in &self.paths {
             self.counts[i as usize] = 0;
-            self.remap[i as usize] = NONE;
+            self.remap[i as usize] = UNRANKED;
         }
         self.touched.clear();
     }
@@ -368,6 +365,87 @@ mod tests {
         let d = db(&[&[7, 8], &[7, 8], &[7, 8]]);
         let m = mined_map(&d, 2);
         assert_eq!(m[&ItemSet::from_ids([7, 8])], 3);
+    }
+
+    #[test]
+    fn global_tree_mines_least_frequent_first() {
+        // Supports 1: 6, 2: 5, 3: 1, 4: 1. Mining runs in reverse local
+        // order: the least frequent item first, ties by descending id.
+        let d = db(&[&[1, 2], &[1, 2], &[1, 2], &[1, 2], &[1, 2], &[1], &[3], &[4]]);
+        let t = build_global_tree(&d, 1);
+        let order: Vec<Item> = (0..t.len()).rev().map(|l| t.item(l)).collect();
+        assert_eq!(order, [Item(4), Item(3), Item(2), Item(1)]);
+    }
+
+    /// `mine_patterns`' records as `(items, support)`, in emission order.
+    fn emitted(d: &TransactionDb, min_support: u64) -> Vec<(Vec<u32>, u64)> {
+        let store = mine_patterns(d, min_support);
+        store.iter().map(|(items, s)| (items.iter().map(|i| i.0).collect(), s)).collect()
+    }
+
+    fn pinned(records: &[(&[u32], u64)]) -> Vec<(Vec<u32>, u64)> {
+        records.iter().map(|&(items, s)| (items.to_vec(), s)).collect()
+    }
+
+    #[test]
+    fn emission_order_is_least_frequent_first_at_every_depth() {
+        // Every tree, the global one and each conditional one, is mined
+        // least frequent item first, ties by descending id; a single
+        // path's combinations come in mask order over its items, most
+        // frequent first. `mine_patterns_parallel` at one thread, and each
+        // of its shards, keep this order.
+        //
+        // Han's example: global ties 1/3 (6 reports) and 4/5 (2), and a
+        // tie between 1 and 2 under 5 (a single path) and under 3.
+        let han = db(&[
+            &[1, 2, 5],
+            &[2, 4],
+            &[2, 3],
+            &[1, 2, 4],
+            &[1, 3],
+            &[2, 3],
+            &[1, 3],
+            &[1, 2, 3, 5],
+            &[1, 2, 3],
+        ]);
+        assert_eq!(
+            emitted(&han, 2),
+            pinned(&[
+                (&[5], 2),
+                (&[1, 5], 2),
+                (&[2, 5], 2),
+                (&[1, 2, 5], 2),
+                (&[4], 2),
+                (&[2, 4], 2),
+                (&[3], 6),
+                (&[2, 3], 4),
+                (&[1, 2, 3], 2),
+                (&[1, 3], 4),
+                (&[1], 6),
+                (&[1, 2], 4),
+                (&[2], 7),
+            ])
+        );
+        // Globally 1 > 2 = 4 > 3, but under 3 item 4 (3 reports) comes
+        // before item 1 (1 report).
+        let reordered =
+            db(&[&[1, 2], &[1, 2], &[1, 2], &[3, 4], &[3, 4], &[1, 3, 4], &[1, 2, 4], &[1]]);
+        assert_eq!(
+            emitted(&reordered, 1),
+            pinned(&[
+                (&[3], 3),
+                (&[3, 4], 3),
+                (&[1, 3], 1),
+                (&[1, 3, 4], 1),
+                (&[4], 4),
+                (&[1, 4], 2),
+                (&[2, 4], 1),
+                (&[1, 2, 4], 1),
+                (&[2], 4),
+                (&[1, 2], 4),
+                (&[1], 6),
+            ])
+        );
     }
 
     mod properties {

@@ -14,22 +14,22 @@
 use crate::items::Item;
 
 /// Index of a node inside the arena. `NONE` marks a null link.
-pub(crate) type NodeId = u32;
-pub(crate) const NONE: NodeId = u32::MAX;
+type NodeId = u32;
+const NONE: NodeId = u32::MAX;
 /// The root is always node 0.
-pub(crate) const ROOT: NodeId = 0;
+const ROOT: NodeId = 0;
 
 /// One FP-tree node.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Node {
+struct Node {
     /// The tree-local number of this node's item (undefined for the root).
-    pub(crate) item: u32,
+    item: u32,
     /// Number of transactions sharing the path down to this node.
-    pub(crate) count: u64,
+    count: u64,
     /// Parent node (`NONE` for the root).
-    pub(crate) parent: NodeId,
+    parent: NodeId,
     /// Next node carrying the same item (the item's thread).
-    pub(crate) next_same_item: NodeId,
+    next_same_item: NodeId,
     /// Most recently created child.
     first_child: NodeId,
     /// Next child of the same parent.
@@ -101,16 +101,32 @@ impl FpTree {
         self.totals[l]
     }
 
-    /// The first node of the thread of local item `l`.
+    /// The prefix paths of local item `l`, one per node of its thread,
+    /// newest node first: the node's count and the local numbers on the
+    /// path from its parent up to the root, each smaller than `l`.
     #[inline]
-    pub(crate) fn head(&self, l: usize) -> NodeId {
-        self.heads[l]
-    }
-
-    /// Immutable node access.
-    #[inline]
-    pub(crate) fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id as usize]
+    pub(crate) fn prefix_paths(
+        &self,
+        l: usize,
+    ) -> impl Iterator<Item = (u64, impl Iterator<Item = u32> + '_)> + '_ {
+        let mut node = self.heads[l];
+        std::iter::from_fn(move || {
+            if node == NONE {
+                return None;
+            }
+            let n = &self.nodes[node as usize];
+            node = n.next_same_item;
+            let mut up = n.parent;
+            let path = std::iter::from_fn(move || {
+                if up == ROOT {
+                    return None;
+                }
+                let u = &self.nodes[up as usize];
+                up = u.parent;
+                Some(u.item)
+            });
+            Some((n.count, path))
+        })
     }
 
     /// Whether the tree is one chain from the root (no node has two
@@ -187,16 +203,9 @@ mod tests {
         t
     }
 
-    /// `(local item, count)` of each node in an item's thread.
-    fn thread(t: &FpTree, l: usize) -> Vec<(u32, u64)> {
-        let mut out = Vec::new();
-        let mut cur = t.head(l);
-        while cur != NONE {
-            let n = t.node(cur);
-            out.push((n.item, n.count));
-            cur = n.next_same_item;
-        }
-        out
+    /// Every prefix path of local item `l`, as `(count, path)`.
+    fn prefix_paths(t: &FpTree, l: usize) -> Vec<(u64, Vec<u32>)> {
+        t.prefix_paths(l).map(|(count, path)| (count, path.collect())).collect()
     }
 
     #[test]
@@ -207,14 +216,17 @@ mod tests {
         assert_eq!((t.total(0), t.total(1), t.total(2), t.total(3)), (4, 4, 3, 1));
         assert_eq!(t.item(3), Item(4));
         assert!(!t.is_single_path());
+        // Item 2's one node sits under the shared prefix 0, 1.
+        assert_eq!(prefix_paths(&t, 2), vec![(3, vec![1, 0])]);
     }
 
     #[test]
     fn thread_links_all_occurrences() {
         let t = tree(&[1, 2, 3], &[(&[0, 2], 1), (&[1, 2], 1)]);
-        assert_eq!(thread(&t, 2), vec![(2, 1), (2, 1)]);
         // Newest node first: the second path's, under item 1.
-        assert_eq!(t.node(t.node(t.head(2)).parent).item, 1);
+        assert_eq!(prefix_paths(&t, 2), vec![(1, vec![1]), (1, vec![0])]);
+        // A root child's prefix path is empty.
+        assert_eq!(prefix_paths(&t, 0), vec![(1, vec![])]);
     }
 
     #[test]
@@ -225,17 +237,17 @@ mod tests {
         t.insert(&[0], 3);
         assert_eq!((t.len(), t.total(0), t.nodes.len()), (1, 3, 2));
         assert!(t.is_single_path());
-        assert_eq!(thread(&t, 0), vec![(0, 3)]);
+        assert_eq!(prefix_paths(&t, 0), vec![(3, vec![])]);
     }
 
     #[test]
     fn single_path_is_the_items_in_local_order() {
         let t = tree(&[5, 3, 9], &[(&[0, 1], 2), (&[0, 1, 2], 1), (&[0], 1)]);
         assert!(t.is_single_path());
-        // Node i + 1 holds local item i, with its total as the count.
+        // Each item has one node, below every smaller local number, with
+        // its total as the count.
         for l in 0..t.len() {
-            let n = t.node(l as NodeId + 1);
-            assert_eq!((n.item, n.count), (l as u32, t.total(l)));
+            assert_eq!(prefix_paths(&t, l), vec![(t.total(l), (0..l as u32).rev().collect())]);
         }
         assert_eq!((t.total(0), t.total(1), t.total(2)), (4, 3, 1));
     }

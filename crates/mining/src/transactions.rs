@@ -190,17 +190,23 @@ impl TransactionDb {
 
     /// The covers of many itemsets from one scan of the transactions: cover
     /// `i` of the result equals [`cover_tids`](Self::cover_tids) of the
-    /// `i`-th itemset (every tid for an empty one). Items of one itemset
-    /// may come in any order and may repeat.
+    /// `i`-th itemset (every tid for an empty one). Each itemset comes with
+    /// its support, which is its cover's length and sizes the flat buffer
+    /// the covers are written into. Items of one itemset may come in any
+    /// order and may repeat.
     ///
     /// Each itemset is anchored on its rarest item (ties to the smaller
     /// id), and an anchor's itemsets keep their other items rarest first,
     /// so a transaction holding the anchor usually rejects a non-member at
     /// its first probe. The transactions are walked once in tid order
-    /// against a dense item marker, and the hits are laid out into one flat
-    /// buffer, each cover ascending. The scan visits every transaction
-    /// whatever the itemsets, so for a handful of itemsets per-itemset
-    /// [`cover_tids`](Self::cover_tids) is cheaper.
+    /// against a dense item marker, and each hit's tid goes straight to
+    /// the end of its cover, so every cover is ascending. The scan visits
+    /// every transaction whatever the itemsets, so for a handful of
+    /// itemsets per-itemset [`cover_tids`](Self::cover_tids) is cheaper.
+    ///
+    /// # Panics
+    ///
+    /// If some itemset's cover is not as long as the support given for it.
     ///
     /// ```
     /// use maras_mining::{Item, TransactionDb};
@@ -209,13 +215,13 @@ impl TransactionDb {
     ///     vec![Item(0), Item(10)],
     ///     vec![Item(1)],
     /// ]);
-    /// let covers = db.covers([vec![Item(0), Item(10)], vec![Item(1)], vec![]]);
+    /// let covers = db.covers([(vec![Item(0), Item(10)], 2), (vec![Item(1)], 2), (vec![], 3)]);
     /// let covers: Vec<&[u32]> = covers.iter().collect();
     /// assert_eq!(covers, [&[0, 1][..], &[0, 2], &[0, 1, 2]]);
     /// ```
     pub fn covers<S, I>(&self, itemsets: S) -> Covers
     where
-        S: IntoIterator<Item = I>,
+        S: IntoIterator<Item = (I, u64)>,
         I: IntoIterator<Item = Item>,
     {
         struct Anchored {
@@ -229,10 +235,11 @@ impl TransactionDb {
         let mut others: Vec<Item> = Vec::new();
         let mut everything: Vec<u32> = Vec::new();
         let mut by_rarity: Vec<(u64, Item)> = Vec::new();
-        let mut n_sets = 0u32;
-        for itemset in itemsets {
-            let set = n_sets;
-            n_sets += 1;
+        // Cover `i` goes to `tids[offsets[i]..offsets[i + 1]]`.
+        let mut offsets = vec![0usize];
+        for (itemset, support) in itemsets {
+            let set = (offsets.len() - 1) as u32;
+            offsets.push(offsets[set as usize] + support as usize);
             by_rarity.clear();
             by_rarity.extend(
                 itemset.into_iter().map(|i| (self.tidlists.get(&i).map_or(0, TidSet::len), i)),
@@ -263,11 +270,20 @@ impl TransactionDb {
         // Stamp each transaction's items with its tid + 1, then test every
         // itemset anchored on one of them against the stamps. An empty
         // itemset is in every transaction.
+        let n_sets = offsets.len() - 1;
+        let mut tids = vec![0u32; offsets[n_sets]];
+        let mut next = offsets[..n_sets].to_vec();
+        let mut put = |set: u32, tid: u32| {
+            let at = &mut next[set as usize];
+            tids[*at] = tid;
+            *at += 1;
+        };
         let mut stamp = vec![0u32; bound];
-        let mut hits: Vec<(u32, u32)> = Vec::new();
         for (tid, t) in self.transactions.iter().enumerate() {
             let tid = tid as u32;
-            hits.extend(everything.iter().map(|&set| (set, tid)));
+            for &set in &everything {
+                put(set, tid);
+            }
             for i in t.iter() {
                 stamp[i.index()] = tid + 1;
             }
@@ -276,27 +292,15 @@ impl TransactionDb {
                 for a in &anchored[range] {
                     let rest = &others[a.start as usize..a.end as usize];
                     if rest.iter().all(|o| stamp[o.index()] == tid + 1) {
-                        hits.push((a.set, tid));
+                        put(a.set, tid);
                     }
                 }
             }
         }
-
-        // Lay the hits out set by set; tid order within a set is kept.
-        let mut offsets = vec![0usize; n_sets as usize + 1];
-        for &(set, _) in &hits {
-            offsets[set as usize + 1] += 1;
-        }
-        for s in 0..n_sets as usize {
-            offsets[s + 1] += offsets[s];
-        }
-        let mut tids = vec![0u32; offsets[n_sets as usize]];
-        let mut next = offsets.clone();
-        for &(set, tid) in &hits {
-            let at = &mut next[set as usize];
-            tids[*at] = tid;
-            *at += 1;
-        }
+        assert!(
+            next == offsets[1..],
+            "an itemset's cover is not as long as the support given for it"
+        );
         Covers { tids, offsets }
     }
 
@@ -408,10 +412,26 @@ mod tests {
         let db = sample_db();
         // Items 0 and 1 both occur in 3 transactions: a tie for the anchor.
         let sets = [set(&[0, 1]), set(&[1, 0, 11]), set(&[2, 99]), ItemSet::empty(), set(&[0, 1])];
-        let covers = db.covers(sets.iter().map(|s| s.iter()));
+        let covers = db.covers(sets.iter().map(|s| (s.iter(), db.support(s) as u64)));
         let got: Vec<&[u32]> = covers.iter().collect();
         assert_eq!(got, vec![&[0, 3][..], &[0, 3], &[], &[0, 1, 2, 3, 4], &[0, 3]]);
-        assert!(db.covers(Vec::<Vec<Item>>::new()).is_empty());
+        assert!(db.covers(Vec::<(Vec<Item>, u64)>::new()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not as long as the support")]
+    fn batch_covers_refuse_an_understated_support() {
+        // {0, 1} is in 2 transactions: its second tid would land in the
+        // next itemset's cover.
+        let s = set(&[0, 1]);
+        sample_db().covers([(s.iter(), 1), (s.iter(), 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not as long as the support")]
+    fn batch_covers_refuse_an_overstated_support() {
+        let s = set(&[0, 1]);
+        sample_db().covers([(s.iter(), 3), (s.iter(), 2)]);
     }
 
     #[test]
@@ -493,15 +513,15 @@ mod tests {
                 if let Some(s) = sets.get(dup % sets.len()).cloned() {
                     sets.push(s);
                 }
-                let covers = db.covers(sets.iter().map(|s| s.iter()));
+                let covers = db.covers(sets.iter().map(|s| (s.iter(), db.support(s) as u64)));
                 prop_assert_eq!(covers.len(), sets.len());
                 for (s, cover) in sets.iter().zip(covers.iter()) {
                     prop_assert_eq!(cover, db.cover_tids(s).as_slice(), "itemset {}", s);
                 }
                 // Item order and repeats inside one itemset do not matter.
-                let reversed = db.covers(
-                    sets.iter().map(|s| s.items().iter().rev().chain(s.items()).copied()),
-                );
+                let reversed = db.covers(sets.iter().map(|s| {
+                    (s.items().iter().rev().chain(s.items()).copied(), db.support(s) as u64)
+                }));
                 prop_assert_eq!(reversed, covers);
             }
 
